@@ -26,15 +26,23 @@ def _emit(payload: dict, args) -> None:
     print(text)
 
 
+def _ints(text: str, names: str) -> tuple[int, ...]:
+    """Parse comma-separated integers, one per comma-separated name in `names`."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != len(names.split(",")):
+        raise InputError(f"expected {names} as integers (got {text!r})")
+    return values
+
+
 def _load_group(args) -> matgroup.RGroup:
     budget = args.budget_elements
     if args.catalog:
         return matgroup.build_catalog_group(args.catalog, budget)
     if args.monomial:
-        try:
-            d, e, n = (int(x) for x in args.monomial.split(","))
-        except ValueError as exc:
-            raise InputError(f"--monomial expects d,e,n (got {args.monomial!r})") from exc
+        d, e, n = _ints(args.monomial, "d,e,n")
         return matgroup.build_monomial_group(d, e, n, budget)
     if args.spec:
         with open(args.spec) as fh:
@@ -166,7 +174,7 @@ def _load_presentation(args) -> fpgroups.Presentation:
         if key in _PRESENTATIONS:
             return _PRESENTATIONS[key]()
         if key.startswith("CP"):
-            e, n = (int(x) for x in key[2:].strip("()").split(","))
+            e, n = _ints(key[2:].strip("()"), "e,n")
             return fpgroups.corran_picantin_presentation(e, n)
         if key.startswith("ArtB"):
             return fpgroups.artin_b_presentation(int(key[4:]))
@@ -199,7 +207,7 @@ def cmd_present_tc(args):
 
 def cmd_present_quotient(args):
     if args.coxeter:
-        n, k = (int(x) for x in args.coxeter.split(","))
+        n, k = _ints(args.coxeter, "n,k")
         q = fpgroups.coxeter_quotient(n, k, args.budget_cosets)
         return 0, {"quotient": q.label, "order": q.degree}
     pres = _load_presentation(args)
@@ -251,12 +259,12 @@ def _target_alphabet(data: dict, pres: fpgroups.Presentation):
 
 def _build_backend(spec: str, hom: fpgroups.GroupHom):
     if spec.startswith("torsion:"):
-        k = int(spec.split(":")[1])
+        (k,) = _ints(spec.split(":", 1)[1], "k")
         target_pres = _infer_target_presentation(hom)
         q = fpgroups.torsion_quotient(target_pres, k)
         return fpgroups.PermBackend(q)
     if spec.startswith("coxeter:"):
-        n, k = (int(x) for x in spec.split(":")[1].split(","))
+        n, k = _ints(spec.split(":", 1)[1], "n,k")
         return fpgroups.PermBackend(fpgroups.coxeter_quotient(n, k))
     if spec.startswith("garside:"):
         ctx = garside.context(parse_type(spec.split(":")[1]))
@@ -275,18 +283,37 @@ def _build_backend(spec: str, hom: fpgroups.GroupHom):
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
-            data = json.load(fh)
+            return fpgroups.PermBackend(_table_quotient(f"table:{path}", json.load(fh)))
+    raise InputError(f"unknown backend {spec!r}")
+
+
+def _table_quotient(label: str, data) -> fpgroups.PermQuotient:
+    """The quotient of a `present tc --full` file: one permutation of
+    range(degree) per listed generator, all of the same degree.
+
+    The points need not be the cosets of the trivial subgroup, so the action
+    need not be regular: this quotient only evaluates words and is never
+    asked for its order().
+    """
+    try:
         gens = tuple(data["generators"])
         perms = {g: tuple(data["perms"][g]) for g in gens}
-        degree = len(next(iter(perms.values())))
-        q = fpgroups.PermQuotient(
-            label=f"table:{path}",
-            presentation=fpgroups.Presentation(f"table:{path}", gens, ()),
-            gen_perms=perms,
-            degree=degree,
-        )
-        return fpgroups.PermBackend(q)
-    raise InputError(f"unknown backend {spec!r}")
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"{label}: every listed generator needs a perm ({exc})") from exc
+    if not gens:
+        raise InputError(f"{label}: no generators listed")
+    degree = len(perms[gens[0]])
+    for g, perm in perms.items():
+        if len(perm) != degree:
+            raise InputError(f"{label}: perm of {g!r} has length {len(perm)}, not {degree}")
+        if any(type(x) is not int for x in perm) or set(perm) != set(range(degree)):
+            raise InputError(f"{label}: perm of {g!r} is not a permutation of range({degree})")
+    return fpgroups.PermQuotient(
+        label=label,
+        presentation=fpgroups.Presentation(label, gens, ()),
+        gen_perms=perms,
+        degree=degree,
+    )
 
 
 def _infer_target_presentation(hom: fpgroups.GroupHom) -> fpgroups.Presentation:
@@ -348,7 +375,7 @@ def cmd_gt_act(args):
     pair = gtaction.parse_pair(args.lam, args.f or "")
     if not args.backend.startswith("coxeter:"):
         raise InputError("gt act expects --backend coxeter:n,k")
-    n, k = (int(x) for x in args.backend.split(":")[1].split(","))
+    n, k = _ints(args.backend.split(":", 1)[1], "n,k")
     q = fpgroups.coxeter_quotient(n, k, args.budget_cosets)
     rep = gtaction.act_on_quotient(q, pair)
     payload = {

@@ -14,10 +14,11 @@ outcome recorded in the table's status, not an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InputError
+from .orbit import orbit
 
 DEFAULT_COSET_BUDGET = 2_000_000
 
@@ -370,10 +371,6 @@ class GroupHom:
     def apply(self, w: Word) -> Word:
         return substitute(w, self.images)
 
-    def compose_after(self, other: "GroupHom") -> dict[str, Word]:
-        """Images of self o other (apply other first) on other's source generators."""
-        return {g: self.apply(w) for g, w in other.images.items()}
-
 
 def g12_conjugation() -> GroupHom:
     """s -> t^-1, t -> s^-1, u -> u^-1 on <s,t,u | stus = tust = ustu>."""
@@ -679,11 +676,18 @@ def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
 
 @dataclass
 class PermQuotient:
+    """A finite quotient acting by permutations of range(degree).
+
+    Every quotient built by `quotient_from_table` is the regular action on
+    the cosets of the trivial subgroup.  A subgroup H of a regular group acts
+    freely, so |H| = |H.0|: `order` and `subgroup_order` are one orbit of the
+    point 0, never a listing of the group.
+    """
+
     label: str
     presentation: Presentation
     gen_perms: dict[str, tuple[int, ...]]
     degree: int
-    _elements: list[tuple[int, ...]] | None = field(default=None, repr=False)
 
     def eval_word(self, w: Word) -> tuple[int, ...]:
         perm = tuple(range(self.degree))
@@ -703,31 +707,10 @@ class PermQuotient:
         return tuple(range(self.degree))
 
     def order(self) -> int:
-        return len(self.elements())
-
-    def elements(self) -> list[tuple[int, ...]]:
-        if self._elements is None:
-            self._elements = _perm_closure(list(self.gen_perms.values()), self.degree)
-        return self._elements
+        return self.subgroup_order(list(self.gen_perms.values()))
 
     def subgroup_order(self, perms: list[tuple[int, ...]]) -> int:
-        return len(_perm_closure(perms, self.degree))
-
-
-def _perm_closure(gens: list[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
-    ident = tuple(range(degree))
-    elements = [ident]
-    seen = {ident}
-    i = 0
-    while i < len(elements):
-        cur = elements[i]
-        i += 1
-        for g in gens:
-            nxt = tuple(g[x] for x in cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                elements.append(nxt)
-    return elements
+        return len(orbit(0, perms, lambda p, g: g[p]))
 
 
 def quotient_from_table(label: str, table: CosetTable) -> PermQuotient:
@@ -845,19 +828,8 @@ def schreier_data(table: CosetTable) -> SchreierData:
     if table.status != "complete":
         raise BudgetExceededError("Schreier rewriting needs a complete table")
     n = table.index()
-    tree_edge: dict[int, tuple[int, int]] = {}
-    seen = {0}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        alpha = order[qi]
-        qi += 1
-        for col in range(table.ncols):
-            beta = table.table[alpha][col]
-            if beta is not None and beta not in seen:
-                seen.add(beta)
-                tree_edge[beta] = (alpha, col)
-                order.append(beta)
+    tree = orbit(0, range(table.ncols), lambda alpha, col: table.table[alpha][col])
+    tree_edge = {beta: edge for beta, edge in tree.items() if edge is not None}
     index: dict[tuple[int, int], int] = {}
     names: list[str] = []
     ngens = table.ncols // 2
@@ -965,14 +937,6 @@ def in_integer_row_span(rows: list[list[int]], vec: list[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def presentation_to_json(p: Presentation) -> dict:
-    return {
-        "label": p.label,
-        "generators": list(p.generators),
-        "relators": [word_str(r) for r in p.relators],
-    }
 
 
 def presentation_from_json(data: dict) -> Presentation:

@@ -254,9 +254,6 @@ class GarsideNF:
     def is_identity(self) -> bool:
         return self.delta_power == 0 and not self.factors
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
 
 class GarsideContext:
     """Normal-form arithmetic for one Coxeter type."""

@@ -32,6 +32,7 @@ from .fpgroups import (
     word_str,
 )
 from .garside import CoxeterType, context, eta_word
+from .orbit import orbit
 
 
 @dataclass(frozen=True)
@@ -292,18 +293,12 @@ def _perm_as_table_entry(q: fpgroups.PermQuotient, coset: int, name: str, sgn: i
 
 def _element_words(quotient: fpgroups.PermQuotient) -> dict[tuple[int, ...], Word]:
     """A defining word in the generators for every element of the finite quotient."""
-    words: dict[tuple[int, ...], Word] = {quotient.identity(): ()}
-    frontier = [quotient.identity()]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for name in quotient.presentation.generators:
-                g = quotient.gen_perms[name]
-                prod = tuple(g[x] for x in el)
-                if prod not in words:
-                    words[prod] = word_mul(words[el], single(name))
-                    nxt.append(prod)
-        frontier = nxt
+    names = quotient.presentation.generators
+    perms = [quotient.gen_perms[name] for name in names]
+    edges = orbit(quotient.identity(), perms, lambda el, g: tuple(g[x] for x in el))
+    words: dict[tuple[int, ...], Word] = {}
+    for el, edge in edges.items():
+        words[el] = () if edge is None else word_mul(words[edge[0]], single(names[edge[1]]))
     return words
 
 

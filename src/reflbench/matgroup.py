@@ -20,6 +20,7 @@ from math import factorial, gcd
 from . import cyclo, linalg
 from .cyclo import CycNum
 from .errors import BudgetExceededError, InputError
+from .orbit import orbit
 
 DEFAULT_ELEMENT_BUDGET = 200_000
 
@@ -140,23 +141,10 @@ def enumerate_closure(
     """Breadth-first closure with deterministic element indices."""
     if not generators:
         raise InputError("a group needs at least one generator (or use the trivial identity)")
-    dim = generators[0].dim
-    ident = RMatrix.identity(dim)
-    elements = [ident]
-    seen = {ident: 0}
-    i = 0
-    while i < len(elements):
-        current = elements[i]
-        i += 1
-        for g in generators:
-            p = current * g
-            if p not in seen:
-                if len(elements) >= budget:
-                    raise BudgetExceededError(
-                        f"group enumeration for {label!r} exceeded budget {budget}"
-                    )
-                seen[p] = len(elements)
-                elements.append(p)
+    ident = RMatrix.identity(generators[0].dim)
+    elements = orbit(
+        ident, generators, RMatrix.__mul__, budget, f"group enumeration for {label!r}"
+    )
     return RGroup(label=label, generators=tuple(generators), elements=tuple(elements))
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from . import matgroup
 from .errors import InputError
-from .fpgroups import Word, parse_word
+from .fpgroups import Word, parse_word, word_letters
 from .matgroup import RGroup, RMatrix
+from .orbit import orbit
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,9 @@ def monodromy_profile(spec: CoverSpec) -> RamificationProfile:
     xyz = [xy[perms["inf"][i]] for i in range(n)]
     if xyz != list(range(n)):
         raise RuntimeError("loop images do not compose to the identity")
-    # transitivity of <x, y> on the fiber
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for p in (perms["0"], perms["1"]):
-            for j in (p[i], p.index(i)):
-                if j not in reached:
-                    reached.add(j)
-                    frontier.append(j)
+    # transitivity of <x, y> on the fiber; the group is finite, so forward
+    # images alone reach the whole orbit
+    reached = orbit(0, (perms["0"], perms["1"]), lambda i, p: p[i])
     profile = RamificationProfile(
         degree=n,
         points={k: cycle_type(p) for k, p in perms.items()},
@@ -154,9 +148,7 @@ def order_based_profile(spec: CoverSpec) -> RamificationProfile:
         if n % k:
             raise RuntimeError("element order does not divide the degree")
         points[key] = {k: n // k}
-    reached = None  # transitivity not recomputed here
-    perms_profile = RamificationProfile(degree=n, points=points, transitive=True)
-    return perms_profile
+    return RamificationProfile(degree=n, points=points, transitive=True)
 
 
 def riemann_hurwitz_genus(profile: RamificationProfile) -> int:
@@ -205,50 +197,22 @@ def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -
     try:
         group = matgroup.group_from_spec(data["group"], budget)
         names = [f"g{i+1}" for i in range(len(group.generators))]
-
-        def element(text: str) -> RMatrix:
-            w = parse_word(text, names)
-            m = RMatrix.identity(group.dim)
-            for sym, step in _letters(w):
-                gen = group.generators[names.index(sym)]
-                m = m * (gen if step > 0 else gen.inverse())
-            return m
-
-        x = element(data["x"])
-        y = element(data["y"])
+        x = _evaluate(group, names, parse_word(data["x"], names))
+        y = _evaluate(group, names, parse_word(data["y"], names))
         fiber = data.get("fiber", "regular")
         if fiber == "regular":
             return regular_cover(group, x, y, data.get("label", "cover"))
-        sub_words = [parse_word(t, names) for t in fiber["subgroup"]]
-        sub_elems = _subgroup_closure(group, names, sub_words)
+        sub_gens = [_evaluate(group, names, parse_word(t, names)) for t in fiber["subgroup"]]
+        sub_elems = orbit(RMatrix.identity(group.dim), sub_gens, RMatrix.__mul__)
         return coset_cover(group, sub_elems, x, y, data.get("label", "cover"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed cover spec: {exc}") from exc
 
 
-def _letters(w: Word):
-    from .fpgroups import word_letters
-
-    return word_letters(w)
-
-
-def _subgroup_closure(group: RGroup, names: list[str], words: list[Word]):
-    gens = []
-    for w in words:
-        m = RMatrix.identity(group.dim)
-        for sym, step in _letters(w):
-            gen = group.generators[names.index(sym)]
-            m = m * (gen if step > 0 else gen.inverse())
-        gens.append(m)
-    elems = [RMatrix.identity(group.dim)]
-    seen = {elems[0]}
-    i = 0
-    while i < len(elems):
-        cur = elems[i]
-        i += 1
-        for g in gens:
-            p = cur * g
-            if p not in seen:
-                seen.add(p)
-                elems.append(p)
-    return elems
+def _evaluate(group: RGroup, names: list[str], word: Word) -> RMatrix:
+    """The group element a word over g1..gk names."""
+    m = RMatrix.identity(group.dim)
+    for sym, step in word_letters(word):
+        gen = group.generators[names.index(sym)]
+        m = m * (gen if step > 0 else gen.inverse())
+    return m

@@ -235,15 +235,6 @@ class MPoly:
             result = result + part
         return result
 
-    def eval_floats(self, point) -> complex:
-        total = 0j
-        for exps, c in self.terms.items():
-            v = complex(cyclo.embed_complex(c))
-            for x, e in zip(point, exps):
-                v *= x**e
-            total += v
-        return total
-
 
 # ---------------------------------------------------------------------------
 # free-standing operations

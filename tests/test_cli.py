@@ -135,3 +135,66 @@ def test_json_flag_writes_file(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out_file.read_text()) == json.loads(out)
+
+
+def test_paper_suite_stdout_deterministic(capsys):
+    code1, out1 = run_cli(capsys, "paper-suite", "--criteria", "3,11")
+    code2 = main(["paper-suite", "--criteria", "3,11"])
+    captured = capsys.readouterr()
+    assert code1 == code2 == 0 and captured.out == out1
+    assert all("seconds" not in c for c in json.loads(out1)["criteria"])
+    # the wall time of each criterion goes to stderr instead
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+        "criterion 3",
+        "criterion 11",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["present", "quotient", "--coxeter", "3"],
+        ["present", "quotient", "--coxeter", "3,x"],
+        ["gt", "act", "--lambda", "1", "--backend", "coxeter:3"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", "coxeter:3,3,3"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", "torsion:x"],
+        ["present", "tc", "--catalog", "CPx"],
+    ],
+)
+def test_malformed_integer_list_is_input_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def _table_file(tmp_path, perms):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"generators": ["s", "t", "u"], "perms": perms}))
+    return f"table:{path}"
+
+
+def test_table_backend_accepts_true_permutations(capsys, tmp_path):
+    from reflbench.fpgroups import g12_braid_presentation, torsion_quotient
+
+    q = torsion_quotient(g12_braid_presentation(), 2)
+    backend = _table_file(tmp_path, {g: list(p) for g, p in q.gen_perms.items()})
+    code, out = run_cli(capsys, "present", "verify-map", "--map", "g12_conj", "--backend", backend)
+    assert code == 0 and json.loads(out)["consistent"] is True
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        {"s": [1, 0, 2], "t": [0, 2], "u": [0, 1, 2]},  # unequal lengths
+        {"s": [0, 0, 1], "t": [0, 1, 2], "u": [0, 1, 2]},  # not a bijection
+        {"s": [0, 1, 2], "t": [0, 1, 3], "u": [0, 1, 2]},  # point out of range
+        {"s": [0, 1, 2]},  # generators t and u have no perm
+    ],
+    ids=["unequal-length", "not-bijective", "out-of-range", "missing-perm"],
+)
+def test_table_backend_rejects_non_permutations(capsys, tmp_path, perms):
+    backend = _table_file(tmp_path, perms)
+    code, out = run_cli(capsys, "present", "verify-map", "--map", "g12_conj", "--backend", backend)
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from reflbench.errors import BudgetExceededError, InputError
+from reflbench.orbit import orbit
 from reflbench.fpgroups import (
     GroupHom,
     PermBackend,
@@ -181,6 +182,40 @@ def test_verify_i26_iso_and_conjugations():
     assert verify_hom(i26_to_g13_iso(), [Target()]).consistent
     assert verify_hom(g13_conjugation(), [PermBackend(q13)]).consistent
     assert hom_bijective_on(g13_conjugation(), q13)
+
+
+def test_hom_not_bijective_when_images_miss_the_group():
+    q12 = torsion_quotient(g12_braid_presentation(), 2)
+    collapse = GroupHom("collapse", g12_braid_presentation(), {g: single("s") for g in "stu"})
+    assert q12.subgroup_order([q12.eval_word(single("s"))]) == 2
+    assert not hom_bijective_on(collapse, q12)
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        lambda: torsion_quotient(corran_picantin_presentation(3, 3), 2),
+        lambda: coxeter_quotient(4, 3),
+    ],
+    ids=["CP(3,3,3)", "Br4/s^3"],
+)
+def test_subgroup_order_matches_listed_subgroup(quotient):
+    # the orbit of the point 0 against the listing of the whole subgroup as
+    # permutation tuples under composition
+    q = quotient()
+
+    def listed(perms):
+        return len(orbit(q.identity(), perms, lambda el, g: tuple(g[x] for x in el)))
+
+    rng = random.Random(20240901)
+    gens = q.presentation.generators
+    for _ in range(12):
+        perms = []
+        for _ in range(rng.randint(1, 3)):
+            w = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))]
+            perms.append(q.eval_word(tuple(w)))
+        assert q.subgroup_order(perms) == listed(perms)
+    assert q.order() == listed(list(q.gen_perms.values())) == q.degree
 
 
 def test_transported_conjugation_identities():

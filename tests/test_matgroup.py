@@ -34,6 +34,13 @@ def test_monomial_rejects_bad_labels():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         build_monomial_group(2, 1, 3, budget=10)
+    # exactly `budget` elements are allowed: G(2,1,3) has order 48
+    g = build_monomial_group(2, 1, 3, budget=48)
+    assert enumerate_closure(list(g.generators), "B3", budget=48).elements == g.elements
+    with pytest.raises(BudgetExceededError, match="group enumeration for 'B3' exceeded budget 47"):
+        enumerate_closure(list(g.generators), "B3", budget=47)
+    with pytest.raises(BudgetExceededError):
+        build_monomial_group(2, 1, 3, budget=47)
 
 
 def test_catalog_groups():

@@ -113,6 +113,25 @@ def test_coset_cover():
     assert spec.degree() == 8
     prof = monodromy_profile(spec)
     assert sum(ln * ct for ln, ct in prof.points["0"].items()) == 8
+    # the same cover with the subgroup given by a generating word
+    data = {
+        "group": {"kind": "catalog", "name": "G4"},
+        "fiber": {"subgroup": ["g1"]},
+        "x": "g1^2",
+        "y": "g2^2",
+    }
+    from_spec = cover_from_spec(data)
+    assert from_spec.degree() == 8
+    assert monodromy_profile(from_spec) == prof
+
+
+def test_intransitive_cover_detected():
+    g4 = build_catalog_group("G4")
+    s1 = g4.generators[0]
+    # <x, y> = <g1> has order 3, so it cannot reach all 24 sheets
+    prof = monodromy_profile(regular_cover(g4, s1, s1, "x=y=g1"))
+    assert prof.transitive is False
+    assert prof.points["0"] == {3: 8}
 
 
 def test_cover_from_spec_json():
