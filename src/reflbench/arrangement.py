@@ -3,9 +3,13 @@
 Flats of the (central) intersection lattice are identified with the full set
 of hyperplane indices containing the flat's subspace; rank = codimension of
 the subspace.  The lattice order is reverse inclusion of subspaces, i.e.
-inclusion of hyperplane index sets.  Supersolvability is decided by
-exhaustive search for a maximal chain of modular flats, with modularity
-tested through the rank identity rk(x ^ y) + rk(x v y) = rk(x) + rk(y).
+inclusion of hyperplane index sets.  A closure is one elimination of
+independent forms: the kernel basis read off its pivots spans the flat, and
+a hyperplane contains the flat iff its form annihilates that basis.  Meets
+are intersections of index sets, which are closed already.
+Supersolvability is decided by depth-first search for a maximal chain of
+modular flats, with modularity tested, only for the flats the search
+reaches, through the rank identity rk(x ^ y) + rk(x v y) = rk(x) + rk(y).
 
 A slower oracle that enumerates *all* maximal chains is provided for
 cross-checking on small instances.
@@ -13,6 +17,7 @@ cross-checking on small instances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import cyclo, linalg, matgroup
@@ -35,6 +40,14 @@ class Arrangement:
             raise InputError("hyperplane/multiplicity lists misaligned")
         if any(m < 2 for m in self.multiplicities):
             raise InputError("multiplicities e_H must be >= 2")
+        if self.dim < 1:
+            raise InputError("an arrangement needs dim >= 1")
+        if any(len(form) != self.dim for form in self.hyperplanes):
+            raise InputError(f"every linear form needs exactly dim = {self.dim} coefficients")
+        if any(next((c for c in form if c), None) != cyclo.ONE for form in self.hyperplanes):
+            raise InputError("linear forms must be normalized: first nonzero coefficient 1")
+        if len(set(self.hyperplanes)) != len(self.hyperplanes):
+            raise InputError("two linear forms are proportional (one hyperplane listed twice)")
 
 
 def normalize_form(form) -> tuple[CycNum, ...]:
@@ -67,12 +80,37 @@ class Flat:
     rank: int
 
 
+def _close(forms, idx_set: frozenset[int]) -> tuple[frozenset[int], int]:
+    """The hyperplanes containing the flat cut out by `idx_set`, and its rank.
+
+    One elimination of the chosen forms gives a kernel basis of the flat's
+    subspace, one sparse vector per free column; a hyperplane contains the
+    flat iff its form annihilates every kernel vector.
+    """
+    if not idx_set:
+        return frozenset(), 0
+    reduced, pivots = linalg.rref([list(forms[i]) for i in sorted(idx_set)])
+    kernel = [
+        [(c, -row[f]) for c, row in zip(pivots, reduced) if row[f]] + [(f, cyclo.ONE)]
+        for f in range(len(reduced[0]))
+        if f not in pivots
+    ]
+    members = frozenset(
+        j
+        for j, form in enumerate(forms)
+        if j in idx_set
+        or not any(sum((form[c] * x for c, x in vec if form[c]), cyclo.ZERO) for vec in kernel)
+    )
+    return members, len(reduced)
+
+
 @dataclass
 class FlatLattice:
     arrangement: Arrangement
     flats: list[Flat]  # deterministic order: by (rank, sorted hyperplane set)
     by_set: dict[frozenset[int], Flat] = field(default_factory=dict)
-    _closure_cache: dict[frozenset[int], frozenset[int]] = field(default_factory=dict)
+    bases: list[frozenset[int]] = field(default_factory=list)  # independent, per flat
+    _closure_cache: dict[frozenset[int], Flat] = field(default_factory=dict)
 
     def rank(self) -> int:
         return max(f.rank for f in self.flats)
@@ -84,68 +122,65 @@ class FlatLattice:
     def closure(self, idx_set: frozenset[int]) -> Flat:
         """The flat cut out by the given hyperplanes."""
         key = frozenset(idx_set)
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return self.by_set[cached]
-        if not key:
-            result = self.flats[0]
-        else:
-            forms = self.arrangement.hyperplanes
-            reduced, _ = linalg.rref([list(forms[i]) for i in sorted(key)])
-            rk = len(reduced)
-            members = frozenset(
-                j
-                for j in range(len(forms))
-                if linalg.rank(reduced + [list(forms[j])]) == rk
-            )
-            result = self.by_set[members]
-        self._closure_cache[key] = result.hyperplane_set
-        return result
+        return self._flat_of(key, key)
 
     def meet(self, a: Flat, b: Flat) -> Flat:
-        return self.closure(a.hyperplane_set & b.hyperplane_set)
+        # the hyperplanes containing both flats are closed already
+        return self.by_set[a.hyperplane_set & b.hyperplane_set]
 
     def join(self, a: Flat, b: Flat) -> Flat:
-        return self.closure(a.hyperplane_set | b.hyperplane_set)
+        spanning = self.bases[a.index] | self.bases[b.index]
+        return self._flat_of(a.hyperplane_set | b.hyperplane_set, spanning)
+
+    def _flat_of(self, key: frozenset[int], spanning: frozenset[int]) -> Flat:
+        """The closure of `key`, eliminating only `spanning`, which spans it."""
+        flat = self.by_set.get(key) or self._closure_cache.get(key)
+        if flat is None:
+            members, _ = _close(self.arrangement.hyperplanes, spanning)
+            flat = self._closure_cache[key] = self.by_set[members]
+        return flat
 
 
 def intersection_lattice(arr: Arrangement) -> FlatLattice:
+    """All flats, breadth-first by rank from the whole space.
+
+    Each flat is reached as the closure of an independent set of hyperplanes
+    (its base's basis plus one), kept as the flat's basis, so every
+    elimination has rank + 1 rows.  From one base, a hyperplane that already
+    lies in a cover found from that base is skipped: adding it gives the same
+    cover, since one hyperplane raises the rank by at most one.
+    """
     if arr.dim > MAX_DIM or len(arr.hyperplanes) > MAX_HYPERPLANES:
         raise BudgetExceededError(
             f"lattice budget is dim <= {MAX_DIM} and <= {MAX_HYPERPLANES} hyperplanes"
         )
     forms = arr.hyperplanes
-
-    def close(idx_set: frozenset[int]) -> tuple[frozenset[int], int]:
-        if not idx_set:
-            return frozenset(), 0
-        reduced, _ = linalg.rref([list(forms[i]) for i in sorted(idx_set)])
-        rk = len(reduced)
-        members = frozenset(
-            j for j in range(len(forms)) if linalg.rank(reduced + [list(forms[j])]) == rk
-        )
-        return members, rk
-
-    found: dict[frozenset[int], int] = {frozenset(): 0}
+    found: dict[frozenset[int], tuple[int, frozenset[int]]] = {frozenset(): (0, frozenset())}
     frontier = [frozenset()]
     while frontier:
         nxt = []
         for base in frontier:
+            basis = found[base][1]
+            covered = set(base)
             for j in range(len(forms)):
-                if j in base:
+                if j in covered:
                     continue
-                closed, rk = close(base | {j})
+                closed, rk = _close(forms, basis | {j})
+                covered |= closed
                 if closed not in found:
-                    found[closed] = rk
+                    found[closed] = rk, basis | {j}
                     nxt.append(closed)
         frontier = nxt
-    ordered = sorted(found, key=lambda s: (found[s], sorted(s)))
+    ordered = sorted(found, key=lambda s: (found[s][0], sorted(s)))
     flats = [
-        Flat(index=i, hyperplane_set=s, rank=found[s]) for i, s in enumerate(ordered)
+        Flat(index=i, hyperplane_set=s, rank=found[s][0]) for i, s in enumerate(ordered)
     ]
-    lat = FlatLattice(arrangement=arr, flats=flats)
-    lat.by_set = {f.hyperplane_set: f for f in flats}
-    return lat
+    return FlatLattice(
+        arrangement=arr,
+        flats=flats,
+        by_set={f.hyperplane_set: f for f in flats},
+        bases=[found[s][1] for s in ordered],
+    )
 
 
 def is_modular(lat: FlatLattice, f: Flat) -> bool:
@@ -156,14 +191,15 @@ def is_modular(lat: FlatLattice, f: Flat) -> bool:
 
 
 def is_supersolvable(arr: Arrangement):
-    """Exhaustive search for a maximal chain of modular flats.
+    """Depth-first search for a maximal chain of modular flats.
 
+    Modularity is tested only for the flats the search reaches, once each.
     Returns (verdict, witness) where the witness is the chain of hyperplane
     index sets from the bottom flat to the top, or None.
     """
     lat = intersection_lattice(arr)
     top_rank = lat.rank()
-    modular = {f.index for f in lat.flats if is_modular(lat, f)}
+    modular = functools.cache(lambda f: is_modular(lat, f))
 
     def extend(chain: list[Flat]):
         last = chain[-1]
@@ -171,9 +207,9 @@ def is_supersolvable(arr: Arrangement):
             return chain
         for f in lat.flats:
             if (
-                f.index in modular
-                and f.rank == last.rank + 1
+                f.rank == last.rank + 1
                 and last.hyperplane_set < f.hyperplane_set
+                and modular(f)
             ):
                 got = extend(chain + [f])
                 if got:
@@ -181,7 +217,7 @@ def is_supersolvable(arr: Arrangement):
         return None
 
     bottom = lat.flats[0]
-    if bottom.index not in modular:
+    if not modular(bottom):
         return False, None
     chain = extend([bottom])
     if chain is None:
@@ -198,12 +234,7 @@ def is_supersolvable_bruteforce(arr: Arrangement, max_hyperplanes: int = 14):
         )
     lat = intersection_lattice(arr)
     top_rank = lat.rank()
-    modular_cache: dict[int, bool] = {}
-
-    def modular(f: Flat) -> bool:
-        if f.index not in modular_cache:
-            modular_cache[f.index] = is_modular(lat, f)
-        return modular_cache[f.index]
+    modular = functools.cache(lambda f: is_modular(lat, f))
 
     def chains(chain: list[Flat]):
         last = chain[-1]
@@ -245,6 +276,8 @@ def to_json(arr: Arrangement) -> dict:
 
 
 def from_json(data: dict) -> Arrangement:
+    """Decode an arrangement; forms of the wrong length, zero or proportional
+    forms raise InputError (through `Arrangement`)."""
     try:
         dim = int(data["dim"])
         hyps = tuple(

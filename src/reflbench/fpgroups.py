@@ -14,6 +14,7 @@ outcome recorded in the table's status, not an exception.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -552,7 +553,7 @@ def todd_coxeter(
     class _Budget(Exception):
         pass
 
-    queue: list[int] = []
+    queue: deque[int] = deque()
 
     def merge(k: int, lam: int):
         k, lam = rep(k), rep(lam)
@@ -564,7 +565,7 @@ def todd_coxeter(
     def coincidence(alpha: int, beta: int):
         merge(alpha, beta)
         while queue:
-            gamma = queue.pop(0)
+            gamma = queue.popleft()
             row = table[gamma]
             for col in range(ncols):
                 delta = row[col]

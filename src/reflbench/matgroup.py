@@ -435,20 +435,33 @@ def group_from_spec(spec: dict, budget: int = DEFAULT_ELEMENT_BUDGET) -> RGroup:
     {"kind":"monomial","d":..,"e":..,"n":..} (Shephard-Todd labels)
     {"kind":"catalog","name":".."}
     {"kind":"explicit","generators":[[CycNum,...], ...]} with each generator a
-    row-major flat list of dim*dim entries.
+    row-major flat list of dim*dim entries, all of one dim.
+    A missing or malformed field raises InputError.
     """
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "monomial":
-        return build_monomial_group(int(spec["d"]), int(spec["e"]), int(spec["n"]), budget)
+        d, e, n = (_spec_field(spec, k, int) for k in ("d", "e", "n"))
+        return build_monomial_group(d, e, n, budget)
     if kind == "catalog":
-        return build_catalog_group(str(spec["name"]), budget)
+        return build_catalog_group(_spec_field(spec, "name", str), budget)
     if kind == "explicit":
-        gens = []
-        for flat in spec["generators"]:
-            entries = [cyclo.from_json(e) for e in flat]
-            dim = round(len(entries) ** 0.5)
-            if dim * dim != len(entries):
-                raise InputError("explicit generator is not a flattened square matrix")
-            gens.append(RMatrix([entries[i * dim : (i + 1) * dim] for i in range(dim)]))
+        gens = _spec_field(spec, "generators", lambda gs: [_flat_square_matrix(g) for g in gs])
+        if len({g.dim for g in gens}) > 1:
+            raise InputError("explicit generators have different dimensions")
         return enumerate_closure(gens, spec.get("label", "explicit"), budget)
     raise InputError(f"unknown group spec kind {kind!r}")
+
+
+def _spec_field(spec: dict, key: str, convert):
+    try:
+        return convert(spec[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"group spec field {key!r} missing or malformed: {exc}") from exc
+
+
+def _flat_square_matrix(flat) -> RMatrix:
+    entries = [cyclo.from_json(e) for e in flat]
+    dim = round(len(entries) ** 0.5)
+    if dim < 1 or dim * dim != len(entries):
+        raise InputError("explicit generator is not a flattened square matrix")
+    return RMatrix([entries[i * dim : (i + 1) * dim] for i in range(dim)])

@@ -26,7 +26,7 @@ TIME_BUDGETS = {
     7: 120,
     8: 60,
     9: 60,
-    10: 60,
+    10: 15,
     11: 10,
     12: 120,
 }

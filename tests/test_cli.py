@@ -198,3 +198,49 @@ def test_table_backend_rejects_non_permutations(capsys, tmp_path, perms):
     assert code == 3
     assert json.loads(out)["error"] == "input"
 
+
+
+def _cyc(n: int) -> dict:
+    return {"order": 1, "coeffs": [[str(n), "1"]]}
+
+
+@pytest.mark.parametrize(
+    "command", [["group", "info"], ["arrangement", "supersolvable"], ["arrangement", "discriminant"]]
+)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "explicit", "generators": [[_cyc(-1)], [_cyc(0), _cyc(1), _cyc(1), _cyc(0)]]},
+        {"kind": "explicit", "generators": [[1, 0, 0, 1]]},
+        {"kind": "explicit", "generators": [[]]},
+        {"kind": "monomial", "d": 2},
+        {"kind": "monomial", "d": "two", "e": 1, "n": 2},
+        {"kind": "catalog"},
+        ["not", "an", "object"],
+    ],
+    ids=[
+        "mixed-dimension",
+        "entry-not-cycnum",
+        "empty-generator",
+        "missing-e",
+        "d-not-int",
+        "missing-name",
+        "not-object",
+    ],
+)
+def test_malformed_group_spec_is_input_error(capsys, tmp_path, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, *command, "--spec", str(path))
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def test_explicit_group_spec_still_builds(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    swap = [_cyc(0), _cyc(1), _cyc(1), _cyc(0)]
+    path.write_text(json.dumps({"kind": "explicit", "generators": [swap]}))
+    code, out = run_cli(capsys, "arrangement", "supersolvable", "--spec", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["hyperplanes"] == 1 and data["supersolvable"] is True
