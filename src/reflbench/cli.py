@@ -240,7 +240,7 @@ def cmd_present_verify_map(args):
         raise InputError("specify --map <name> or --map-file <json>")
     if not backend_spec:
         raise InputError("no backend given (flag --backend or map JSON 'backend' key)")
-    backend = _build_backend(backend_spec, hom)
+    backend = _build_backend(backend_spec, hom, args.budget_cosets)
     verdict = fpgroups.verify_hom(hom, [backend])
     payload = {
         "map": hom.label,
@@ -257,15 +257,15 @@ def _target_alphabet(data: dict, pres: fpgroups.Presentation):
     return tuple(target) if target else pres.generators
 
 
-def _build_backend(spec: str, hom: fpgroups.GroupHom):
+def _build_backend(spec: str, hom: fpgroups.GroupHom, budget_cosets: int):
     if spec.startswith("torsion:"):
         (k,) = _ints(spec.split(":", 1)[1], "k")
         target_pres = _infer_target_presentation(hom)
-        q = fpgroups.torsion_quotient(target_pres, k)
+        q = fpgroups.torsion_quotient(target_pres, k, budget_cosets)
         return fpgroups.PermBackend(q)
     if spec.startswith("coxeter:"):
         n, k = _ints(spec.split(":", 1)[1], "n,k")
-        return fpgroups.PermBackend(fpgroups.coxeter_quotient(n, k))
+        return fpgroups.PermBackend(fpgroups.coxeter_quotient(n, k, budget_cosets))
     if spec.startswith("garside:"):
         ctx = garside.context(parse_type(spec.split(":")[1]))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BudgetExceededError, InputError
 from .orbit import orbit
@@ -693,16 +694,21 @@ class PermQuotient:
     def eval_word(self, w: Word) -> tuple[int, ...]:
         perm = tuple(range(self.degree))
         for sym, step in word_letters(w):
-            g = self.gen_perms.get(sym)
+            g = (self.gen_perms if step > 0 else self._inverse_perms).get(sym)
             if g is None:
                 raise InputError(f"word uses {sym!r}, unknown in quotient {self.label}")
-            if step < 0:
-                inv = [0] * self.degree
-                for i, v in enumerate(g):
-                    inv[v] = i
-                g = tuple(inv)
             perm = tuple(g[x] for x in perm)
         return perm
+
+    @cached_property
+    def _inverse_perms(self) -> dict[str, tuple[int, ...]]:
+        inverses = {}
+        for sym, g in self.gen_perms.items():
+            inv = [0] * self.degree
+            for i, v in enumerate(g):
+                inv[v] = i
+            inverses[sym] = tuple(inv)
+        return inverses
 
     def identity(self) -> tuple[int, ...]:
         return tuple(range(self.degree))

@@ -19,11 +19,15 @@ def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r] = [x * inv for x in mat[r]]
+        # row updates touch only the columns where the pivot row is nonzero
+        support = [(j, b) for j, b in enumerate(prow) if b]
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            row = mat[i]
+            if i != r and row[c]:
+                f = row[c]
+                for j, b in support:
+                    row[j] = row[j] - f * b
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -49,10 +53,13 @@ def det(rows: list[list[CycNum]]) -> CycNum:
         pivot = mat[c][c]
         result = result * pivot
         inv = pivot.inverse()
+        support = [(j, b) for j, b in enumerate(mat[c]) if b]
         for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+            row = mat[i]
+            if row[c]:
+                f = row[c] * inv
+                for j, b in support:
+                    row[j] = row[j] - f * b
     return result
 
 

@@ -50,16 +50,28 @@ class RMatrix:
     def __mul__(self, other: "RMatrix") -> "RMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        bt = tuple(zip(*other.rows))
-        return RMatrix(
-            [
-                [
-                    sum((a * b for a, b in zip(row, col) if a and b), cyclo.ZERO)
-                    for col in bt
-                ]
-                for row in self.rows
-            ]
-        )
+        # row i of the product is the sum of a * (row k of other) over the
+        # nonzero entries a = self[i][k]; only nonzero products are added
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        zero = cyclo.ZERO
+        rows = []
+        for row in self.rows:
+            acc = [zero] * self.dim
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in sparse[k]:
+                        acc[j] = acc[j] + a * b
+            rows.append(tuple(acc))
+        return RMatrix._trusted(tuple(rows))
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[CycNum, ...], ...]) -> "RMatrix":
+        # rows already square and made of CycNum entries
+        m = object.__new__(cls)
+        m.dim = len(rows)
+        m.rows = rows
+        m._hash = None
+        return m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RMatrix):

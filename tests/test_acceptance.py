@@ -28,7 +28,7 @@ TIME_BUDGETS = {
     9: 60,
     10: 15,
     11: 10,
-    12: 120,
+    12: 60,
 }
 
 # sub-checks allowed to fail because the value they encode is provably

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from reflbench import mpoly
+from reflbench import cyclo, mpoly
 from reflbench.cli import main
 
 
@@ -234,6 +234,23 @@ def test_malformed_group_spec_is_input_error(capsys, tmp_path, command, spec):
     code, out = run_cli(capsys, *command, "--spec", str(path))
     assert code == 3
     assert json.loads(out)["error"] == "input"
+
+
+def test_group_spec_order_over_cap_is_input_error(capsys, tmp_path):
+    n = cyclo.MAX_JSON_ORDER + 1
+    entry = {"order": n, "coeffs": [["1", "1"]] * cyclo.euler_phi(n)}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "explicit", "generators": [[entry]]}))
+    code, out = run_cli(capsys, "group", "info", "--spec", str(path))
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def test_verify_map_backend_honours_coset_budget(capsys):
+    argv = ["present", "verify-map", "--map", "cp_conj_4_4", "--backend", "torsion:2"]
+    code, out = run_cli(capsys, "--budget-cosets", "10", *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "budget_exceeded"
 
 
 def test_explicit_group_spec_still_builds(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -139,7 +140,196 @@ def test_json_rejects_malformed():
         from_json({"order": 5, "coeffs": [["1", "1"]]})  # wrong length
 
 
+def test_json_order_cap():
+    n = cyclo.MAX_JSON_ORDER + 1
+    ones = [["1", "1"]] * cyclo.euler_phi(n)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        from_json({"order": n, "coeffs": ones})
+    z = root_of_unity(63, 5)
+    assert from_json(to_json(z)) == z
+
+
 def test_sqrt_rational():
     for q in (2, 3, 5, -1, -3, 12, Fraction(9, 4), Fraction(-27, 2)):
         r = cyclo.sqrt_rational(q)
         assert r * r == rational(q)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the earlier order-minimisation path: every value
+# reduced by long division, and every descent Q(zeta_n) -> Q(zeta_(n/p)) one
+# fresh Gaussian elimination on the augmented matrix [columns | vector].
+
+
+def _old_reduce(n, dense):
+    poly = cyclo.cyclotomic_poly(n)
+    phi = len(poly) - 1
+    d = [Fraction(c) for c in dense]
+    for e in range(len(d) - 1, phi - 1, -1):
+        c = d[e]
+        if c:
+            for i, pc in enumerate(poly):
+                d[e - phi + i] -= c * pc
+    d = d[:phi]
+    return d + [Fraction(0)] * (phi - len(d))
+
+
+@lru_cache(maxsize=None)
+def _old_columns(n, m):
+    step = n // m
+    cols = []
+    for j in range(cyclo.euler_phi(m)):
+        dense = [0] * (j * step + 1)
+        dense[j * step] = 1
+        cols.append(_old_reduce(n, dense))
+    return tuple(cols)
+
+
+def _old_solve(cols, vec):
+    ncols, nrows = len(cols), len(vec)
+    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [vec[i]] for i in range(nrows)]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pr = next((r for r in range(row, nrows) if aug[r][col]), None)
+        if pr is None:
+            continue
+        aug[row], aug[pr] = aug[pr], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(nrows):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    if any(aug[r][ncols] for r in range(row, nrows)):
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][ncols]
+    return sol
+
+
+def _old_normalize(order, dense):
+    coeffs = _old_reduce(order, dense)
+    n = order
+    changed = True
+    while changed and n > 1:
+        changed = False
+        if all(c == 0 for c in coeffs[1:]):
+            return 1, (coeffs[0],)
+        for p in cyclo._prime_factors(n):
+            m = n // p
+            if m == 1:
+                continue
+            sol = _old_solve(_old_columns(n, m), coeffs)
+            if sol is not None:
+                n, coeffs = m, sol
+                changed = True
+                break
+    if n == 1:
+        return 1, (coeffs[0],)
+    return n, tuple(coeffs)
+
+
+def _old_lift(a, n):
+    step = n // a.order
+    dense = [Fraction(0)] * ((len(a.coeffs) - 1) * step + 1)
+    dense[::step] = a.coeffs
+    return _old_reduce(n, dense)
+
+
+def _old_add(a, b):
+    n = a.order * b.order // gcd(a.order, b.order)
+    return _old_normalize(n, [x + y for x, y in zip(_old_lift(a, n), _old_lift(b, n))])
+
+
+def _old_mul(a, b):
+    n = a.order * b.order // gcd(a.order, b.order)
+    x, y = _old_lift(a, n), _old_lift(b, n)
+    conv = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, ca in enumerate(x):
+        for j, cb in enumerate(y):
+            conv[i + j] += ca * cb
+    return _old_normalize(n, conv)
+
+
+def _old_inverse(a):
+    # solve a * y = 1: column j of the system is a * zeta^j
+    n, phi = a.order, len(a.coeffs)
+    cols = []
+    for j in range(phi):
+        dense = [Fraction(0)] * j + list(a.coeffs)
+        cols.append(_old_reduce(n, dense))
+    one = [Fraction(1)] + [Fraction(0)] * (phi - 1)
+    return _old_normalize(n, _old_solve(cols, one))
+
+
+def _old_galois(a, k):
+    n = a.order
+    dense = [Fraction(0)] * n
+    for i, c in enumerate(a.coeffs):
+        dense[(i * k) % n] += c
+    return _old_normalize(n, dense)
+
+
+def _random_dense(rng, n, full=False):
+    # an element of Q(zeta_n), or of a random subfield Q(zeta_m), m | n,
+    # written over zeta_n
+    m = rng.choice([n, rng.choice([d for d in range(1, n + 1) if n % d == 0])])
+    m = n if full else m
+    step = n // m
+    dense = [Fraction(0)] * n
+    for _ in range(rng.randint(1, 4) + (n if full else 0)):
+        dense[step * rng.randrange(m)] += Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return dense
+
+
+def _same(value, expected):
+    order, coeffs = expected
+    assert (value.order, value.coeffs) == (order, coeffs)
+    assert all(type(c) is Fraction for c in value.coeffs)
+    assert hash(value) == hash((order, coeffs))
+    blob = {"order": order, "coeffs": [[str(c.numerator), str(c.denominator)] for c in coeffs]}
+    assert json.dumps(to_json(value), sort_keys=True) == json.dumps(blob, sort_keys=True)
+
+
+def test_arithmetic_matches_elimination_per_descent():
+    rng = random.Random(20240917)
+    orders = list(range(1, 64))
+    values = []
+    for n, full in [(n, False) for n in orders] + [(n, True) for n in (16, 24, 48, 60, 63)]:
+        dense = _random_dense(rng, n, full)
+        value = CycNum(n, dense)
+        _same(value, _old_normalize(n, dense))
+        values.append(value)
+    assert len({v.order for v in values}) > 20
+    assert {16, 24, 48, 60, 63} <= {v.order for v in values}
+    for a in values:
+        k = rng.choice([k for k in range(1, a.order + 1) if gcd(k, a.order) == 1])
+        _same(galois(a, k), _old_galois(a, k))
+        _same(-a, (a.order, tuple(-c for c in a.coeffs)))
+        # the oracle's inverse is one phi x phi elimination: skip large fields
+        if a and len(a.coeffs) <= 16:
+            _same(a.inverse(), _old_inverse(a))
+    _same(values[-1].inverse(), _old_inverse(values[-1]))  # order 63, phi 36
+    # mixed-order operands whose common field stays small enough for the oracle
+    pairs = 0
+    while pairs < 200:
+        a, b = rng.choice(values), rng.choice(values)
+        if a.order * b.order // gcd(a.order, b.order) > 60:
+            continue
+        pairs += 1
+        _same(a + b, _old_add(a, b))
+        _same(a - b, _old_add(a, -b))
+        _same(a * b, _old_mul(a, b))
+    # values that meet again in a subfield: x + y - y and x * y / y
+    for _ in range(60):
+        a, b = rng.choice(values), rng.choice(values)
+        if a.order * b.order // gcd(a.order, b.order) > 60 or not b:
+            continue
+        _same((a + b) - b, (a.order, a.coeffs))
+        _same((a * b) * b.inverse(), (a.order, a.coeffs))

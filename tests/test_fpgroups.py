@@ -218,6 +218,31 @@ def test_subgroup_order_matches_listed_subgroup(quotient):
     assert q.order() == listed(list(q.gen_perms.values())) == q.degree
 
 
+def test_eval_word_matches_letter_by_letter_inversion():
+    # each inverse letter inverts its generator afresh, as a reference; the
+    # generators of Br4/s^3 have order 3, so an inverse is not the generator
+    q = coxeter_quotient(4, 3)
+
+    def reference(w):
+        perm = tuple(range(q.degree))
+        for sym, exp in w:
+            g = q.gen_perms[sym]
+            if exp < 0:
+                inv = [0] * q.degree
+                for i, v in enumerate(g):
+                    inv[v] = i
+                g = tuple(inv)
+            for _ in range(abs(exp)):
+                perm = tuple(g[x] for x in perm)
+        return perm
+
+    rng = random.Random(7)
+    gens = q.presentation.generators
+    for _ in range(40):
+        w = tuple((rng.choice(gens), rng.choice((-2, -1, 1, 3))) for _ in range(rng.randint(0, 8)))
+        assert q.eval_word(w) == reference(w)
+
+
 def test_transported_conjugation_identities():
     trans = i26_transported_conjugation()
     mirror = i26_mirror_conjugated_by_bab()

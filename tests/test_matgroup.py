@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from reflbench import cyclo, linalg, matgroup
@@ -179,3 +181,36 @@ def test_matrix_det_inverse_roundtrip():
         assert (m * m.inverse()).is_identity()
         d = m.det()
         assert d * linalg.det([list(r) for r in m.inverse().rows]) == cyclo.ONE
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_catalog_group("G4"),
+        lambda: build_monomial_group(4, 1, 3),
+        lambda: build_monomial_group(3, 3, 3),
+    ],
+    ids=["G4", "G(4,1,3)", "G(3,3,3)"],
+)
+def test_product_matches_dense_triple_sum(build):
+    g = build()
+    n = g.dim
+
+    def dense(a, b):
+        return [
+            [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), cyclo.ZERO) for j in range(n)]
+            for i in range(n)
+        ]
+
+    def entrywise_sum(a, b):
+        # leaves the group, so the operands also have several nonzeros per row
+        return RMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+    rng = random.Random(20240917)
+    for _ in range(40):
+        a, b, c = (rng.choice(g.elements) for _ in range(3))
+        for x, y in ((a, b), (entrywise_sum(a, c), b), (a, entrywise_sum(b, c))):
+            product = x * y
+            assert product == RMatrix(dense(x, y))
+            assert hash(product) == hash(RMatrix(dense(x, y)))
+            assert all(isinstance(e, cyclo.CycNum) for row in product.rows for e in row)
