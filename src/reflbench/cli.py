@@ -177,11 +177,11 @@ def _load_presentation(args) -> fpgroups.Presentation:
             e, n = _ints(key[2:].strip("()"), "e,n")
             return fpgroups.corran_picantin_presentation(e, n)
         if key.startswith("ArtB"):
-            return fpgroups.artin_b_presentation(int(key[4:]))
+            return fpgroups.artin_b_presentation(*_ints(key[4:], "n"))
         if key.startswith("ArtD"):
-            return fpgroups.artin_d_presentation(int(key[4:]))
+            return fpgroups.artin_d_presentation(*_ints(key[4:], "n"))
         if key.startswith("Br"):
-            return fpgroups.braid_presentation(int(key[2:]))
+            return fpgroups.braid_presentation(*_ints(key[2:], "n"))
         raise InputError(f"unknown presentation {key!r}")
     if args.pres:
         with open(args.pres) as fh:
@@ -397,13 +397,13 @@ def cmd_gt_images(args):
 
 def cmd_gt_stabilize(args):
     pair = gtaction.parse_pair(args.lam, args.f or "")
-    out = gtaction.stabilizes_bn_subgroup(args.n, pair)
+    out = gtaction.stabilizes_bn_subgroup(args.n, pair, args.budget_cosets)
     return (0 if out["all_in"] else 1), out
 
 
 def cmd_gt_gd_check(args):
     g = parse_word(args.g, ("a", "b")) if args.g else ()
-    report = gtaction.check_gd_pair(args.m, args.lam, g)
+    report = gtaction.check_gd_pair(args.m, args.lam, g, args.budget_cosets)
     return (0 if report["all_exact_conditions"] else 1), report
 
 
@@ -440,8 +440,18 @@ def cmd_paper_suite(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 3 with a
+    JSON payload), not argparse's own exit 2, which here means "budget
+    exceeded".  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="reflbench")
+    top = _Parser(prog="reflbench")
     top.add_argument("--json", help="also write the JSON payload to this path")
     top.add_argument("--budget-cosets", type=int, default=fpgroups.DEFAULT_COSET_BUDGET)
     top.add_argument("--budget-elements", type=int, default=matgroup.DEFAULT_ELEMENT_BUDGET)
@@ -547,9 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         code, payload = args.fn(args)
     except BudgetExceededError as exc:
         _emit({"error": "budget_exceeded", "message": str(exc)}, args)

@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import BudgetExceededError, InputError
 from .orbit import orbit
@@ -474,14 +475,17 @@ def artin_b_cyclic_exponent(w: Word, e: int) -> int:
 
 @dataclass
 class CosetTable:
+    """A coset table by column: columns[2g][alpha] is alpha g and columns[2g + 1][alpha]
+    is alpha g^-1 for the g-th generator, over the live cosets; empty unless complete."""
+
     presentation: Presentation
     subgroup: tuple[Word, ...]
-    table: list[list[int | None]]  # live cosets only after completion
+    columns: list[tuple[int, ...]]
     status: str  # "complete" | "budget_exceeded"
-    ncols: int
+    degree: int  # number of cosets when complete
 
     def index(self) -> int:
-        return len(self.table)
+        return self.degree
 
     def column(self, sym: str, step: int) -> int:
         g = self.presentation.generators.index(sym)
@@ -489,17 +493,11 @@ class CosetTable:
 
     def trace(self, coset: int, w: Word) -> int:
         for sym, step in word_letters(w):
-            nxt = self.table[coset][self.column(sym, step)]
-            if nxt is None:
-                raise RuntimeError("tracing through an incomplete table")
-            coset = nxt
+            coset = self.columns[self.column(sym, step)][coset]
         return coset
 
     def generator_permutations(self) -> dict[str, tuple[int, ...]]:
-        out = {}
-        for g, name in enumerate(self.presentation.generators):
-            out[name] = tuple(self.table[c][2 * g] for c in range(len(self.table)))
-        return out
+        return {name: self.columns[2 * g] for g, name in enumerate(self.presentation.generators)}
 
 
 def todd_coxeter(
@@ -511,11 +509,14 @@ def todd_coxeter(
 
     Deterministic: subgroup generators then relators are scanned in catalog
     order, rows are filled in generator order, cosets are numbered by
-    definition order and compacted at the end.  On budget exhaustion the
-    status flag is "budget_exceeded" and the table contents are unspecified.
+    definition order and compacted at the end.  `limit` caps the cosets ever
+    defined, dead ones included; beyond it the status is "budget_exceeded".
+
+    The working table is one list per column, T[col][coset]; each word is
+    resolved once to the column lists it reads forwards (fw) and backwards
+    (bw), so a scan step is one lookup.  Live cosets are the roots of p.
     """
-    ngens = len(pres.generators)
-    ncols = 2 * ngens
+    ncols = 2 * len(pres.generators)
     col_of = {name: 2 * g for g, name in enumerate(pres.generators)}
 
     def letters_to_cols(w: Word) -> list[int]:
@@ -523,11 +524,15 @@ def todd_coxeter(
             col_of[sym] + (0 if step > 0 else 1) for sym, step in word_letters(w)
         ]
 
-    rel_cols = [letters_to_cols(r) for r in pres.relators]
-    sub_cols = [letters_to_cols(w) for w in subgroup_words]
+    rel_cols = [cols for cols in map(letters_to_cols, pres.relators) if cols]
+    sub_cols = [cols for cols in map(letters_to_cols, subgroup_words) if cols]
 
-    table: list[list[int | None]] = [[None] * ncols]
-    p = [0]  # union-find over cosets
+    T: list[list[int | None]] = [[None] for _ in range(ncols)]
+    pairs = [(T[col], T[col ^ 1]) for col in range(ncols)]
+    p = [0]  # union-find over cosets; p[k] <= k always
+
+    def lists(cols: list[int]) -> tuple[list, list]:
+        return [T[col] for col in cols], [T[col ^ 1] for col in cols]
 
     def rep(k: int) -> int:
         root = k
@@ -537,22 +542,15 @@ def todd_coxeter(
             p[k], k = root, p[k]
         return root
 
-    exceeded = False
-
-    def define(alpha: int, col: int) -> int:
-        nonlocal exceeded
-        if len(table) >= limit:
-            exceeded = True
-            raise _Budget()
-        beta = len(table)
-        table.append([None] * ncols)
+    def define(alpha: int, fwd: list, back: list) -> None:
+        beta = len(p)
+        if beta >= limit:
+            raise BudgetExceededError(f"coset budget {limit} exceeded")
+        for col in T:
+            col.append(None)
         p.append(beta)
-        table[alpha][col] = beta
-        table[beta][col ^ 1] = alpha
-        return beta
-
-    class _Budget(Exception):
-        pass
+        fwd[alpha] = beta
+        back[beta] = alpha
 
     queue: deque[int] = deque()
 
@@ -567,107 +565,134 @@ def todd_coxeter(
         merge(alpha, beta)
         while queue:
             gamma = queue.popleft()
-            row = table[gamma]
-            for col in range(ncols):
-                delta = row[col]
+            for fwd, back in pairs:
+                delta = fwd[gamma]
                 if delta is None:
                     continue
-                table[delta][col ^ 1] = None
+                back[delta] = None
                 mu, nu = rep(gamma), rep(delta)
-                ent = table[mu][col]
+                ent = fwd[mu]
                 if ent is not None:
                     merge(nu, ent)
                 else:
-                    ent2 = table[nu][col ^ 1]
+                    ent2 = back[nu]
                     if ent2 is not None:
                         merge(mu, ent2)
                     else:
-                        table[mu][col] = nu
-                        table[nu][col ^ 1] = mu
+                        fwd[mu] = nu
+                        back[nu] = mu
 
-    def scan_and_fill(alpha: int, cols: list[int]):
+    def scan_and_fill(alpha: int, fw: list, bw: list):
         f, i = alpha, 0
-        b, j = alpha, len(cols) - 1
+        b, j = alpha, len(fw) - 1
         while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
+            while i <= j and fw[i][f] is not None:
+                f = fw[i][f]
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][cols[j] ^ 1] is not None:
-                b = table[b][cols[j] ^ 1]
+            while j >= i and bw[j][b] is not None:
+                b = bw[j][b]
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
+                fw[i][f] = b
+                bw[i][b] = f
                 return
-            define(f, cols[i])
+            define(f, fw[i], bw[i])
 
+    rels = [lists(cols) for cols in rel_cols]
     try:
         for cols in sub_cols:
-            if cols:
-                scan_and_fill(0, cols)
+            scan_and_fill(0, *lists(cols))
         alpha = 0
-        while alpha < len(table):
-            if rep(alpha) != alpha:
-                alpha += 1
-                continue
-            for cols in rel_cols:
-                if not cols:
-                    continue
-                scan_and_fill(alpha, cols)
-                if rep(alpha) != alpha:
-                    break
-            if rep(alpha) == alpha:
-                for col in range(ncols):
-                    if table[alpha][col] is None:
-                        define(alpha, col)
+        while alpha < len(p):
+            if p[alpha] == alpha:
+                for fw, bw in rels:
+                    # fast path: a relator that already closes at alpha
+                    f = alpha
+                    for col in fw:
+                        f = col[f]
+                        if f is None:
+                            break
+                    else:
+                        if f == alpha:
+                            continue
+                    scan_and_fill(alpha, fw, bw)
+                    if p[alpha] != alpha:
+                        break
+                else:
+                    for fwd, back in pairs:
+                        if fwd[alpha] is None:
+                            define(alpha, fwd, back)
             alpha += 1
-    except _Budget:
-        return CosetTable(pres, tuple(subgroup_words), [], "budget_exceeded", ncols)
+    except BudgetExceededError:
+        return CosetTable(pres, tuple(subgroup_words), [], "budget_exceeded", 0)
 
     # compact: renumber live cosets in definition order
-    live = [k for k in range(len(table)) if rep(k) == k]
-    renum = {k: i for i, k in enumerate(live)}
-    compacted = []
-    for k in live:
-        row = []
-        for col in range(ncols):
-            entry = table[k][col]
-            if entry is None:
-                raise RuntimeError("enumeration finished with an undefined entry")
-            row.append(renum[rep(entry)])
-        compacted.append(row)
-    result = CosetTable(pres, tuple(subgroup_words), compacted, "complete", ncols)
+    for k in range(len(p)):
+        p[k] = p[p[k]]  # a root, since p[k] < k was compressed before k
+    live = [k for k, root in enumerate(p) if k == root]
+    number = [0] * len(p)
+    for i, k in enumerate(live):
+        number[k] = i
+    renum = _gather(number, p)
+    columns = []
+    for col in T:
+        try:
+            columns.append(_gather(renum, _gather(col, live)))
+        except TypeError:  # renum[None]
+            raise RuntimeError("enumeration finished with an undefined entry") from None
+        col.clear()
+    result = CosetTable(pres, tuple(subgroup_words), columns, "complete", len(live))
     _validate_table(result, rel_cols, sub_cols)
     return result
 
 
+def _gather(seq, indices) -> tuple:
+    """tuple(seq[i] for i in indices), at C speed."""
+    if len(indices) < 2:
+        return tuple(seq[i] for i in indices)
+    return itemgetter(*indices)(seq)
+
+
 def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
     """Closure check: inverse consistency, every relator fixes every coset,
-    every subgroup generator fixes coset 0."""
-    n = len(t.table)
-    for alpha in range(n):
-        for col in range(t.ncols):
-            beta = t.table[alpha][col]
-            if not (0 <= beta < n) or t.table[beta][col ^ 1] != alpha:
-                raise RuntimeError("coset table is not inverse-consistent")
-    for cols in rel_cols:
-        for alpha in range(n):
-            gamma = alpha
-            for col in cols:
-                gamma = t.table[gamma][col]
-            if gamma != alpha:
-                raise RuntimeError("a relator does not act trivially on the cosets")
-    for cols in sub_cols:
+    every subgroup generator fixes coset 0.
+
+    Words act on all cosets at once, by composing whole columns.  Once every
+    entry is in range and column 2g + 1 undoes column 2g, the two are inverse
+    bijections, so a relator fixes every coset iff its first half acts as
+    the inverse of its second.
+    """
+    cols, n = t.columns, t.degree
+    identity = tuple(range(n))
+
+    def act(word_cols) -> tuple[int, ...]:
+        """alpha -> alpha . word, for every coset alpha."""
+        if not word_cols:
+            return identity
+        gamma = cols[word_cols[0]]
+        for c in word_cols[1:]:
+            gamma = _gather(cols[c], gamma)
+        return gamma
+
+    if any(len(col) != n or min(col) < 0 or max(col) >= n for col in cols) or any(
+        act((c, c + 1)) != identity for c in range(0, len(cols), 2)
+    ):
+        raise RuntimeError("coset table is not inverse-consistent")
+    for word_cols in rel_cols:
+        k = len(word_cols) // 2
+        if act(word_cols[:k]) != act([c ^ 1 for c in reversed(word_cols[k:])]):
+            raise RuntimeError("a relator does not act trivially on the cosets")
+    for word_cols in sub_cols:
         gamma = 0
-        for col in cols:
-            gamma = t.table[gamma][col]
+        for c in word_cols:
+            gamma = cols[c][gamma]
         if gamma != 0:
             raise RuntimeError("a subgroup generator moves the subgroup coset")
 
@@ -834,18 +859,14 @@ def schreier_data(table: CosetTable) -> SchreierData:
     """Spanning tree (BFS from coset 0 in column order) + numbered Schreier generators."""
     if table.status != "complete":
         raise BudgetExceededError("Schreier rewriting needs a complete table")
-    n = table.index()
-    tree = orbit(0, range(table.ncols), lambda alpha, col: table.table[alpha][col])
+    columns = table.columns
+    tree = orbit(0, range(len(columns)), lambda alpha, col: columns[col][alpha])
     tree_edge = {beta: edge for beta, edge in tree.items() if edge is not None}
     index: dict[tuple[int, int], int] = {}
     names: list[str] = []
-    ngens = table.ncols // 2
-    for alpha in range(n):
-        for g in range(ngens):
-            col = 2 * g
-            beta = table.table[alpha][col]
-            if beta is None:
-                continue
+    for alpha in range(table.index()):
+        for col in range(0, len(columns), 2):
+            beta = columns[col][alpha]
             if tree_edge.get(beta) == (alpha, col):
                 continue  # tree edge: trivial Schreier generator
             if alpha in tree_edge and tree_edge[alpha] == (beta, col ^ 1):
@@ -865,18 +886,11 @@ def schreier_rewrite(data: SchreierData, w: Word, start: int = 0):
     alpha = start
     for sym, step in word_letters(w):
         col = table.column(sym, step)
-        if step > 0:
-            key = (alpha, col)
-            beta = table.table[alpha][col]
-            if key in data.schreier_index:
-                letters.append((data.names[data.schreier_index[key]], 1))
-            alpha = beta
-        else:
-            beta = table.table[alpha][col]
-            key = (beta, col ^ 1)
-            if key in data.schreier_index:
-                letters.append((data.names[data.schreier_index[key]], -1))
-            alpha = beta
+        beta = table.columns[col][alpha]
+        key = (alpha, col) if step > 0 else (beta, col ^ 1)
+        if key in data.schreier_index:
+            letters.append((data.names[data.schreier_index[key]], step))
+        alpha = beta
     if alpha != start:
         return None
     return free_reduce(letters)

@@ -137,7 +137,7 @@ def act_on_quotient(quotient: fpgroups.PermQuotient, pair: GTPair, n: int | None
 # stabilization of the type-B subgroup of Br_(n+1)
 
 
-def stabilizes_bn_subgroup(n: int, pair: GTPair, limit: int = 100_000):
+def stabilizes_bn_subgroup(n: int, pair: GTPair, limit: int = fpgroups.DEFAULT_COSET_BUDGET):
     """Membership verdicts: do Drinfeld images of <s1^2, s2..sn> stay in it?
 
     Uses the coset table of the index-(n+1) subgroup of Br_(n+1) and Schreier
@@ -201,7 +201,7 @@ def matsumoto_commutation_report(n: int, pair: GTPair):
 # dihedral pair conditions
 
 
-def check_gd_pair(m: int, lam: int, g: Word):
+def check_gd_pair(m: int, lam: int, g: Word, limit: int = fpgroups.DEFAULT_COSET_BUDGET):
     """Condition report for the dihedral pair (lambda, g), g a word over {a, b}.
 
     Preconditions on g: trivial image in the dihedral reflection quotient and
@@ -216,21 +216,11 @@ def check_gd_pair(m: int, lam: int, g: Word):
     if ctx.image_in_w(g) != ctx.one:
         raise InputError("g does not lie in the kernel of the reflection quotient")
     # coset table of P: the torsion quotient's table reused for the braid presentation
-    tq = fpgroups.torsion_quotient(pres, 2)
-    table = fpgroups.CosetTable(
-        presentation=pres,
-        subgroup=(),
-        table=[
-            [
-                _perm_as_table_entry(tq, c, name, sgn)
-                for name in pres.generators
-                for sgn in (1, -1)
-            ]
-            for c in range(tq.degree)
-        ],
-        status="complete",
-        ncols=2 * len(pres.generators),
-    )
+    tq = fpgroups.torsion_quotient(pres, 2, limit)
+    columns = []
+    for name in pres.generators:
+        columns += [tq.gen_perms[name], tq._inverse_perms[name]]
+    table = fpgroups.CosetTable(pres, (), columns, "complete", tq.degree)
     data = schreier_data(table)
     vec = fpgroups.schreier_abelianized(data, g)
     if vec is None:
@@ -278,13 +268,6 @@ def check_gd_pair(m: int, lam: int, g: Word):
         report["cond3_delta_image"] and report["cond4_delta2_image"] and relator_ok
     )
     return report
-
-
-def _perm_as_table_entry(q: fpgroups.PermQuotient, coset: int, name: str, sgn: int) -> int:
-    perm = q.gen_perms[name]
-    if sgn > 0:
-        return perm[coset]
-    return perm.index(coset)
 
 
 # ---------------------------------------------------------------------------

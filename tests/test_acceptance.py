@@ -22,8 +22,8 @@ TIME_BUDGETS = {
     3: 30,
     4: 1,
     5: 60,
-    6: 120,
-    7: 120,
+    6: 10,
+    7: 10,
     8: 60,
     9: 60,
     10: 15,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -261,3 +263,83 @@ def test_explicit_group_spec_still_builds(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["hyperplanes"] == 1 and data["supersolvable"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["present", "verify-map", "--map", "cp_conj_4_4", "--backend", "torsion:2", "--budget-cosets", "10"],
+        ["nosuchcmd"],
+    ],
+    ids=["global-flag-after-subcommand", "unknown-command"],
+)
+def test_usage_error_is_input_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: reflbench")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gt", "stabilize", "--n", "3", "--lambda", "1"], ["gt", "gd-check", "--m", "6", "--lambda", "1"]],
+    ids=["stabilize", "gd-check"],
+)
+def test_gt_commands_honour_coset_budget(capsys, argv):
+    code, out = run_cli(capsys, "--budget-cosets", "3", *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "budget_exceeded"
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+
+def test_cli_contract_holds_for_fuzzed_argv():
+    """Every argv of a small grammar, malformed words and misplaced global
+    flags included, exits 0-3 with one JSON object on stdout."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def argv(*parts):
+        parts = [p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts]
+        return st.tuples(*parts).map(list)
+
+    word = st.sampled_from(
+        ["", "s1", "s1^2,s2", "s1^", "(s1", "s9", "[x,y]", "[x^2,y", "x y X Y", "a^2", "[a^2,b^2]", "1"]
+    )
+    catalog = st.sampled_from(
+        ["Br3", "Br4", "Br", "Br1", "ArtBx", "ArtB3", "ArtD4", "CP3,3", "CPx", "G12", "I2(6)", "nosuch"]
+    )
+    small = st.sampled_from(["-1", "0", "1", "2", "3", "6", "x", "3,3", "4,3", "5,3"])
+    gtype = st.sampled_from(["A3", "B3", "D4", "I2(6)", "Z2", "A", "D1"])
+    command = st.one_of(
+        argv("present", "tc", "--catalog", catalog, "--subgroup", word),
+        argv("present", "quotient", "--coxeter", small),
+        argv("present", "quotient", "--catalog", catalog, "--torsion", small),
+        argv("gt", "stabilize", "--n", small, "--lambda", small, "--f", word),
+        argv("gt", "gd-check", "--m", small, "--lambda", small, "--g", word),
+        argv("gt", "images", "--n", small, "--lambda", small, "--f", word),
+        argv("garside", "nf", "--type", gtype, "--word", word),
+        argv(st.sampled_from(["nosuchcmd", "present", "gt", "--seed"])),
+    )
+    # a small coset budget always comes along, so infinite presentations
+    # such as Br3 stay cheap; it is given before the command or misplaced after
+    budget = st.sampled_from(["-1", "40", "1000", "x"])
+
+    @hypothesis.settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(command, budget, st.booleans())
+    def check(cmd, limit, before):
+        flag = ["--budget-cosets", limit]
+        argv = flag + cmd if before else cmd + flag
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert isinstance(json.loads(out.getvalue()), dict), argv
+
+    check()

@@ -1,11 +1,13 @@
 import math
 import random
+from collections import deque
 
 import pytest
 
 from reflbench.errors import BudgetExceededError, InputError
 from reflbench.orbit import orbit
 from reflbench.fpgroups import (
+    CosetTable,
     GroupHom,
     PermBackend,
     Presentation,
@@ -32,8 +34,10 @@ from reflbench.fpgroups import (
     single,
     todd_coxeter,
     torsion_quotient,
+    _validate_table,
     verify_hom,
     word_inverse,
+    word_letters,
     word_mul,
     word_pow,
     word_str,
@@ -350,30 +354,270 @@ def test_todd_coxeter_against_known_orders():
             assert todd_coxeter(pres, [single(g) for g in names[:-1]]).index() == n
 
 
+Q8 = Presentation(
+    "Q8",
+    ("a", "b"),
+    (
+        word_pow(single("a"), 4),
+        word_mul(word_pow(single("a"), 2), word_pow(single("b"), -2)),
+        word_mul(single("a"), single("b"), single("a"), word_pow(single("b"), -1)),
+    ),
+)
+# the (2,3,7) presentation with [a,b]^4 added presents a simple group of order 168
+PSL27 = Presentation(
+    "PSL27",
+    ("a", "b"),
+    (
+        word_pow(single("a"), 2),
+        word_pow(single("b"), 3),
+        word_pow(word_mul(single("a"), single("b")), 7),
+        word_pow(
+            word_mul(single("a"), single("b"), word_inverse(single("a")), word_inverse(single("b"))),
+            4,
+        ),
+    ),
+)
+
+
 def test_todd_coxeter_quaternion_and_psl27():
-    q8 = Presentation(
-        "Q8",
-        ("a", "b"),
-        (
-            word_pow(single("a"), 4),
-            word_mul(word_pow(single("a"), 2), word_pow(single("b"), -2)),
-            word_mul(single("a"), single("b"), single("a"), word_pow(single("b"), -1)),
-        ),
-    )
-    assert todd_coxeter(q8, []).index() == 8
-    assert todd_coxeter(q8, [single("a")]).index() == 2
-    # the (2,3,7) presentation with [a,b]^4 added presents a simple group of order 168
-    psl27 = Presentation(
-        "PSL27",
-        ("a", "b"),
-        (
-            word_pow(single("a"), 2),
-            word_pow(single("b"), 3),
-            word_pow(word_mul(single("a"), single("b")), 7),
-            word_pow(
-                word_mul(single("a"), single("b"), word_inverse(single("a")), word_inverse(single("b"))),
-                4,
-            ),
-        ),
-    )
-    assert todd_coxeter(psl27, []).index() == 168
+    assert todd_coxeter(Q8, []).index() == 8
+    assert todd_coxeter(Q8, [single("a")]).index() == 2
+    assert todd_coxeter(PSL27, []).index() == 168
+
+
+# ---------------------------------------------------------------------------
+# differential test against the row-major enumerator the column-major one replaced
+
+
+def _row_major_todd_coxeter(pres, subgroup_words, limit):
+    """HLT with one list per coset, as before the column-major rewrite.
+
+    Returns (status, compacted rows, number of cosets defined)."""
+    ncols = 2 * len(pres.generators)
+    col_of = {name: 2 * g for g, name in enumerate(pres.generators)}
+
+    def letters_to_cols(w):
+        return [col_of[sym] + (0 if step > 0 else 1) for sym, step in word_letters(w)]
+
+    table = [[None] * ncols]
+    p = [0]
+
+    def rep(k):
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    class Budget(Exception):
+        pass
+
+    def define(alpha, col):
+        if len(table) >= limit:
+            raise Budget()
+        beta = len(table)
+        table.append([None] * ncols)
+        p.append(beta)
+        table[alpha][col] = beta
+        table[beta][col ^ 1] = alpha
+
+    queue = deque()
+
+    def merge(k, lam):
+        k, lam = rep(k), rep(lam)
+        if k != lam:
+            mu, nu = min(k, lam), max(k, lam)
+            p[nu] = mu
+            queue.append(nu)
+
+    def coincidence(alpha, beta):
+        merge(alpha, beta)
+        while queue:
+            gamma = queue.popleft()
+            row = table[gamma]
+            for col in range(ncols):
+                delta = row[col]
+                if delta is None:
+                    continue
+                table[delta][col ^ 1] = None
+                mu, nu = rep(gamma), rep(delta)
+                ent = table[mu][col]
+                if ent is not None:
+                    merge(nu, ent)
+                else:
+                    ent2 = table[nu][col ^ 1]
+                    if ent2 is not None:
+                        merge(mu, ent2)
+                    else:
+                        table[mu][col] = nu
+                        table[nu][col ^ 1] = mu
+
+    def scan_and_fill(alpha, cols):
+        f, i = alpha, 0
+        b, j = alpha, len(cols) - 1
+        while True:
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][cols[j] ^ 1] is not None:
+                b = table[b][cols[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][cols[i]] = b
+                table[b][cols[i] ^ 1] = f
+                return
+            define(f, cols[i])
+
+    try:
+        for w in subgroup_words:
+            if w:
+                scan_and_fill(0, letters_to_cols(w))
+        alpha = 0
+        while alpha < len(table):
+            if rep(alpha) == alpha:
+                for r in pres.relators:
+                    scan_and_fill(alpha, letters_to_cols(r))
+                    if rep(alpha) != alpha:
+                        break
+                if rep(alpha) == alpha:
+                    for col in range(ncols):
+                        if table[alpha][col] is None:
+                            define(alpha, col)
+            alpha += 1
+    except Budget:
+        return "budget_exceeded", [], len(table)
+    live = [k for k in range(len(table)) if rep(k) == k]
+    renum = {k: i for i, k in enumerate(live)}
+    return "complete", [[renum[rep(e)] for e in table[k]] for k in live], len(table)
+
+
+def _with_powers(pres, k, label):
+    powers = tuple(word_pow(single(g), k) for g in pres.generators)
+    return Presentation(label, pres.generators, pres.relators + powers)
+
+
+def _random_subgroup(rng, gens, count):
+    words = []
+    for _ in range(count):
+        letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+        words.append(word_mul(*(single(s, e) for s, e in letters)))
+    return words
+
+
+def _differential_cases():
+    """Catalog presentations with fixed and seeded random subgroups."""
+    rng = random.Random(5150)
+    cases = []
+    for n, k in ((3, 3), (3, 4), (3, 5), (4, 3)):
+        pres = _with_powers(braid_presentation(n), k, f"Br{n}/s^{k}")
+        subs = [[], [single("s1")]] + [_random_subgroup(rng, pres.generators, 2) for _ in range(3)]
+        cases += [(pres, sub) for sub in subs]
+    # Br5/s^3 has 155,520 cosets; subgroups keep the old enumerator quick
+    br5 = _with_powers(braid_presentation(5), 3, "Br5/s^3")
+    cases.append((br5, [single("s1"), single("s2")]))
+    cases.append((br5, [single("s1"), single("s3"), single("s4")]))
+    cases += [(br5, [single("s2")] + _random_subgroup(rng, br5.generators, 2)) for _ in range(2)]
+    # the type-B subgroups of Br3-Br5, of finite index in an infinite group
+    for n in (3, 4, 5):
+        bn = [word_pow(single("s1"), 2)] + [single(f"s{i}") for i in range(2, n)]
+        cases.append((braid_presentation(n), bn))
+    torsion = [corran_picantin_presentation(e, n) for e, n in ((3, 3), (4, 3), (3, 4), (4, 4))]
+    torsion += [g12_braid_presentation(), g13_braid_presentation(), artin_i2_presentation(6)]
+    for pres in torsion:
+        pres = _with_powers(pres, 2, pres.label + "+torsion")
+        cases.append((pres, []))
+        cases += [(pres, _random_subgroup(rng, pres.generators, 1)) for _ in range(2)]
+    for pres in (Q8, PSL27):
+        cases.append((pres, []))
+        cases += [(pres, _random_subgroup(rng, pres.generators, rng.randint(1, 2))) for _ in range(3)]
+    return cases
+
+
+DIFFERENTIAL_LIMIT = 20_000
+
+
+def test_column_major_tables_match_row_major():
+    complete = 0
+    for pres, sub in _differential_cases():
+        status, rows, defined = _row_major_todd_coxeter(pres, sub, DIFFERENTIAL_LIMIT)
+        table = todd_coxeter(pres, sub, DIFFERENTIAL_LIMIT)
+        assert table.status == status, (pres.label, sub)
+        if status != "complete":
+            continue
+        complete += 1
+        ncols = 2 * len(pres.generators)
+        assert table.columns == [tuple(row[c] for row in rows) for c in range(ncols)], pres.label
+        assert table.index() == len(rows)
+        # the budget counts every defined coset, dead ones included
+        for limit in (defined - 1, defined):
+            old_status = _row_major_todd_coxeter(pres, sub, limit)[0]
+            assert todd_coxeter(pres, sub, limit).status == old_status, (pres.label, sub, limit)
+    assert complete >= 50
+
+
+def test_column_major_budget_exceeded_matches_row_major():
+    # Br4/s^4 is infinite: both enumerators stop at the same limits
+    pres = _with_powers(braid_presentation(4), 4, "Br4/s^4")
+    for limit in (1, 2, 50, 777):
+        assert _row_major_todd_coxeter(pres, [], limit)[0] == "budget_exceeded"
+        table = todd_coxeter(pres, [], limit)
+        assert (table.status, table.index(), table.columns) == ("budget_exceeded", 0, [])
+
+
+def _br4_cube_table():
+    pres = _with_powers(braid_presentation(4), 3, "Br4/s^3")
+    table = todd_coxeter(pres, [])
+
+    def cols(w):
+        return [table.column(sym, step) for sym, step in word_letters(w)]
+
+    return table, [cols(r) for r in pres.relators], cols
+
+
+def _mutated(table, columns):
+    return CosetTable(table.presentation, table.subgroup, columns, "complete", table.degree)
+
+
+def test_closure_check_rejects_two_swapped_entries():
+    table, rel_cols, _ = _br4_cube_table()
+    columns = list(table.columns)
+    s1 = list(columns[0])
+    s1[5], s1[17] = s1[17], s1[5]
+    columns[0] = tuple(s1)
+    with pytest.raises(RuntimeError, match="inverse-consistent"):
+        _validate_table(_mutated(table, columns), rel_cols, [])
+
+
+def test_closure_check_rejects_a_relator_failing_on_two_cosets():
+    # s1 composed with a transposition of two cosets, the inverse column
+    # updated to match: the table stays inverse-consistent, but s1^3 now moves
+    # two of the 648 cosets (a permutation cannot move just one)
+    table, rel_cols, _ = _br4_cube_table()
+    columns = list(table.columns)
+    s1 = list(columns[0])
+    y = s1[0]
+    s1[0], s1[y] = s1[y], s1[0]
+    inverse = [0] * len(s1)
+    for alpha, beta in enumerate(s1):
+        inverse[beta] = alpha
+    columns[0], columns[1] = tuple(s1), tuple(inverse)
+    mutant = _mutated(table, columns)
+    cube = word_pow(single("s1"), 3)
+    assert sum(mutant.trace(a, cube) != a for a in range(table.index())) == 2
+    with pytest.raises(RuntimeError, match="relator"):
+        _validate_table(mutant, rel_cols, [])
+
+
+def test_closure_check_rejects_a_subgroup_generator_moving_coset_0():
+    table, rel_cols, cols = _br4_cube_table()
+    _validate_table(table, rel_cols, [cols(word_pow(single("s1"), 3))])
+    with pytest.raises(RuntimeError, match="subgroup"):
+        _validate_table(table, rel_cols, [cols(single("s1"))])
