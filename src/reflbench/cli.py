@@ -361,7 +361,11 @@ def _garside_word(ctx, text: str):
             extra[f"w{r}"] = garside.w_word(r)
             extra[f"eta{r}"] = garside.eta_word(r)
     alphabet = list(ctx.gen_list) + list(extra)
-    w = parse_word(text, alphabet)
+    w = parse_word(text, alphabet, garside.MAX_LETTERS)
+    # an abbreviation stands for several letters
+    garside.check_letters(
+        sum(abs(exp) * (fpgroups.word_length(extra[sym]) if sym in extra else 1) for sym, exp in w)
+    )
     out = []
     for sym, exp in w:
         if sym in extra:

@@ -123,8 +123,12 @@ def word_str(w: Word) -> str:
 # parsing
 
 
-def parse_word(text: str, generators) -> Word:
-    """Parse a word over the given generator alphabet (longest-match)."""
+def parse_word(text: str, generators, max_letters: int | None = None) -> Word:
+    """Parse a word over the given generator alphabet (longest-match).
+
+    With `max_letters`, a word whose letters, counted before free reduction,
+    exceed it is an input error, raised before a power is expanded.
+    """
     gens = list(generators)
     names = sorted(gens, key=len, reverse=True)
     upper = {g.upper(): g for g in gens if g.upper() != g and g.upper() not in gens}
@@ -148,14 +152,21 @@ def parse_word(text: str, generators) -> Word:
             raise InputError(f"malformed exponent at position {start} in {text!r}")
         return int(text[start:pos])
 
+    def check_letters(count: int) -> None:
+        if max_letters is not None and count > max_letters:
+            raise InputError(f"word has more than {max_letters} letters in {text!r}")
+
     def parse_sequence(stop: str) -> Word:
         nonlocal pos
         items: list[Word] = []
+        letters = 0
         while True:
             skip_ws()
             if pos >= n or text[pos] in stop:
                 return word_mul(*items)
             items.append(parse_item())
+            letters += word_length(items[-1])
+            check_letters(letters)
 
     def parse_item() -> Word:
         nonlocal pos
@@ -201,6 +212,7 @@ def parse_word(text: str, generators) -> Word:
             pos += 1
             skip_ws()
             k = parse_int()
+            check_letters(word_length(atom) * abs(k))
             atom = word_pow(atom, k)
         return atom
 

@@ -7,9 +7,11 @@ f_i.  Equal group elements have identical normal forms, which gives an exact
 word problem.
 
 W is realized concretely per family: permutations for A, signed permutations
-for B, even-signed permutations for D (generators named s1, s1p, s2, ...),
-and rotation/reflection pairs for I2(m) (generators a, b).  Lengths use the
-classical combinatorial formulas; descents are length drops.
+for B and D (type D generators named s1, s1p, s2, ...), and
+rotation/reflection pairs for I2(m) (generators a, b).  Descents are read off
+an element's entries in O(n).  Each letter costs one right-to-left sweep
+(Epstein et al., *Word Processing in Groups*, ch. 9; Charney, Math. Ann.
+292, 1992).
 """
 
 from __future__ import annotations
@@ -20,15 +22,34 @@ from functools import lru_cache
 from .errors import InputError
 from .fpgroups import Word, single, word_letters, word_mul
 
+# Input bounds (exit 3 beyond them).  A word of L letters in rank n can cost
+# about L^2 n^3 steps, as every letter may re-weight every factor: at these
+# bounds the slowest words found take about 3 s.  Criterion 5 works in D9.
+MAX_RANK = 10  # the rank of types A, B and D
+MAX_LETTERS = 200  # letters of a word, and m of I2(m), whose Delta has m letters
+
+
+def check_letters(count: int) -> None:
+    """Reject a word of more than MAX_LETTERS letters (an input error)."""
+    if count > MAX_LETTERS:
+        raise InputError(f"word has {count} letters; at most {MAX_LETTERS} are accepted")
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 # ---------------------------------------------------------------------------
 # concrete Coxeter group models
 #
 # A permutation w is a tuple (w(0),...,w(n-1)); signed permutations map
 # 1..n to +-1..+-n stored as (w(1),...,w(n)); composition is (u*v)(i) = u(v(i)).
+# Every model has rmul(w, i) = w * (generator i), which acts on positions,
+# and right_descents(w), the bitmask of the generators i with l(w * i) < l(w).
 
 
 class _PermModel:
-    """Symmetric group S_(rank+1); generators s1..s(rank) swap positions."""
+    """Symmetric group S_(rank+1); generator i swaps positions i, i+1."""
 
     def __init__(self, rank: int):
         self.n = rank + 1
@@ -37,13 +58,18 @@ class _PermModel:
     def one(self):
         return tuple(range(self.n))
 
-    def generator(self, idx: int):
-        w = list(range(self.n))
-        w[idx], w[idx + 1] = w[idx + 1], w[idx]
-        return tuple(w)
+    def rmul(self, w, i: int):
+        return w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+
+    def right_descents(self, w) -> int:
+        mask = 0
+        for i in range(self.n - 1):
+            if w[i] > w[i + 1]:
+                mask |= 1 << i
+        return mask
 
     def mul(self, u, v):
-        return tuple(u[v[i]] for i in range(self.n))
+        return tuple(map(u.__getitem__, v))
 
     def inv(self, u):
         out = [0] * self.n
@@ -51,110 +77,63 @@ class _PermModel:
             out[x] = i
         return tuple(out)
 
-    def length(self, u) -> int:
-        return sum(
-            1 for i in range(self.n) for j in range(i + 1, self.n) if u[i] > u[j]
-        )
-
     def longest(self):
         return tuple(reversed(range(self.n)))
 
 
 class _SignedModel:
-    """Hyperoctahedral group B_rank; generator 0 flips the first coordinate."""
+    """Signed permutations: B_rank, or the even-signed D_rank.  In B,
+    generator 0 (t) negates the first entry; in D, generator 0 (s1) swaps the
+    first two entries and generator 1 (s1p) swaps and negates them.  Every
+    later generator i swaps the entries at positions i-1, i."""
 
-    def __init__(self, rank: int, gen_names: list[str]):
+    def __init__(self, rank: int, family: str):
         self.n = rank
-        self.gen_names = gen_names
-
-    def one(self):
-        return tuple(range(1, self.n + 1))
-
-    def generator(self, idx: int):
-        w = list(range(1, self.n + 1))
-        if idx == 0:
-            w[0] = -1
+        self.even = family == "D"
+        if self.even:
+            self.gen_names = ["s1", "s1p"] + [f"s{i}" for i in range(2, rank)]
         else:
-            w[idx - 1], w[idx] = w[idx], w[idx - 1]
-        return tuple(w)
-
-    def _apply(self, u, value: int) -> int:
-        return u[value - 1] if value > 0 else -u[-value - 1]
-
-    def mul(self, u, v):
-        return tuple(self._apply(u, v[i]) for i in range(self.n))
-
-    def inv(self, u):
-        out = [0] * self.n
-        for i, x in enumerate(u):
-            if x > 0:
-                out[x - 1] = i + 1
-            else:
-                out[-x - 1] = -(i + 1)
-        return tuple(out)
-
-    def length(self, u) -> int:
-        inv = sum(
-            1 for i in range(self.n) for j in range(i + 1, self.n) if u[i] > u[j]
-        )
-        neg = sum(-x for x in u if x < 0)
-        return inv + neg
-
-    def longest(self):
-        return tuple(-i for i in range(1, self.n + 1))
-
-
-class _EvenSignedModel:
-    """Type D_rank: even-signed permutations; s1p is the negative transposition."""
-
-    def __init__(self, rank: int):
-        self.n = rank
-        self.gen_names = ["s1", "s1p"] + [f"s{i}" for i in range(2, rank)]
+            # catalog naming t, s2..sn used by the Artin B_n presentation
+            self.gen_names = ["t"] + [f"s{i}" for i in range(2, rank + 1)]
+        self.first_swap = 2 if self.even else 1
 
     def one(self):
         return tuple(range(1, self.n + 1))
 
-    def generator(self, idx: int):
-        w = list(range(1, self.n + 1))
-        if idx == 0:  # s1: swap 1,2
-            w[0], w[1] = w[1], w[0]
-        elif idx == 1:  # s1p: e1 -> -e2, e2 -> -e1
-            w[0], w[1] = -w[1], -w[0]
-        else:  # s_i (catalog index idx >= 2) swaps positions idx, idx+1 (1-based)
-            w[idx - 1], w[idx] = w[idx], w[idx - 1]
-        return tuple(w)
+    def rmul(self, w, i: int):
+        if i >= self.first_swap:
+            return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+        if not self.even:
+            return (-w[0],) + w[1:]
+        if i == 0:
+            return (w[1], w[0]) + w[2:]
+        return (-w[1], -w[0]) + w[2:]
 
-    def _apply(self, u, value: int) -> int:
-        return u[value - 1] if value > 0 else -u[-value - 1]
+    def right_descents(self, w) -> int:
+        if self.even:
+            mask = (w[0] > w[1]) | (w[0] + w[1] < 0) << 1
+        else:
+            mask = int(w[0] < 0)
+        for i in range(self.first_swap, len(self.gen_names)):
+            if w[i - 1] > w[i]:
+                mask |= 1 << i
+        return mask
 
     def mul(self, u, v):
-        return tuple(self._apply(u, v[i]) for i in range(self.n))
+        # index x of ext is u(x) for x in -n..n (negative indices wrap)
+        ext = (0,) + u + tuple(-x for x in reversed(u))
+        return tuple(map(ext.__getitem__, v))
 
     def inv(self, u):
         out = [0] * self.n
-        for i, x in enumerate(u):
-            if x > 0:
-                out[x - 1] = i + 1
-            else:
-                out[-x - 1] = -(i + 1)
+        for i, x in enumerate(u, 1):
+            out[abs(x) - 1] = i if x > 0 else -i
         return tuple(out)
 
-    def length(self, u) -> int:
-        inv = sum(
-            1 for i in range(self.n) for j in range(i + 1, self.n) if u[i] > u[j]
-        )
-        nsp = sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if u[i] + u[j] < 0
-        )
-        return inv + nsp
-
     def longest(self):
-        if self.n % 2 == 0:
-            return tuple(-i for i in range(1, self.n + 1))
-        return (1,) + tuple(-i for i in range(2, self.n + 1))
+        if self.even and self.n % 2:
+            return (1,) + tuple(-i for i in range(2, self.n + 1))
+        return tuple(-i for i in range(1, self.n + 1))
 
 
 class _DihedralModel:
@@ -167,8 +146,18 @@ class _DihedralModel:
     def one(self):
         return (0, 0)
 
-    def generator(self, idx: int):
-        return (0, 1) if idx == 0 else (1, 1)
+    def rmul(self, w, i: int):
+        return self.mul(w, (i, 1))
+
+    def right_descents(self, w) -> int:
+        k, e = w
+        m = self.m
+        if e == 0:
+            # rho^k = (ba)^k = (ab)^(m-k): ends in a if 2k <= m, in b if 2k >= m
+            return 0 if k == 0 else (2 * k <= m) | (2 * k >= m) << 1
+        # rho^k sigma = a (ba)^j with j = -k mod m, or b (ab)^j with j = k-1
+        # mod m; such a word is reduced iff 2j + 1 <= m
+        return (2 * (-k % m) < m) | (2 * ((k - 1) % m) < m) << 1
 
     def mul(self, u, v):
         k1, e1 = u
@@ -181,20 +170,10 @@ class _DihedralModel:
         k, e = u
         return ((-k) % self.m, 0) if e == 0 else (k, 1)
 
-    def length(self, u) -> int:
-        k, e = u
-        if e == 0:
-            return 2 * min(k, self.m - k)
-        # rho^k sigma = a (ba)^j with j = -k mod m, or b (ab)^j with j = k-1 mod m
-        return min(2 * ((-k) % self.m) + 1, 2 * ((k - 1) % self.m) + 1)
-
     def longest(self):
         # the unique element of length m
-        for k in range(self.m):
-            for e in (0, 1):
-                if self.length((k, e)) == self.m:
-                    return (k, e)
-        raise RuntimeError("dihedral longest element not found")
+        m = self.m
+        return (m // 2, 0) if m % 2 == 0 else ((m + 1) // 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +193,10 @@ class CoxeterType:
             raise InputError("rank must be >= 1")
         if self.family == "D" and self.rank < 2:
             raise InputError("type D needs rank >= 2")
+        if self.family == "I2" and self.rank > MAX_LETTERS:
+            raise InputError(f"I2(m) needs m <= {MAX_LETTERS}")
+        if self.family != "I2" and self.rank > MAX_RANK:
+            raise InputError(f"rank must be <= {MAX_RANK}")
 
     def __str__(self):
         return f"I2({self.rank})" if self.family == "I2" else f"{self.family}{self.rank}"
@@ -221,27 +204,22 @@ class CoxeterType:
 
 def parse_type(text: str) -> CoxeterType:
     text = text.strip()
-    if text.upper().startswith("I2"):
-        digits = "".join(ch for ch in text[2:] if ch.isdigit())
-        if not digits:
-            raise InputError(f"cannot parse dihedral type from {text!r}")
-        return CoxeterType("I2", int(digits))
-    fam = text[0].upper()
+    dihedral = text.upper().startswith("I2")
+    digits = "".join(ch for ch in text[2:] if ch.isdigit()) if dihedral else text[1:]
     try:
-        return CoxeterType(fam, int(text[1:]))
+        rank = int(digits)
     except ValueError as exc:
-        raise InputError(f"cannot parse Coxeter type from {text!r}") from exc
+        kind = "dihedral type" if dihedral else "Coxeter type"
+        raise InputError(f"cannot parse {kind} from {text!r}") from exc
+    return CoxeterType("I2" if dihedral else text[:1].upper(), rank)
 
 
 @lru_cache(maxsize=None)
 def _model(t: CoxeterType):
     if t.family == "A":
         return _PermModel(t.rank)
-    if t.family == "B":
-        # catalog naming t, s2..sn used by the Artin B_n presentation
-        return _SignedModel(t.rank, ["t"] + [f"s{i}" for i in range(2, t.rank + 1)])
-    if t.family == "D":
-        return _EvenSignedModel(t.rank)
+    if t.family in ("B", "D"):
+        return _SignedModel(t.rank, t.family)
     return _DihedralModel(t.rank)
 
 
@@ -260,42 +238,35 @@ class GarsideContext:
 
     def __init__(self, t: CoxeterType):
         self.type = t
-        self.model = _model(t)
-        self.gens = {
-            name: self.model.generator(i) for i, name in enumerate(self.model.gen_names)
-        }
-        self.gen_list = list(self.model.gen_names)
-        self.one = self.model.one()
-        self.w0 = self.model.longest()
-        self.w0_inv = self.model.inv(self.w0)
-        lw0 = self.model.length(self.w0)
-        if any(
-            self.model.length(self.model.mul(self.w0, g)) != lw0 - 1
-            for g in self.gens.values()
-        ):
+        m = self.model = _model(t)
+        self.gen_list = list(m.gen_names)
+        self.one = m.one()
+        self.gens = {name: m.rmul(self.one, i) for i, name in enumerate(self.gen_list)}
+        self.w0 = m.longest()  # an involution: the one element with every right descent
+        if m.right_descents(self.w0) != (1 << len(self.gen_list)) - 1:
             raise RuntimeError("longest element is not maximal; model broken")
+        # letter s in the frame tau^p (see normal_form): the index of
+        # tau^p(s), and the simples tau^p(s) and tau^p(Delta s^-1) = tau^p(w0 s)
+        index = {g: i for i, g in enumerate(self.gens.values())}
+        self._frame = {}
+        for name, g in self.gens.items():
+            for p, h in ((0, g), (1, self.tau(g))):
+                self._frame[p, name] = (index[h], h, m.mul(self.w0, h))
 
     # -- W utilities ----------------------------------------------------------
 
+    def _names(self, mask: int) -> list[str]:
+        return [name for i, name in enumerate(self.gen_list) if mask >> i & 1]
+
     def left_descents(self, w) -> list[str]:
-        lw = self.model.length(w)
-        return [
-            name
-            for name in self.gen_list
-            if self.model.length(self.model.mul(self.gens[name], w)) < lw
-        ]
+        return self._names(self.model.right_descents(self.model.inv(w)))
 
     def right_descents(self, w) -> list[str]:
-        lw = self.model.length(w)
-        return [
-            name
-            for name in self.gen_list
-            if self.model.length(self.model.mul(w, self.gens[name])) < lw
-        ]
+        return self._names(self.model.right_descents(w))
 
     def tau(self, w):
         """Delta^-1 w Delta."""
-        return self.model.mul(self.model.mul(self.w0_inv, w), self.w0)
+        return self.model.mul(self.model.mul(self.w0, w), self.w0)
 
     def tau_pow(self, w, k: int):
         # tau has order dividing 2 (w0^2 = 1 in W)
@@ -304,75 +275,99 @@ class GarsideContext:
     # -- normal form ----------------------------------------------------------
 
     def _local(self, a, b):
-        """Left-greedy normalization of the pair (a, b), product preserved."""
-        m = self.model
-        la, lb = m.length(a), m.length(b)
-        moved = True
-        while moved:
-            moved = False
-            for name in self.gen_list:
-                g = self.gens[name]
-                if m.length(m.mul(g, b)) < lb and m.length(m.mul(a, g)) > la:
-                    a = m.mul(a, g)
-                    b = m.mul(g, b)
-                    la += 1
-                    lb -= 1
-                    moved = True
-        return a, b
+        """The left-weighted pair with product a*b.
 
-    def _normalize_factors(self, factors: list) -> tuple[int, tuple]:
+        Moves the letters of L(b) \\ R(a) from b to a until there are none.
+        The left-weighted pair is unique, so the order of the moves does not
+        matter.  b is kept inverted: L(b) = R(b^-1), and s b = (b^-1 s)^-1,
+        so every move acts on positions.
+        """
         m = self.model
-        factors = [f for f in factors if f != self.one]
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(factors) - 1:
-                a, b = self._local(factors[i], factors[i + 1])
-                if (a, b) != (factors[i], factors[i + 1]):
-                    changed = True
-                    factors[i] = a
-                    if b == self.one:
-                        del factors[i + 1]
-                        i = max(i - 1, 0)
-                        continue
-                    factors[i + 1] = b
-                i += 1
-        delta_power = 0
-        while factors and factors[0] == self.w0:
-            factors.pop(0)
-            delta_power += 1
-        assert all(f != self.one and f != self.w0 for f in factors)
-        return delta_power, tuple(factors)
+        bi = m.inv(b)
+        moves = m.right_descents(bi) & ~m.right_descents(a)
+        while moves:
+            i = _lowest(moves)
+            a = m.rmul(a, i)
+            bi = m.rmul(bi, i)
+            moves = m.right_descents(bi) & ~m.right_descents(a)
+        return a, m.inv(bi)
+
+    def _push(self, factors: list, c) -> int:
+        """Right-multiply the left-weighted, Delta-free list `factors` by the
+        simple c in one sweep from the right end, which stops at the first
+        pair that does not change and drops factors that become 1.  A factor
+        that becomes w0 leaves, as F1 Delta F2 = Delta tau(F1 tau(F2)): the
+        list keeps F1 tau(F2) and 1 is returned (one more Delta, one more
+        twist of the caller's frame), else 0."""
+        factors.append(c)
+        i = len(factors) - 1
+        while factors[i] != self.w0:
+            if i == 0:
+                return 0
+            a, b = self._local(factors[i - 1], factors[i])
+            if a == factors[i - 1]:
+                return 0
+            factors[i - 1] = a
+            if b == self.one:
+                del factors[i]
+            else:
+                factors[i] = b
+            i -= 1
+        del factors[i]
+        factors[i:] = [self.tau(f) for f in factors[i:]]
+        return 1
+
+    def _nf(self, d: int, odd: int, factors: list) -> GarsideNF:
+        """The normal form Delta^d tau^odd(factors)."""
+        return GarsideNF(self.type, d, tuple(self.tau_pow(f, odd) for f in factors))
 
     def nf_mul(self, x: GarsideNF, y: GarsideNF) -> GarsideNF:
-        d = x.delta_power + y.delta_power
-        shifted = [self.tau_pow(f, y.delta_power) for f in x.factors]
-        extra, factors = self._normalize_factors(list(shifted) + list(y.factors))
-        return GarsideNF(self.type, d + extra, factors)
-
-    def nf_of_letter(self, name: str, sign: int) -> GarsideNF:
-        if name not in self.gens:
-            raise InputError(f"generator {name!r} is not in type {self.type}")
-        g = self.gens[name]
-        if sign > 0:
-            return GarsideNF(self.type, 0, (g,))
-        # g^-1 = Delta^-1 * (Delta g^-1), and Delta g^-1 is a simple
-        comp = self.model.mul(self.w0, self.model.inv(g))
-        return GarsideNF(self.type, -1, (comp,))
+        # Delta^p F Delta^q G = Delta^(p+q) tau^q(F G'), G' = tau^q(G)
+        d, odd = x.delta_power + y.delta_power, y.delta_power % 2
+        factors = list(x.factors)
+        for c in y.factors:
+            gained = self._push(factors, self.tau_pow(c, odd))
+            d += gained
+            odd ^= gained
+        return self._nf(d, odd, factors)
 
     def normal_form(self, w: Word) -> GarsideNF:
-        nf = GarsideNF(self.type, 0, ())
+        """The normal form of a word, one letter at a time.
+
+        The running value is Delta^d tau^odd(F) with F left-weighted, so a
+        simple c enters F as tau^odd(c).  A letter s^-1 = Delta^-1 (w0 s)
+        twists the frame, as F Delta^-1 = Delta^-1 tau(F); but when
+        s' = tau^odd(s) is a right descent of F's last factor f, it just
+        shortens f to f s'.
+        """
+        m = self.model
+        d, odd, factors = 0, 0, []
         for sym, step in word_letters(w):
-            nf = self.nf_mul(nf, self.nf_of_letter(sym, step))
-        return nf
+            if (odd, sym) not in self._frame:
+                raise InputError(f"generator {sym!r} is not in type {self.type}")
+            j, c, _ = self._frame[odd, sym]
+            if step < 0:
+                if factors and m.right_descents(factors[-1]) >> j & 1:
+                    f = m.rmul(factors[-1], j)
+                    if f == self.one:
+                        factors.pop()
+                    else:
+                        factors[-1] = f
+                    continue
+                d -= 1
+                odd ^= 1
+                c = self._frame[odd, sym][2]
+            gained = self._push(factors, c)
+            d += gained
+            odd ^= gained
+        return self._nf(d, odd, factors)
 
     def nf_inverse(self, x: GarsideNF) -> GarsideNF:
-        inv = GarsideNF(self.type, 0, ())
-        for f in reversed(x.factors):
-            comp = self.model.mul(self.w0, self.model.inv(f))
-            inv = self.nf_mul(inv, GarsideNF(self.type, -1, (comp,)))
-        return self.nf_mul(inv, GarsideNF(self.type, -x.delta_power, ()))
+        """(Delta^k f1 ... fl)^-1 = Delta^-(k+l) g_l ... g_1, already
+        left-weighted, with g_i = tau^(k+i-1)(w0 f_i^-1)."""
+        m, k, fs = self.model, x.delta_power, x.factors
+        gs = [self.tau_pow(m.mul(self.w0, m.inv(f)), k + i) for i, f in enumerate(fs)]
+        return GarsideNF(self.type, -(k + len(fs)), tuple(reversed(gs)))
 
     # -- queries ----------------------------------------------------------------
 
@@ -387,21 +382,17 @@ class GarsideContext:
 
     def delta_word(self) -> Word:
         """A fixed reduced expression for Delta (smallest-generator-first)."""
-        letters = []
-        w = self.w0
-        while w != self.one:
-            name = self.left_descents(w)[0]
-            letters.append((name, 1))
-            w = self.model.mul(self.gens[name], w)
-        return tuple(letters)
+        return self.word_of_simple(self.w0)
 
     def word_of_simple(self, f) -> Word:
+        """The reduced word of f that strips the smallest left descent first."""
+        m = self.model
         letters = []
-        w = f
-        while w != self.one:
-            name = self.left_descents(w)[0]
-            letters.append((name, 1))
-            w = self.model.mul(self.gens[name], w)
+        fi = m.inv(f)  # stripping s from the left of f is fi * s
+        while mask := m.right_descents(fi):
+            i = _lowest(mask)
+            letters.append((self.gen_list[i], 1))
+            fi = m.rmul(fi, i)
         return tuple(letters)
 
     def image_in_w(self, u: Word):
@@ -416,7 +407,7 @@ class GarsideContext:
         """Generator images of g -> Delta g Delta^-1, named when again generators."""
         out: dict[str, str | None] = {}
         for name in self.gen_list:
-            img = self.model.mul(self.model.mul(self.w0, self.gens[name]), self.w0_inv)
+            img = self.model.mul(self.model.mul(self.w0, self.gens[name]), self.w0)
             match = next((k for k, v in self.gens.items() if v == img), None)
             out[name] = match
         return out

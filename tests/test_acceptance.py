@@ -21,14 +21,14 @@ TIME_BUDGETS = {
     2: 5,
     3: 30,
     4: 1,
-    5: 60,
+    5: 2,
     6: 10,
     7: 10,
     8: 60,
-    9: 60,
+    9: 2,
     10: 15,
     11: 10,
-    12: 60,
+    12: 15,
 }
 
 # sub-checks allowed to fail because the value they encode is provably

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from reflbench import cyclo, mpoly
+from reflbench import cyclo, garside, mpoly
 from reflbench.cli import main
 
 
@@ -284,6 +284,34 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: reflbench")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["garside", "delta", "--type", f"A{garside.MAX_RANK + 1}"],
+        ["garside", "delta", "--type", f"I2({garside.MAX_LETTERS + 1})"],
+        ["garside", "nf", "--type", "A3", "--word", f"s1^{garside.MAX_LETTERS + 1}"],
+        ["garside", "nf", "--type", "A3", "--word", f"s1^{garside.MAX_LETTERS} s2"],
+        ["garside", "nf", "--type", "A3", "--word", f"(s1 s2)^{garside.MAX_LETTERS // 2 + 1}"],
+        ["garside", "nf", "--type", "A3", "--word", "((s1 s2)^1000000)^1000000"],
+        # eta5 stands for 8 letters
+        ["garside", "equal", "--type", "D5", "--u", f"eta5^{garside.MAX_LETTERS // 8 + 1}", "--v", "s1"],
+    ],
+    ids=["rank", "dihedral-m", "letters", "concatenation", "power", "nested-power", "abbreviation"],
+)
+def test_garside_inputs_past_the_caps_are_input_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def test_garside_inputs_at_the_caps_run(capsys):
+    code, _ = run_cli(capsys, "garside", "nf", "--type", "A3", "--word", f"s1^{garside.MAX_LETTERS}")
+    assert code == 0
+    code, out = run_cli(capsys, "garside", "delta", "--type", f"B{garside.MAX_RANK}")
+    assert code == 0
+    assert json.loads(out)["length"] == garside.MAX_RANK**2
 
 
 @pytest.mark.parametrize(

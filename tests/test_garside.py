@@ -14,10 +14,13 @@ from reflbench.fpgroups import (
     substitute,
     word_inverse,
     word_length,
+    word_letters,
     word_mul,
     word_pow,
 )
 from reflbench.garside import (
+    MAX_LETTERS,
+    MAX_RANK,
     CoxeterType,
     GarsideNF,
     context,
@@ -40,6 +43,13 @@ def test_parse_type():
     assert parse_type("I2(6)") == CoxeterType("I2", 6)
     with pytest.raises(InputError):
         parse_type("Z9")
+    assert parse_type(f"D{MAX_RANK}") == CoxeterType("D", MAX_RANK)
+    for text in (f"A{MAX_RANK + 1}", f"D{MAX_RANK + 1}", f"I2({MAX_LETTERS + 1})"):
+        with pytest.raises(InputError, match="<="):
+            parse_type(text)
+    for text in ("", "A", "I2()", "I2(" + "9" * 5000 + ")"):
+        with pytest.raises(InputError):
+            parse_type(text)
 
 
 def test_braid_relation_a2():
@@ -128,9 +138,24 @@ def test_s1_s1p_commute():
     assert ctx.commutes(single("s1"), single("s1p"))
 
 
+def _length(ctx, w) -> int:
+    """Coxeter length by the classical formulas: the inversions, plus the
+    negated entries (B) or the pairs with a negative sum (D); I2 by (k, eps)."""
+    if ctx.type.family == "I2":
+        (k, e), m = w, ctx.type.rank
+        return 2 * min(k, m - k) if e == 0 else min(2 * (-k % m) + 1, 2 * ((k - 1) % m) + 1)
+    pairs = [(x, y) for i, x in enumerate(w) for y in w[i + 1 :]]
+    inversions = sum(1 for x, y in pairs if x > y)
+    if ctx.type.family == "B":
+        return inversions + sum(-x for x in w if x < 0)
+    if ctx.type.family == "D":
+        return inversions + sum(1 for x, y in pairs if x + y < 0)
+    return inversions
+
+
 def test_length_formulas_against_bfs_oracle():
-    # independent oracle: true Cayley-graph distances via BFS
-    # (D5 covers the odd-rank longest-element case)
+    # independent oracle: true Cayley-graph distances via BFS, and the
+    # descents they give (D5 covers the odd-rank longest-element case)
     for tname in ("A3", "B3", "D4", "D5", "I2(7)", "I2(6)"):
         ctx = context(parse_type(tname))
         dist = {ctx.one: 0}
@@ -145,8 +170,12 @@ def test_length_formulas_against_bfs_oracle():
                         nxt.append(u)
             frontier = nxt
         for w, d in dist.items():
-            assert ctx.model.length(w) == d, (tname, w)
-        assert max(dist.values()) == ctx.model.length(ctx.w0)
+            assert _length(ctx, w) == d, (tname, w)
+            right = [s for s, g in ctx.gens.items() if dist[ctx.model.mul(w, g)] < d]
+            left = [s for s, g in ctx.gens.items() if dist[ctx.model.mul(g, w)] < d]
+            assert ctx.right_descents(w) == right, (tname, w)
+            assert ctx.left_descents(w) == left, (tname, w)
+        assert max(dist.values()) == _length(ctx, ctx.w0)
 
 
 def test_normal_form_canonicity_random():
@@ -174,17 +203,112 @@ def test_normal_form_respects_multiplication():
             )
 
 
+# Oracle: a length-based engine, in which descents are length drops and
+# every letter re-sweeps all pairs to a fixpoint.  Left-greedy normal forms
+# are unique, so it must agree exactly with the one-sweep engine.
+
+
+def _oracle_local(ctx, a, b):
+    m = ctx.model
+    la, lb = _length(ctx, a), _length(ctx, b)
+    moved = True
+    while moved:
+        moved = False
+        for name in ctx.gen_list:
+            g = ctx.gens[name]
+            if _length(ctx, m.mul(g, b)) < lb and _length(ctx, m.mul(a, g)) > la:
+                a = m.mul(a, g)
+                b = m.mul(g, b)
+                la += 1
+                lb -= 1
+                moved = True
+    return a, b
+
+
+def _oracle_normalize_factors(ctx, factors):
+    factors = [f for f in factors if f != ctx.one]
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(factors) - 1:
+            a, b = _oracle_local(ctx, factors[i], factors[i + 1])
+            if (a, b) != (factors[i], factors[i + 1]):
+                changed = True
+                factors[i] = a
+                if b == ctx.one:
+                    del factors[i + 1]
+                    i = max(i - 1, 0)
+                    continue
+                factors[i + 1] = b
+            i += 1
+    delta_power = 0
+    while factors and factors[0] == ctx.w0:
+        factors.pop(0)
+        delta_power += 1
+    return delta_power, tuple(factors)
+
+
+def _oracle_nf_mul(ctx, x, y):
+    shifted = [ctx.tau_pow(f, y.delta_power) for f in x.factors]
+    extra, factors = _oracle_normalize_factors(ctx, shifted + list(y.factors))
+    return GarsideNF(ctx.type, x.delta_power + y.delta_power + extra, factors)
+
+
+def _oracle_simple_inverse(ctx, f):
+    """f^-1 = Delta^-1 (Delta f^-1), and Delta f^-1 is a simple."""
+    return GarsideNF(ctx.type, -1, (ctx.model.mul(ctx.w0, ctx.model.inv(f)),))
+
+
+def _oracle_normal_form(ctx, w):
+    nf = GarsideNF(ctx.type, 0, ())
+    for sym, step in word_letters(w):
+        g = ctx.gens[sym]
+        letter = GarsideNF(ctx.type, 0, (g,)) if step > 0 else _oracle_simple_inverse(ctx, g)
+        nf = _oracle_nf_mul(ctx, nf, letter)
+    return nf
+
+
+def _oracle_inverse(ctx, x):
+    inv = GarsideNF(ctx.type, 0, ())
+    for f in reversed(x.factors):
+        inv = _oracle_nf_mul(ctx, inv, _oracle_simple_inverse(ctx, f))
+    return _oracle_nf_mul(ctx, inv, GarsideNF(ctx.type, -x.delta_power, ()))
+
+
+def test_normal_forms_match_fixpoint_oracle():
+    rng = random.Random(2026)
+    cases = [
+        ("A2", 60), ("A4", 40), ("A8", 25), ("B2", 60), ("B3", 40), ("B6", 30),
+        ("D2", 40), ("D4", 40), ("D5", 30), ("D8", 20), ("I2(3)", 60), ("I2(8)", 60),
+    ]
+    for tname, max_len in cases:
+        ctx = context(parse_type(tname))
+        for signs in ((1,), (-1,), (1, -1)):
+            for _ in range(4):
+                length = rng.randint(1, max_len)
+                u = tuple((rng.choice(ctx.gen_list), rng.choice(signs)) for _ in range(length))
+                v = tuple((rng.choice(ctx.gen_list), rng.choice(signs)) for _ in range(5))
+                nf = ctx.normal_form(u)
+                assert nf == _oracle_normal_form(ctx, u), (tname, u)
+                assert ctx.nf_inverse(nf) == _oracle_inverse(ctx, nf), (tname, u)
+                nv = ctx.normal_form(v)
+                assert ctx.nf_mul(nf, nv) == _oracle_nf_mul(ctx, nf, nv), (tname, u, v)
+                assert ctx.nf_mul(nv, nf) == _oracle_nf_mul(ctx, nv, nf), (tname, u, v)
+
+
 def test_normal_form_factors_are_left_greedy():
     rng = random.Random(5)
-    ctx = context(parse_type("D4"))
-    for _ in range(40):
-        w = tuple((rng.choice(ctx.gen_list), rng.choice([1, -1])) for _ in range(10))
-        nf = ctx.normal_form(w)
-        for a, b in zip(nf.factors, nf.factors[1:]):
-            assert set(ctx.left_descents(b)) <= set(ctx.right_descents(a))
-            assert a != ctx.one and a != ctx.w0
-        if nf.factors:
-            assert nf.factors[-1] != ctx.one
+    for tname in ("A5", "B4", "D4", "I2(7)"):
+        ctx = context(parse_type(tname))
+        for _ in range(40):
+            w = tuple((rng.choice(ctx.gen_list), rng.choice([1, -1])) for _ in range(10))
+            nf = ctx.normal_form(w)
+            for a, b in zip(nf.factors, nf.factors[1:]):
+                assert set(ctx.left_descents(b)) <= set(ctx.right_descents(a))
+                assert a != ctx.one and a != ctx.w0
+            if nf.factors:
+                assert nf.factors[-1] != ctx.one
 
 
 def test_inverse():
