@@ -327,15 +327,26 @@ def _infer_target_presentation(hom: fpgroups.GroupHom) -> fpgroups.Presentation:
     raise InputError("cannot infer the map's target presentation; use --pres")
 
 
+def _garside_context(text: str):
+    """The context of a type given to a garside command: rank at most
+    garside.MAX_RANK for A/B/D, m at most garside.MAX_LETTERS for I2(m)."""
+    t = parse_type(text)
+    if t.family == "I2" and t.rank > garside.MAX_LETTERS:
+        raise InputError(f"I2(m) needs m <= {garside.MAX_LETTERS}")
+    if t.family != "I2" and t.rank > garside.MAX_RANK:
+        raise InputError(f"rank must be <= {garside.MAX_RANK}")
+    return garside.context(t)
+
+
 def cmd_garside_nf(args):
-    ctx = garside.context(parse_type(args.type))
+    ctx = _garside_context(args.type)
     w = _garside_word(ctx, args.word)
     nf = ctx.normal_form(w)
     return 0, garside.nf_to_json(ctx, nf)
 
 
 def cmd_garside_equal(args):
-    ctx = garside.context(parse_type(args.type))
+    ctx = _garside_context(args.type)
     u = _garside_word(ctx, args.u)
     v = _garside_word(ctx, args.v)
     equal = ctx.equal(u, v)
@@ -343,7 +354,7 @@ def cmd_garside_equal(args):
 
 
 def cmd_garside_delta(args):
-    ctx = garside.context(parse_type(args.type))
+    ctx = _garside_context(args.type)
     w = ctx.delta_word()
     return 0, {
         "type": str(ctx.type),
@@ -354,25 +365,14 @@ def cmd_garside_delta(args):
 
 
 def _garside_word(ctx, text: str):
-    """Parse a word, expanding catalogued w<r>/eta<r> abbreviations for type D."""
+    """Parse a word of at most garside.MAX_LETTERS letters, expanding the
+    catalogued w<r>/eta<r> abbreviations for type D."""
     extra = {}
     if ctx.type.family == "D":
         for r in range(2, ctx.type.rank + 1):
             extra[f"w{r}"] = garside.w_word(r)
             extra[f"eta{r}"] = garside.eta_word(r)
-    alphabet = list(ctx.gen_list) + list(extra)
-    w = parse_word(text, alphabet, garside.MAX_LETTERS)
-    # an abbreviation stands for several letters
-    garside.check_letters(
-        sum(abs(exp) * (fpgroups.word_length(extra[sym]) if sym in extra else 1) for sym, exp in w)
-    )
-    out = []
-    for sym, exp in w:
-        if sym in extra:
-            out.append(fpgroups.word_pow(extra[sym], exp))
-        else:
-            out.append(((sym, exp),))
-    return fpgroups.word_mul(*out)
+    return parse_word(text, ctx.gen_list, garside.MAX_LETTERS, extra)
 
 
 def cmd_gt_act(args):

@@ -58,9 +58,11 @@ def word_mul(*ws: Word) -> Word:
 
 
 def word_pow(w: Word, k: int) -> Word:
+    if not w or not k:
+        return ()
     if k < 0:
         return word_pow(word_inverse(w), -k)
-    return word_mul(*([w] * k)) if k else ()
+    return word_mul(*([w] * k))
 
 
 def single(sym: str, exp: int = 1) -> Word:
@@ -123,13 +125,18 @@ def word_str(w: Word) -> str:
 # parsing
 
 
-def parse_word(text: str, generators, max_letters: int | None = None) -> Word:
+def parse_word(
+    text: str, generators, max_letters: int | None = None, abbreviations=None
+) -> Word:
     """Parse a word over the given generator alphabet (longest-match).
 
-    With `max_letters`, a word whose letters, counted before free reduction,
-    exceed it is an input error, raised before a power is expanded.
+    `abbreviations` maps further names to the words they stand for, which
+    are expanded as they are read.  With `max_letters`, a word of more
+    letters is an input error: each power is checked before it is expanded,
+    and each (sub)word as its items are read, so no longer word is built.
     """
-    gens = list(generators)
+    abbreviations = abbreviations or {}
+    gens = list(generators) + list(abbreviations)
     names = sorted(gens, key=len, reverse=True)
     upper = {g.upper(): g for g in gens if g.upper() != g and g.upper() not in gens}
 
@@ -150,11 +157,19 @@ def parse_word(text: str, generators, max_letters: int | None = None) -> Word:
             pos += 1
         if pos == start or (pos == start + 1 and not text[start].isdigit()):
             raise InputError(f"malformed exponent at position {start} in {text!r}")
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"exponent too long at position {start} in {text!r}") from exc
 
     def check_letters(count: int) -> None:
         if max_letters is not None and count > max_letters:
             raise InputError(f"word has more than {max_letters} letters in {text!r}")
+
+    def named(name: str, exp: int) -> Word:
+        if name in abbreviations:
+            return word_pow(abbreviations[name], exp)
+        return single(name, exp)
 
     def parse_sequence(stop: str) -> Word:
         nonlocal pos
@@ -197,13 +212,13 @@ def parse_word(text: str, generators, max_letters: int | None = None) -> Word:
             for name in names:
                 if text.startswith(name, pos):
                     pos += len(name)
-                    atom = single(name)
+                    atom = named(name, 1)
                     break
             if atom is None:
                 for uname in sorted(upper, key=len, reverse=True):
                     if text.startswith(uname, pos):
                         pos += len(uname)
-                        atom = single(upper[uname], -1)
+                        atom = named(upper[uname], -1)
                         break
             if atom is None:
                 raise InputError(f"unknown symbol at position {pos} in {text!r}")

@@ -22,17 +22,12 @@ from functools import lru_cache
 from .errors import InputError
 from .fpgroups import Word, single, word_letters, word_mul
 
-# Input bounds (exit 3 beyond them).  A word of L letters in rank n can cost
-# about L^2 n^3 steps, as every letter may re-weight every factor: at these
-# bounds the slowest words found take about 3 s.  Criterion 5 works in D9.
+# Bounds on the input of the garside commands (exit 3 beyond them; library
+# callers are not bounded).  A word of L letters in rank n can cost about
+# L^2 n^3 steps, as every letter may re-weight every factor: at these bounds
+# the slowest words found take about 3 s.  Criterion 5 works in D9.
 MAX_RANK = 10  # the rank of types A, B and D
 MAX_LETTERS = 200  # letters of a word, and m of I2(m), whose Delta has m letters
-
-
-def check_letters(count: int) -> None:
-    """Reject a word of more than MAX_LETTERS letters (an input error)."""
-    if count > MAX_LETTERS:
-        raise InputError(f"word has {count} letters; at most {MAX_LETTERS} are accepted")
 
 
 def _lowest(mask: int) -> int:
@@ -193,10 +188,6 @@ class CoxeterType:
             raise InputError("rank must be >= 1")
         if self.family == "D" and self.rank < 2:
             raise InputError("type D needs rank >= 2")
-        if self.family == "I2" and self.rank > MAX_LETTERS:
-            raise InputError(f"I2(m) needs m <= {MAX_LETTERS}")
-        if self.family != "I2" and self.rank > MAX_RANK:
-            raise InputError(f"rank must be <= {MAX_RANK}")
 
     def __str__(self):
         return f"I2({self.rank})" if self.family == "I2" else f"{self.family}{self.rank}"
@@ -357,6 +348,8 @@ class GarsideContext:
                 d -= 1
                 odd ^= 1
                 c = self._frame[odd, sym][2]
+                if c == self.one:  # rank 1, where s = w0
+                    continue
             gained = self._push(factors, c)
             d += gained
             odd ^= gained

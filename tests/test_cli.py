@@ -295,15 +295,47 @@ def test_help_exits_0(capsys):
         ["garside", "nf", "--type", "A3", "--word", f"s1^{garside.MAX_LETTERS} s2"],
         ["garside", "nf", "--type", "A3", "--word", f"(s1 s2)^{garside.MAX_LETTERS // 2 + 1}"],
         ["garside", "nf", "--type", "A3", "--word", "((s1 s2)^1000000)^1000000"],
+        ["garside", "nf", "--type", "A3", "--word", "s1^" + "9" * 5000],
         # eta5 stands for 8 letters
         ["garside", "equal", "--type", "D5", "--u", f"eta5^{garside.MAX_LETTERS // 8 + 1}", "--v", "s1"],
     ],
-    ids=["rank", "dihedral-m", "letters", "concatenation", "power", "nested-power", "abbreviation"],
+    ids=[
+        "rank",
+        "dihedral-m",
+        "letters",
+        "concatenation",
+        "power",
+        "nested-power",
+        "exponent-digits",
+        "abbreviation",
+    ],
 )
 def test_garside_inputs_past_the_caps_are_input_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert json.loads(out)["error"] == "input"
+
+
+@pytest.mark.parametrize("word", ["(s1 s1^-1)^1000000000", "()^1000000000", "[s1,s1]^1000000000"])
+def test_garside_powers_of_the_empty_word_are_empty(capsys, word):
+    code, out = run_cli(capsys, "garside", "nf", "--type", "A3", "--word", word)
+    assert code == 0
+    assert json.loads(out) == {"type": "A3", "delta_power": 0, "factors": []}
+
+
+def test_garside_caps_leave_other_commands_alone(capsys, tmp_path):
+    m = garside.MAX_LETTERS + 1
+    code, out = run_cli(capsys, "gt", "gd-check", "--m", str(m), "--lambda", "1")
+    assert code == 0
+    assert json.loads(out)["m"] == m
+    swap = tmp_path / "swap.json"
+    swap.write_text(json.dumps({"images": {"s1": "s2", "s2": "s1", "s3": "s3"}}))
+    backend = f"garside:A{garside.MAX_RANK + 1}"
+    code, out = run_cli(
+        capsys, "present", "verify-map", "--catalog", "Br4", "--map-file", str(swap), "--backend", backend
+    )
+    assert code == 1
+    assert json.loads(out)["falsifier"][0] == backend
 
 
 def test_garside_inputs_at_the_caps_run(capsys):
