@@ -37,6 +37,19 @@ def _ints(text: str, names: str) -> tuple[int, ...]:
     return values
 
 
+# The largest n of a braid-type group the CLI builds: Br<n>, ArtB<n>, ArtD<n>,
+# CP(e,n), coxeter:n,k and the Br_n of `gt images|stabilize`.  Their
+# presentations have about n^2/2 relators and coset enumeration scans every
+# relator at every coset, so the cost grows as n^3 whatever the coset budget.
+MAX_STRANDS = 16
+
+
+def _braid_n(n: int) -> int:
+    if n > MAX_STRANDS:
+        raise InputError(f"a braid-type group on {n} strands exceeds the limit of {MAX_STRANDS}")
+    return n
+
+
 def _load_group(args) -> matgroup.RGroup:
     budget = args.budget_elements
     if args.catalog:
@@ -175,13 +188,13 @@ def _load_presentation(args) -> fpgroups.Presentation:
             return _PRESENTATIONS[key]()
         if key.startswith("CP"):
             e, n = _ints(key[2:].strip("()"), "e,n")
-            return fpgroups.corran_picantin_presentation(e, n)
+            return fpgroups.corran_picantin_presentation(e, _braid_n(n))
         if key.startswith("ArtB"):
-            return fpgroups.artin_b_presentation(*_ints(key[4:], "n"))
+            return fpgroups.artin_b_presentation(_braid_n(*_ints(key[4:], "n")))
         if key.startswith("ArtD"):
-            return fpgroups.artin_d_presentation(*_ints(key[4:], "n"))
+            return fpgroups.artin_d_presentation(_braid_n(*_ints(key[4:], "n")))
         if key.startswith("Br"):
-            return fpgroups.braid_presentation(*_ints(key[2:], "n"))
+            return fpgroups.braid_presentation(_braid_n(*_ints(key[2:], "n")))
         raise InputError(f"unknown presentation {key!r}")
     if args.pres:
         with open(args.pres) as fh:
@@ -208,7 +221,7 @@ def cmd_present_tc(args):
 def cmd_present_quotient(args):
     if args.coxeter:
         n, k = _ints(args.coxeter, "n,k")
-        q = fpgroups.coxeter_quotient(n, k, args.budget_cosets)
+        q = fpgroups.coxeter_quotient(_braid_n(n), k, args.budget_cosets)
         return 0, {"quotient": q.label, "order": q.degree}
     pres = _load_presentation(args)
     q = fpgroups.torsion_quotient(pres, args.torsion, args.budget_cosets)
@@ -265,7 +278,7 @@ def _build_backend(spec: str, hom: fpgroups.GroupHom, budget_cosets: int):
         return fpgroups.PermBackend(q)
     if spec.startswith("coxeter:"):
         n, k = _ints(spec.split(":", 1)[1], "n,k")
-        return fpgroups.PermBackend(fpgroups.coxeter_quotient(n, k, budget_cosets))
+        return fpgroups.PermBackend(fpgroups.coxeter_quotient(_braid_n(n), k, budget_cosets))
     if spec.startswith("garside:"):
         ctx = garside.context(parse_type(spec.split(":")[1]))
 
@@ -380,7 +393,7 @@ def cmd_gt_act(args):
     if not args.backend.startswith("coxeter:"):
         raise InputError("gt act expects --backend coxeter:n,k")
     n, k = _ints(args.backend.split(":", 1)[1], "n,k")
-    q = fpgroups.coxeter_quotient(n, k, args.budget_cosets)
+    q = fpgroups.coxeter_quotient(_braid_n(n), k, args.budget_cosets)
     rep = gtaction.act_on_quotient(q, pair)
     payload = {
         "backend": rep.backend,
@@ -395,12 +408,13 @@ def cmd_gt_act(args):
 
 def cmd_gt_images(args):
     pair = gtaction.parse_pair(args.lam, args.f or "")
-    images = gtaction.drinfeld_images(args.n, pair)
+    images = gtaction.drinfeld_images(_braid_n(args.n), pair)
     return 0, {g: fpgroups.word_str(w) for g, w in images.items()}
 
 
 def cmd_gt_stabilize(args):
     pair = gtaction.parse_pair(args.lam, args.f or "")
+    _braid_n(args.n + 1)  # the subgroup lives in Br_(n+1)
     out = gtaction.stabilizes_bn_subgroup(args.n, pair, args.budget_cosets)
     return (0 if out["all_in"] else 1), out
 

@@ -30,6 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from . import linalg
+
 __all__ = [
     "CycNum",
     "rational",
@@ -233,51 +235,29 @@ def _descent_columns(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
-def _eliminate(aug: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan on the first ncols columns of aug, in place; the pivot columns."""
-    nrows = len(aug)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return pivots
-
-
 @lru_cache(maxsize=None)
 def _descent_projection(n: int, m: int):
     """(solution rows, their denominator, consistency rows) of the descent
     from Q(zeta_n) to Q(zeta_m).
 
-    Eliminating [C | I], with C the columns of `_descent_columns(n, m)`, gives
-    a left inverse L with L C = [I; 0].  A vector v lies in Q(zeta_m) iff
-    every consistency row (the rows of L under the identity block) annihilates
-    it, and then its coordinates are the solution rows applied to v.  Rows are
+    The reduced row echelon form of [C | I], with C the columns of
+    `_descent_columns(n, m)`, is [L C | L] for an invertible L with
+    L C = [I; 0].  A vector v lies in Q(zeta_m) iff every consistency row (the
+    rows of L below the first len(C)) annihilates it, and then its
+    coordinates are the solution rows (the first len(C)) applied to v.  Rows are
     sparse tuples of (index, integer coefficient): the solution rows are
     scaled by one common denominator, each consistency row by its own.
     """
     cols = _descent_columns(n, m)
     ncols, nrows = len(cols), euler_phi(n)
     aug = [
-        [Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(int(i == r)) for r in range(nrows)]
+        [Fraction(c[i]) for c in cols] + [Fraction(int(i == r)) for r in range(nrows)]
         for i in range(nrows)
     ]
-    pivots = _eliminate(aug, ncols)
-    # the images of a basis of Q(zeta_m) are independent: every column pivots
-    assert pivots == list(range(ncols))
-    left = [row[ncols:] for row in aug]
+    reduced, pivots = linalg.rref(aug)
+    # the images of a basis of Q(zeta_m) are independent: every column of C pivots
+    assert pivots[:ncols] == list(range(ncols))
+    left = [row[ncols:] for row in reduced]
 
     def scaled(row, den):
         return tuple((i, int(c * den)) for i, c in enumerate(row) if c)
@@ -418,6 +398,8 @@ class CycNum:
         return self.__mul__(_coerce(other).inverse())
 
     def __rtruediv__(self, other) -> "CycNum":
+        if other == 1:  # 1 / x, the pivot inverse of linalg.rref and det
+            return self.inverse()
         return _coerce(other).__mul__(self.inverse())
 
     def __pow__(self, k: int) -> "CycNum":

@@ -125,15 +125,21 @@ def word_str(w: Word) -> str:
 # parsing
 
 
+# The default bound on the letters of a parsed word: far above any word of the
+# catalogs, and low enough that a power such as (x y)^1000000 is refused before
+# it is expanded.
+MAX_WORD_LETTERS = 10_000
+
+
 def parse_word(
-    text: str, generators, max_letters: int | None = None, abbreviations=None
+    text: str, generators, max_letters: int = MAX_WORD_LETTERS, abbreviations=None
 ) -> Word:
     """Parse a word over the given generator alphabet (longest-match).
 
     `abbreviations` maps further names to the words they stand for, which
-    are expanded as they are read.  With `max_letters`, a word of more
-    letters is an input error: each power is checked before it is expanded,
-    and each (sub)word as its items are read, so no longer word is built.
+    are expanded as they are read.  A word of more than `max_letters` letters
+    is an input error: each power is checked before it is expanded, and each
+    (sub)word as its items are read, so no longer word is built.
     """
     abbreviations = abbreviations or {}
     gens = list(generators) + list(abbreviations)
@@ -163,7 +169,7 @@ def parse_word(
             raise InputError(f"exponent too long at position {start} in {text!r}") from exc
 
     def check_letters(count: int) -> None:
-        if max_letters is not None and count > max_letters:
+        if count > max_letters:
             raise InputError(f"word has more than {max_letters} letters in {text!r}")
 
     def named(name: str, exp: int) -> Word:

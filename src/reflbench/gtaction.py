@@ -76,14 +76,22 @@ def y_word(i: int) -> Word:
 
 def drinfeld_images(n: int, pair: GTPair) -> dict[str, Word]:
     """Generator images s_1 -> s_1^lambda, s_i -> f(s_i^2, y_i) s_i^lambda f(y_i, s_i^2)."""
+    return drinfeld_formula(n, pair.lam, pair.f)
+
+
+def drinfeld_formula(n: int, lam: int, f: Word) -> dict[str, Word]:
+    """The images of `drinfeld_images` for any word f over {x, y}, also one
+    outside the derived subgroup, where they need not define an automorphism."""
     if n < 2:
         raise InputError("need n >= 2 strands")
-    images = {"s1": word_pow(single("s1"), pair.lam)}
+    images = {"s1": word_pow(single("s1"), lam)}
     for i in range(2, n):
         si2 = word_pow(single(f"s{i}"), 2)
         yi = y_word(i)
         images[f"s{i}"] = word_mul(
-            pair.f_at(si2, yi), word_pow(single(f"s{i}"), pair.lam), pair.f_at(yi, si2)
+            substitute(f, {"x": si2, "y": yi}),
+            word_pow(single(f"s{i}"), lam),
+            substitute(f, {"x": yi, "y": si2}),
         )
     return images
 

@@ -54,50 +54,21 @@ def is_invariant(group: RGroup, p: MPoly) -> bool:
 
 
 def _det_one_minus_tg(m: RMatrix) -> list[CycNum]:
-    """Coefficients of det(1 - t*g), degree <= dim, via Leibniz expansion."""
-    from itertools import permutations
-
-    dim = m.dim
-    coeffs = [cyclo.ZERO] * (dim + 1)
-
-    def sign(perm):
-        s = 1
-        seen = [False] * dim
-        for i in range(dim):
-            if seen[i]:
-                continue
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                s = -s
-        return s
-
-    for perm in permutations(range(dim)):
-        sgn = sign(perm)
-        # product over i of (delta - t*g)[i][perm[i]], each a linear poly in t
-        prod = [cyclo.ONE if sgn > 0 else -cyclo.ONE]
-        for i in range(dim):
-            const = cyclo.ONE if perm[i] == i else cyclo.ZERO
-            lin = -m.rows[i][perm[i]]
-            if not const and not lin:
-                prod = None
-                break
-            nxt = [cyclo.ZERO] * (len(prod) + 1)
-            for k, c in enumerate(prod):
-                if c:
-                    if const:
-                        nxt[k] = nxt[k] + c * const
-                    if lin:
-                        nxt[k + 1] = nxt[k + 1] + c * lin
-            prod = nxt
-        if prod:
-            for k, c in enumerate(prod):
-                coeffs[k] = coeffs[k] + c
-    return coeffs
+    """Coefficients of det(1 - t*g), degree <= dim: (-1)^k e_k, where the
+    elementary symmetric functions e_k of the eigenvalues come from the power
+    sums p_i = tr(g^i) by Newton's identities, k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i."""
+    powers = [m]
+    while len(powers) < m.dim:
+        powers.append(powers[-1] * m)
+    p = [g.trace() for g in powers]
+    e = [cyclo.ONE]
+    for k in range(1, m.dim + 1):
+        acc = cyclo.ZERO
+        for i in range(1, k + 1):
+            term = e[k - i] * p[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc * Fraction(1, k))
+    return [-c if k % 2 else c for k, c in enumerate(e)]
 
 
 def molien_series(group: RGroup, nterms: int) -> list[Fraction]:

@@ -1,12 +1,11 @@
-"""Small exact linear-algebra helpers over CycNum (row-major lists of lists)."""
+"""Exact linear algebra over a field, on row-major lists of lists: the entries
+(CycNum or Fraction) need + - * / and a truth value that is False at zero.
+Zero and one are taken from the entries, so no field type is imported here."""
 
 from __future__ import annotations
 
-from . import cyclo
-from .cyclo import CycNum
 
-
-def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
@@ -18,7 +17,7 @@ def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
+        inv = 1 / mat[r][c]
         prow = mat[r] = [x * inv for x in mat[r]]
         # row updates touch only the columns where the pivot row is nonzero
         support = [(j, b) for j, b in enumerate(prow) if b]
@@ -35,24 +34,25 @@ def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
     return mat[:r], pivots
 
 
-def rank(rows: list[list[CycNum]]) -> int:
+def rank(rows: list[list]) -> int:
     return len(rref(rows)[0])
 
 
-def det(rows: list[list[CycNum]]) -> CycNum:
+def det(rows: list[list]):
+    """The determinant of a nonempty square matrix."""
     n = len(rows)
     mat = [list(r) for r in rows]
-    result = cyclo.ONE
+    result = mat[0][0] ** 0
     for c in range(n):
         pr = next((i for i in range(c, n) if mat[i][c]), None)
         if pr is None:
-            return cyclo.ZERO
+            return result - result
         if pr != c:
             mat[c], mat[pr] = mat[pr], mat[c]
             result = -result
         pivot = mat[c][c]
         result = result * pivot
-        inv = pivot.inverse()
+        inv = 1 / pivot
         support = [(j, b) for j, b in enumerate(mat[c]) if b]
         for i in range(c + 1, n):
             row = mat[i]
@@ -63,9 +63,12 @@ def det(rows: list[list[CycNum]]) -> CycNum:
     return result
 
 
-def invert(rows: list[list[CycNum]]) -> list[list[CycNum]]:
+def invert(rows: list[list]) -> list[list]:
+    """The inverse of a nonempty square matrix; ZeroDivisionError if singular."""
     n = len(rows)
-    aug = [list(r) + [cyclo.ONE if i == j else cyclo.ZERO for j in range(n)] for i, r in enumerate(rows)]
+    one = rows[0][0] ** 0
+    zero = one - one
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")

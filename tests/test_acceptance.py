@@ -44,23 +44,19 @@ def test_criterion(cid, title, fn):
     start = time.time()
     result = fn()
     elapsed = time.time() - start
-    if len(result) == 3:
-        ok, details, defects = result
-    else:
-        (ok, details), defects = result, []
-    status = "PASS" if ok else "FAIL"
+    status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {cid}: {title} ({elapsed:.2f}s)")
     assert elapsed < TIME_BUDGETS[cid], f"criterion {cid} exceeded its {TIME_BUDGETS[cid]}s budget"
-    failing = {k for k, v in details.items() if v is False}
+    failing = set(result.failing)
     allowed = DOCUMENTED_DEFECT_CHECKS.get(cid, set())
     unexpected = failing - allowed
     assert not unexpected, f"criterion {cid} has unexpected failures: {sorted(unexpected)}"
     if failing:
-        assert defects, "a failing sub-check must carry a defect note"
+        assert result.defects, "a failing sub-check must carry a defect note"
         pytest.xfail(
             f"criterion {cid}: only documented-defect sub-checks failed: {sorted(failing)}"
         )
-    assert ok
+    assert result.passed
 
 
 @pytest.mark.xfail(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from reflbench import cyclo, garside, mpoly
+from reflbench import cli, cyclo, fpgroups, garside, mpoly
 from reflbench.cli import main
 
 
@@ -357,6 +357,52 @@ def test_gt_commands_honour_coset_budget(capsys, argv):
     assert json.loads(out)["error"] == "budget_exceeded"
     code, _ = run_cli(capsys, *argv)
     assert code == 0
+
+
+LETTERS_PAST_CAP = f"(x y)^{fpgroups.MAX_WORD_LETTERS // 2 + 1}"
+STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gt", "images", "--n", "3", "--lambda", "1", "--f", LETTERS_PAST_CAP],
+        ["gt", "act", "--lambda", "1", "--f", LETTERS_PAST_CAP, "--backend", "coxeter:3,3"],
+        ["present", "tc", "--catalog", "Br3", "--subgroup", f"s1^{fpgroups.MAX_WORD_LETTERS + 1}"],
+        ["gt", "stabilize", "--n", str(STRANDS_PAST_CAP - 1), "--lambda", "1"],
+        ["gt", "images", "--n", str(STRANDS_PAST_CAP), "--lambda", "1"],
+        ["present", "tc", "--catalog", f"Br{STRANDS_PAST_CAP}"],
+        ["present", "tc", "--catalog", f"ArtD{STRANDS_PAST_CAP}"],
+        ["present", "quotient", "--coxeter", f"{STRANDS_PAST_CAP},3"],
+        ["gt", "act", "--lambda", "1", "--backend", f"coxeter:{STRANDS_PAST_CAP},3"],
+    ],
+    ids=[
+        "images-letters",
+        "act-letters",
+        "subgroup-letters",
+        "stabilize-strands",
+        "images-strands",
+        "braid-strands",
+        "artin-d-rank",
+        "coxeter-strands",
+        "act-strands",
+    ],
+)
+def test_inputs_past_the_word_and_strand_caps_are_input_errors(capsys, argv):
+    code, out = run_cli(capsys, "--budget-cosets", "100", *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def test_inputs_at_the_word_and_strand_caps_run(capsys):
+    f = f"[x,y]^{fpgroups.MAX_WORD_LETTERS // 4}"
+    code, out = run_cli(capsys, "gt", "images", "--n", "3", "--lambda", "1", "--f", f)
+    assert code == 0
+    assert len(json.loads(out)) == 2
+    n = cli.MAX_STRANDS - 1
+    code, out = run_cli(capsys, "gt", "stabilize", "--n", str(n), "--lambda", "1", "--f", "[x,y]")
+    assert code == 0
+    assert json.loads(out)["index"] == n + 1
 
 
 def test_cli_contract_holds_for_fuzzed_argv():

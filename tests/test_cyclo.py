@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from reflbench import cyclo
+from reflbench import cyclo, linalg
 from reflbench.cyclo import CycNum, embed_complex, from_json, galois, rational, root_of_unity, to_json
 
 
@@ -333,3 +333,33 @@ def test_arithmetic_matches_elimination_per_descent():
             continue
         _same((a + b) - b, (a.order, a.coeffs))
         _same((a * b) * b.inverse(), (a.order, a.coeffs))
+
+
+def test_descent_projections_invert_the_descent_columns():
+    """For every descent Q(zeta_n) -> Q(zeta_m) that is not a support check:
+    the solution rows times the columns C give den * I, the consistency rows
+    annihilate C, and they are phi(n) - phi(m) independent rows, so they cut
+    out exactly the image of Q(zeta_m)."""
+    pairs = [
+        (n, n // p)
+        for n in range(2, 121)
+        for p in cyclo._prime_factors(n)
+        if n != p and (n // p) % p
+    ]
+    assert len(pairs) > 100
+    for n, m in pairs:
+        sol, den, cons = cyclo._descent_projection(n, m)
+        cols = cyclo._descent_columns(n, m)
+        phi_n, phi_m = cyclo.euler_phi(n), cyclo.euler_phi(m)
+        assert len(sol) == len(cols) == phi_m
+        assert len(cons) == phi_n - phi_m
+        for j, col in enumerate(cols):
+            for i, row in enumerate(sol):
+                assert sum(c * col[k] for k, c in row) == (den if i == j else 0), (n, m)
+            for row in cons:
+                assert sum(c * col[k] for k, c in row) == 0, (n, m)
+        dense = [[Fraction(0)] * phi_n for _ in cons]
+        for dense_row, row in zip(dense, cons):
+            for k, c in row:
+                dense_row[k] = Fraction(c)
+        assert linalg.rank(dense) == len(cons), (n, m)

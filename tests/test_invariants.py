@@ -168,3 +168,72 @@ def test_molien_consistency_identities():
         for d in degs:
             prod *= d
         assert prod == g.order()
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the earlier det(1 - t g): a Leibniz expansion over
+# all dim! permutations, each term a product of linear polynomials in t
+
+
+def _leibniz_det_one_minus_tg(m):
+    from itertools import permutations
+
+    from reflbench import cyclo
+
+    dim = m.dim
+    coeffs = [cyclo.ZERO] * (dim + 1)
+
+    def sign(perm):
+        s = 1
+        seen = [False] * dim
+        for i in range(dim):
+            if seen[i]:
+                continue
+            ln = 0
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                ln += 1
+            if ln % 2 == 0:
+                s = -s
+        return s
+
+    for perm in permutations(range(dim)):
+        sgn = sign(perm)
+        # product over i of (delta - t*g)[i][perm[i]], each a linear poly in t
+        prod = [cyclo.ONE if sgn > 0 else -cyclo.ONE]
+        for i in range(dim):
+            const = cyclo.ONE if perm[i] == i else cyclo.ZERO
+            lin = -m.rows[i][perm[i]]
+            if not const and not lin:
+                prod = None
+                break
+            nxt = [cyclo.ZERO] * (len(prod) + 1)
+            for k, c in enumerate(prod):
+                if c:
+                    if const:
+                        nxt[k] = nxt[k] + c * const
+                    if lin:
+                        nxt[k + 1] = nxt[k + 1] + c * lin
+            prod = nxt
+        if prod:
+            for k, c in enumerate(prod):
+                coeffs[k] = coeffs[k] + c
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["G4", "S3_paper", (2, 1, 3), (4, 4, 3), (2, 2, 4), (2, 1, 4)],
+    ids=lambda g: g if isinstance(g, str) else "G(%d,%d,%d)" % g,
+)
+def test_molien_denominators_match_leibniz_expansion(group, monkeypatch):
+    from reflbench import invariants
+
+    g = build_catalog_group(group) if isinstance(group, str) else build_monomial_group(*group)
+    for m in g.elements:
+        assert invariants._det_one_minus_tg(m) == _leibniz_det_one_minus_tg(m)
+    series = molien_series(g, 14)
+    monkeypatch.setattr(invariants, "_det_one_minus_tg", _leibniz_det_one_minus_tg)
+    assert molien_series(g, 14) == series
