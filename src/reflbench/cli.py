@@ -50,6 +50,12 @@ def _braid_n(n: int) -> int:
     return n
 
 
+# The largest m of `gt gd-check --m`: the kernel test reduces a relator matrix
+# of 2m rows and 2m + 1 columns, so its cost grows about as m^3
+# (m = 400 takes a few seconds).
+MAX_DIHEDRAL_M = 400
+
+
 def _load_group(args) -> matgroup.RGroup:
     budget = args.budget_elements
     if args.catalog:
@@ -420,6 +426,8 @@ def cmd_gt_stabilize(args):
 
 
 def cmd_gt_gd_check(args):
+    if args.m > MAX_DIHEDRAL_M:
+        raise InputError(f"gd-check on I2({args.m}) exceeds the limit m <= {MAX_DIHEDRAL_M}")
     g = parse_word(args.g, ("a", "b")) if args.g else ()
     report = gtaction.check_gd_pair(args.m, args.lam, g, args.budget_cosets)
     return (0 if report["all_exact_conditions"] else 1), report

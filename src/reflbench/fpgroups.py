@@ -954,39 +954,40 @@ def subgroup_relator_matrix(data: SchreierData) -> list[list[int]]:
 
 
 def in_integer_row_span(rows: list[list[int]], vec: list[int]) -> bool:
-    """Exact membership of vec in the Z-span of rows (Hermite reduction)."""
+    """Exact membership of vec in the Z-span of rows (Hermite reduction).
+
+    Column by column, the rows nonzero there are reduced against the one of
+    smallest |entry| until one is left; that row clears the column of vec, or
+    its entry does not divide vec's and vec lies outside the span.  Every row
+    still in play is zero left of the column, so only the columns from it on
+    are updated, and a row that the reduction clears moves on to the next.
+    """
     mat = [list(r) for r in rows if any(r)]
     work = list(vec)
     ncols = len(vec)
-    col = 0
-    while col < ncols and mat:
-        nonzero = [r for r in mat if r[col]]
-        if not nonzero:
-            if work[col] != 0:
-                pass  # cannot clear this column from rows
-            mat = [r for r in mat if not r[col]]
-            col += 1
-            continue
-        # reduce to a single pivot via gcd steps
-        while True:
-            nonzero = sorted((r for r in mat if r[col]), key=lambda r: abs(r[col]))
-            if len(nonzero) <= 1:
-                break
-            a, b = nonzero[0], nonzero[1]
-            q = b[col] // a[col]
-            for i in range(ncols):
-                b[i] -= q * a[i]
-            mat = [r for r in mat if any(r)]
-        pivot_rows = [r for r in mat if r[col]]
-        if pivot_rows:
-            piv = pivot_rows[0]
-            if work[col] % piv[col] == 0:
-                q = work[col] // piv[col]
-                for i in range(ncols):
-                    work[i] -= q * piv[i]
-            mat = [r for r in mat if r is not piv and any(r)]
-        col += 1
-    return all(v == 0 for v in work)
+    for col in range(ncols):
+        active = [r for r in mat if r[col]]
+        mat = [r for r in mat if not r[col]]
+        while len(active) > 1:
+            piv = min(active, key=lambda r: abs(r[col]))
+            kept = [piv]
+            for r in active:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    for i in range(col, ncols):
+                        r[i] -= q * piv[i]
+                    (kept if r[col] else mat).append(r)
+            active = kept
+        if active:
+            piv = active[0]
+            q, rem = divmod(work[col], piv[col])
+            if rem:
+                return False
+            for i in range(col, ncols):
+                work[i] -= q * piv[i]
+        elif work[col]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

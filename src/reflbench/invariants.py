@@ -10,8 +10,10 @@ order #reflections + dim + 2 always suffices since sum(d_i) = #reflections + dim
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import cyclo, linalg, matgroup
 from .cyclo import CycNum
@@ -56,13 +58,19 @@ def is_invariant(group: RGroup, p: MPoly) -> bool:
 def _det_one_minus_tg(m: RMatrix) -> list[CycNum]:
     """Coefficients of det(1 - t*g), degree <= dim: (-1)^k e_k, where the
     elementary symmetric functions e_k of the eigenvalues come from the power
-    sums p_i = tr(g^i) by Newton's identities, k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i."""
+    sums p_i = tr(g^i) by Newton's identities, k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i.
+    The last power sum needs no product: tr(g^dim) = sum_ij (g^(dim-1))_ij g_ji."""
+    dim = m.dim
     powers = [m]
-    while len(powers) < m.dim:
+    while len(powers) < dim - 1:
         powers.append(powers[-1] * m)
     p = [g.trace() for g in powers]
+    if dim > 1:
+        # the entries (g^(dim-1))_ij beside the entries g_ji
+        pairs = zip(chain.from_iterable(powers[-1].rows), chain.from_iterable(zip(*m.rows)))
+        p.append(sum((a * b for a, b in pairs if a and b), cyclo.ZERO))
     e = [cyclo.ONE]
-    for k in range(1, m.dim + 1):
+    for k in range(1, dim + 1):
         acc = cyclo.ZERO
         for i in range(1, k + 1):
             term = e[k - i] * p[i - 1]
@@ -72,10 +80,12 @@ def _det_one_minus_tg(m: RMatrix) -> list[CycNum]:
 
 
 def molien_series(group: RGroup, nterms: int) -> list[Fraction]:
-    """Power-series coefficients of the Molien series, as exact rationals."""
+    """Power-series coefficients of the Molien series, as exact rationals.
+
+    Elements with the same det(1 - t*g) share one series inversion."""
+    counts = Counter(tuple(_det_one_minus_tg(g)) for g in group.elements)
     total = [cyclo.ZERO] * nterms
-    for g in group.elements:
-        den = _det_one_minus_tg(g)
+    for den, count in counts.items():
         inv = [cyclo.ZERO] * nterms
         inv[0] = cyclo.ONE
         for k in range(1, nterms):
@@ -85,7 +95,7 @@ def molien_series(group: RGroup, nterms: int) -> list[Fraction]:
                     acc = acc + den[j] * inv[k - j]
             inv[k] = -acc
         for k in range(nterms):
-            total[k] = total[k] + inv[k]
+            total[k] = total[k] + inv[k] * count
     out = []
     scale = Fraction(1, group.order())
     for c in total:
@@ -103,8 +113,7 @@ def molien_degrees(group: RGroup) -> list[int]:
     dim = group.dim
     if dim > MAX_MOLIEN_DIM:
         raise BudgetExceededError(f"Molien extraction limited to dim <= {MAX_MOLIEN_DIM}")
-    nrefl = sum(1 for m in group.elements if matgroup._hyperplane_form(m) is not None and not m.is_identity())
-    nterms = nrefl + dim + 2
+    nterms = len(matgroup.reflections(group)) + dim + 2
     series = molien_series(group, nterms)
     degrees: list[int] = []
     for _ in range(dim):

@@ -28,7 +28,9 @@ DEFAULT_ELEMENT_BUDGET = 200_000
 class RMatrix:
     """Square matrix of CycNum entries; immutable and hashable."""
 
-    __slots__ = ("dim", "rows", "_hash")
+    # _sparse: the nonzero (column, entry) pairs of each row, filled the first
+    # time the matrix is a right operand of a product
+    __slots__ = ("dim", "rows", "_hash", "_sparse")
 
     def __init__(self, rows):
         rows = tuple(
@@ -40,6 +42,7 @@ class RMatrix:
             raise ValueError("matrix is not square")
         self.rows = rows
         self._hash = None
+        self._sparse = None
 
     @staticmethod
     def identity(dim: int) -> "RMatrix":
@@ -52,7 +55,11 @@ class RMatrix:
             raise ValueError("dimension mismatch")
         # row i of the product is the sum of a * (row k of other) over the
         # nonzero entries a = self[i][k]; only nonzero products are added
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        sparse = other._sparse
+        if sparse is None:
+            sparse = other._sparse = tuple(
+                [(j, b) for j, b in enumerate(row) if b] for row in other.rows
+            )
         zero = cyclo.ZERO
         rows = []
         for row in self.rows:
@@ -71,6 +78,7 @@ class RMatrix:
         m.dim = len(rows)
         m.rows = rows
         m._hash = None
+        m._sparse = None
         return m
 
     def __eq__(self, other) -> bool:
@@ -263,16 +271,29 @@ class ReflectionData:
 
 
 def _hyperplane_form(m: RMatrix) -> tuple[CycNum, ...] | None:
-    """Normalized defining form of Ker(m - 1) when that kernel is a hyperplane."""
-    dim = m.dim
-    ident = RMatrix.identity(dim)
-    rows = [
-        [m.rows[i][j] - ident.rows[i][j] for j in range(dim)] for i in range(dim)
-    ]
-    reduced, _pivots = linalg.rref(rows)
-    if len(reduced) != 1:
+    """Normalized defining form of Ker(m - 1) when that kernel is a hyperplane.
+
+    The kernel is a hyperplane iff m - 1 has rank one: with r its first
+    nonzero row and p the first nonzero column of r, every later row is zero
+    or has r's support and s[j] r[p] = r[j] s[p].  The form is then r / r[p],
+    the one row of the reduced echelon form of m - 1.
+    """
+    minus_one = -cyclo.ONE
+    r = None
+    for i, row in enumerate(m.rows):
+        s = list(row)
+        s[i] = s[i] + minus_one
+        support = [j for j, x in enumerate(s) if x]
+        if not support:
+            continue
+        if r is None:
+            r, p, r_support = s, support[0], support
+        elif support != r_support or any(s[j] * r[p] != r[j] * s[p] for j in support):
+            return None
+    if r is None:
         return None
-    return tuple(reduced[0])
+    inv = 1 / r[p]
+    return tuple(x * inv for x in r)
 
 
 def reflections(group: RGroup) -> list[ReflectionData]:
@@ -280,12 +301,19 @@ def reflections(group: RGroup) -> list[ReflectionData]:
 
     The nontrivial eigenvalue of a pseudo-reflection equals its determinant;
     the distinguished one on each hyperplane is the generator of the pointwise
-    stabilizer with eigenvalue exp(2*pi*i/e_H).
+    stabilizer with eigenvalue exp(2*pi*i/e_H).  The group is scanned once;
+    the result is kept on the group object.
     """
+    cache = getattr(group, "_refl", None)
+    if cache is None:
+        cache = _scan_reflections(group)
+        object.__setattr__(group, "_refl", cache)
+    return list(cache)
+
+
+def _scan_reflections(group: RGroup) -> tuple[ReflectionData, ...]:
     by_hyperplane: dict[tuple[CycNum, ...], list[RMatrix]] = {}
     for m in group.elements:
-        if m.is_identity():
-            continue
         form = _hyperplane_form(m)
         if form is not None:
             by_hyperplane.setdefault(form, []).append(m)
@@ -305,7 +333,7 @@ def reflections(group: RGroup) -> list[ReflectionData]:
                     nontrivial_eigenvalue=eig,
                 )
             )
-    return result
+    return tuple(result)
 
 
 def hyperplanes(group: RGroup) -> list[tuple[tuple[CycNum, ...], int]]:

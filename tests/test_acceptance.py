@@ -17,16 +17,16 @@ from reflbench import monodromy
 from reflbench.suite import CRITERIA
 
 TIME_BUDGETS = {
-    1: 30,
+    1: 5,
     2: 5,
-    3: 30,
+    3: 5,
     4: 1,
     5: 2,
     6: 10,
     7: 10,
-    8: 60,
+    8: 5,
     9: 2,
-    10: 15,
+    10: 5,
     11: 10,
     12: 15,
 }

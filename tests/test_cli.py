@@ -375,6 +375,7 @@ STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
         ["present", "tc", "--catalog", f"ArtD{STRANDS_PAST_CAP}"],
         ["present", "quotient", "--coxeter", f"{STRANDS_PAST_CAP},3"],
         ["gt", "act", "--lambda", "1", "--backend", f"coxeter:{STRANDS_PAST_CAP},3"],
+        ["gt", "gd-check", "--m", str(cli.MAX_DIHEDRAL_M + 1), "--lambda", "1"],
     ],
     ids=[
         "images-letters",
@@ -386,6 +387,7 @@ STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
         "artin-d-rank",
         "coxeter-strands",
         "act-strands",
+        "gd-check-m",
     ],
 )
 def test_inputs_past_the_word_and_strand_caps_are_input_errors(capsys, argv):

@@ -237,3 +237,25 @@ def test_molien_denominators_match_leibniz_expansion(group, monkeypatch):
     series = molien_series(g, 14)
     monkeypatch.setattr(invariants, "_det_one_minus_tg", _leibniz_det_one_minus_tg)
     assert molien_series(g, 14) == series
+
+
+def _per_element_molien_series(group, nterms):
+    """The earlier Molien sum: one power-series inversion per element, on the
+    Leibniz denominators."""
+    from reflbench import cyclo
+
+    total = [cyclo.ZERO] * nterms
+    for g in group.elements:
+        den = _leibniz_det_one_minus_tg(g)
+        inv = [cyclo.ONE] + [cyclo.ZERO] * (nterms - 1)
+        for k in range(1, nterms):
+            for j in range(1, min(k, len(den) - 1) + 1):
+                inv[k] = inv[k] - den[j] * inv[k - j]
+        total = [t + c for t, c in zip(total, inv)]
+    return [c.as_fraction() / group.order() for c in total]
+
+
+@pytest.mark.parametrize("dde", [(4, 2, 3), (3, 1, 3), (3, 1, 1)], ids=lambda g: "G(%d,%d,%d)" % g)
+def test_molien_series_matches_per_element_sum(dde):
+    g = build_monomial_group(*dde)
+    assert molien_series(g, 16) == _per_element_molien_series(g, 16)

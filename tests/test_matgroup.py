@@ -207,10 +207,117 @@ def test_product_matches_dense_triple_sum(build):
         return RMatrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
 
     rng = random.Random(20240917)
+    # one right operand reused by every product, so its sparse rows are read
+    # many times after the first product fills them
+    fixed = entrywise_sum(g.generators[0], g.generators[-1])
     for _ in range(40):
         a, b, c = (rng.choice(g.elements) for _ in range(3))
-        for x, y in ((a, b), (entrywise_sum(a, c), b), (a, entrywise_sum(b, c))):
+        for x, y in (
+            (a, b),
+            (entrywise_sum(a, c), b),
+            (a, entrywise_sum(b, c)),
+            (a, fixed),
+            (entrywise_sum(b, c), fixed),
+            (c, a * b),
+            (a * b, entrywise_sum(b, c) * c),
+        ):
             product = x * y
             assert product == RMatrix(dense(x, y))
             assert hash(product) == hash(RMatrix(dense(x, y)))
             assert all(isinstance(e, cyclo.CycNum) for row in product.rows for e in row)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the rank-one reflection test against the earlier
+# elimination: the one row of the reduced echelon form of m - 1
+
+
+def _rref_hyperplane_form(m):
+    rows = [
+        [m.rows[i][j] - (cyclo.ONE if i == j else cyclo.ZERO) for j in range(m.dim)]
+        for i in range(m.dim)
+    ]
+    reduced, _pivots = linalg.rref(rows)
+    if len(reduced) != 1:
+        return None
+    return tuple(reduced[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_catalog_group("G4"),
+        lambda: build_catalog_group("S3_paper"),
+        lambda: build_monomial_group(2, 1, 3),
+        lambda: build_monomial_group(4, 2, 3),
+        lambda: build_monomial_group(3, 1, 3),
+        lambda: build_monomial_group(2, 2, 4),
+        lambda: build_monomial_group(6, 6, 2),
+    ],
+    ids=["G4", "S3_paper", "G(2,1,3)", "G(4,2,3)", "G(3,1,3)", "G(2,2,4)", "G(6,6,2)"],
+)
+def test_hyperplane_form_matches_elimination(build):
+    g = build()
+    found = 0
+    for m in g.elements:
+        form = matgroup._hyperplane_form(m)
+        assert form == _rref_hyperplane_form(m)
+        found += form is not None
+    assert found == len(reflections(g)) > 0
+
+
+def _plus_identity(rows):
+    return RMatrix([[x + (1 if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(rows)])
+
+
+Z3 = cyclo.root_of_unity(3, 1)
+HAND_BUILT_MINUS_ONE = {
+    "first-row-zero": [[0, 0, 0], [0, 2, -4], [0, 1, -2]],
+    "first-row-zero-rank-two": [[0, 0, 0], [0, 2, -4], [0, 1, 2]],
+    "equal-support-not-proportional": [[1, 1], [1, 2]],
+    "equal-support-proportional": [[1, 2], [2, 4]],
+    "larger-support-later": [[1, 0, 0], [1, 1, 0], [0, 0, 0]],
+    "smaller-support-later": [[1, 1, 0], [1, 0, 0], [0, 0, 0]],
+    "later-row-zero-first-nonzero": [[0, 0, 0], [0, 0, 0], [3, 0, 6]],
+    "cyclotomic-multiple": [[Z3, 1, 0], [Z3 * Z3, Z3, 0], [0, 0, 0]],
+    "cyclotomic-not-multiple": [[Z3, 1, 0], [Z3 * Z3, Z3 * Z3, 0], [0, 0, 0]],
+    "dim-1": [[Z3 - 1]],
+    "dim-1-identity": [[0]],
+    "identity": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_MINUS_ONE))
+def test_hyperplane_form_hand_built_cases(name):
+    m = _plus_identity(HAND_BUILT_MINUS_ONE[name])
+    expected = {
+        "first-row-zero": (cyclo.ZERO, cyclo.ONE, cyclo.rational(-2)),
+        "equal-support-proportional": (cyclo.ONE, cyclo.rational(2)),
+        "later-row-zero-first-nonzero": (cyclo.ONE, cyclo.ZERO, cyclo.rational(2)),
+        "cyclotomic-multiple": (cyclo.ONE, Z3.inverse(), cyclo.ZERO),
+        "dim-1": (cyclo.ONE,),
+    }.get(name)
+    assert matgroup._hyperplane_form(m) == expected == _rref_hyperplane_form(m)
+
+
+def test_one_reflection_scan_per_group(monkeypatch):
+    from reflbench import invariants
+
+    calls = []
+    form = matgroup._hyperplane_form
+    monkeypatch.setattr(matgroup, "_hyperplane_form", lambda m: calls.append(m) or form(m))
+    g = build_monomial_group(4, 2, 3)
+    refl = reflections(g)
+    hyps = hyperplanes(g)
+    degrees = invariants.molien_degrees(g)
+    assert len(calls) == g.order()
+    assert degrees == [4, 6, 8] and len(refl) == len(hyps) == 15
+    # every call returns a fresh list of the stored result
+    refl.clear()
+    assert reflections(g) == reflections(g) != []
+    assert reflections(g) is not reflections(g)
+    assert len(calls) == g.order()
+    # a second group object scans again: nothing is kept across groups
+    again = build_monomial_group(4, 2, 3)
+    assert [r.hyperplane for r in reflections(again)] == [r.hyperplane for r in reflections(g)]
+    assert len(calls) == 2 * g.order()
