@@ -914,29 +914,42 @@ def schreier_rewrite(data: SchreierData, w: Word, start: int = 0):
 
     With start = 0 this is subgroup membership plus the standard rewriting.
     """
-    table = data.table
-    letters: list[tuple[str, int]] = []
-    alpha = start
-    for sym, step in word_letters(w):
-        col = table.column(sym, step)
-        beta = table.columns[col][alpha]
-        key = (alpha, col) if step > 0 else (beta, col ^ 1)
-        if key in data.schreier_index:
-            letters.append((data.names[data.schreier_index[key]], step))
-        alpha = beta
-    if alpha != start:
+    letters = _schreier_letters(data, w, start)
+    if letters is None:
         return None
-    return free_reduce(letters)
+    return free_reduce((data.names[h], step) for h, step in letters)
+
+
+def _schreier_letters(data: SchreierData, w: Word, start: int):
+    """(Schreier generator number, +-1) for each letter of w that is not a
+    tree edge, or None when w moves coset `start`."""
+    table = data.table
+    index = data.schreier_index
+    col_of = {name: 2 * g for g, name in enumerate(table.presentation.generators)}
+    letters: list[tuple[int, int]] = []
+    alpha = start
+    for sym, exp in w:
+        step = 1 if exp > 0 else -1
+        col = col_of[sym] + (0 if step > 0 else 1)
+        column = table.columns[col]
+        for _ in range(abs(exp)):
+            beta = column[alpha]
+            h = index.get((alpha, col) if step > 0 else (beta, col ^ 1))
+            if h is not None:
+                letters.append((h, step))
+            alpha = beta
+    return letters if alpha == start else None
 
 
 def schreier_abelianized(data: SchreierData, w: Word, start: int = 0):
-    """Exponent vector of the rewritten word over the Schreier generators."""
-    rewritten = schreier_rewrite(data, w, start)
-    if rewritten is None:
+    """Exponent vector of the rewritten word over the Schreier generators:
+    free reduction keeps exponent sums, so the letters are summed as read."""
+    letters = _schreier_letters(data, w, start)
+    if letters is None:
         return None
     vec = [0] * len(data.names)
-    for sym, exp in rewritten:
-        vec[data.names.index(sym)] += exp
+    for h, step in letters:
+        vec[h] += step
     return vec
 
 

@@ -82,8 +82,11 @@ def _det_one_minus_tg(m: RMatrix) -> list[CycNum]:
 def molien_series(group: RGroup, nterms: int) -> list[Fraction]:
     """Power-series coefficients of the Molien series, as exact rationals.
 
-    Elements with the same det(1 - t*g) share one series inversion."""
-    counts = Counter(tuple(_det_one_minus_tg(g)) for g in group.elements)
+    det(1 - t*g) is a class function, so it is computed once per conjugacy
+    class, and classes with the same denominator share one series inversion."""
+    counts: Counter = Counter()
+    for members in matgroup.conjugacy_classes(group):
+        counts[tuple(_det_one_minus_tg(group.elements[members[0]]))] += len(members)
     total = [cyclo.ZERO] * nterms
     for den, count in counts.items():
         inv = [cyclo.ZERO] * nterms

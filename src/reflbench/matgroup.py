@@ -9,11 +9,19 @@ Hermitian forms, centers and the field of definition.
 Enumeration is breadth-first with deterministic ordering: elements are
 discovered in (element discovery order) x (generator index) order, so element
 indices are reproducible and can back permutation actions downstream.
+
+A group is enumerated as a permutation group on the orbit of the standard
+basis rows e_1..e_n under v -> v g (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 4).  The action is faithful, since a matrix
+is fixed by its basis images, so an element is its permutation of that
+orbit and row k of it is the point its permutation sends e_k to.  Closure,
+center, the Hermitian form, the Galois images and the conjugacy classes
+compose permutations; no matrix product runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -53,23 +61,14 @@ class RMatrix:
     def __mul__(self, other: "RMatrix") -> "RMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        # row i of the product is the sum of a * (row k of other) over the
-        # nonzero entries a = self[i][k]; only nonzero products are added
-        sparse = other._sparse
-        if sparse is None:
-            sparse = other._sparse = tuple(
-                [(j, b) for j, b in enumerate(row) if b] for row in other.rows
-            )
-        zero = cyclo.ZERO
-        rows = []
-        for row in self.rows:
-            acc = [zero] * self.dim
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in sparse[k]:
-                        acc[j] = acc[j] + a * b
-            rows.append(tuple(acc))
-        return RMatrix._trusted(tuple(rows))
+        sparse = other.sparse_rows()
+        return RMatrix._trusted(tuple(_row_times(row, sparse) for row in self.rows))
+
+    def sparse_rows(self) -> tuple[list[tuple[int, CycNum]], ...]:
+        """The nonzero (column, entry) pairs of each row, kept once computed."""
+        if self._sparse is None:
+            self._sparse = tuple([(j, b) for j, b in enumerate(row) if b] for row in self.rows)
+        return self._sparse
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[CycNum, ...], ...]) -> "RMatrix":
@@ -124,13 +123,38 @@ class RMatrix:
         raise RuntimeError("element order exceeds cap; matrix may not have finite order")
 
 
+def _row_times(v, sparse) -> tuple[CycNum, ...]:
+    """The row vector v times the matrix whose sparse rows are given: the sum
+    of a * (row k) over the nonzero entries a = v[k]; only nonzero products
+    are added."""
+    acc = [cyclo.ZERO] * len(v)
+    for k, a in enumerate(v):
+        if a:
+            for j, b in sparse[k]:
+                acc[j] = acc[j] + a * b
+    return tuple(acc)
+
+
+def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation of the product (element p) * (element q): v -> v p q."""
+    return tuple(map(q.__getitem__, p))
+
+
 @dataclass(frozen=True)
 class RGroup:
-    """A finite matrix group given by generators plus its full element list."""
+    """A finite matrix group given by generators plus its full element list.
+
+    `points` is the orbit of the basis rows under v -> v g, with e_k point k;
+    `perms[i]` is elements[i] as a permutation of it (point p goes to
+    perms[i][p]) and `generator_perms` are the generators' permutations.
+    """
 
     label: str
     generators: tuple[RMatrix, ...]
     elements: tuple[RMatrix, ...]
+    points: tuple[tuple[CycNum, ...], ...] = field(repr=False, compare=False)
+    perms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    generator_perms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -158,14 +182,53 @@ class RGroup:
 def enumerate_closure(
     generators: list[RMatrix], label: str, budget: int = DEFAULT_ELEMENT_BUDGET
 ) -> RGroup:
-    """Breadth-first closure with deterministic element indices."""
+    """Breadth-first closure with deterministic element indices.
+
+    The orbit of the basis rows comes first, each generator acting once on
+    each point.  Every basis vector's orbit has at most |G| points, so more
+    than dim * budget points proves |G| > budget.  The elements are then the
+    orbit of the identity permutation under the generators' permutations;
+    the action is faithful, so they come in the order that the products
+    element * generator would find them, and row k of an element is the
+    point its permutation sends e_k to.
+    """
     if not generators:
         raise InputError("a group needs at least one generator (or use the trivial identity)")
-    ident = RMatrix.identity(generators[0].dim)
-    elements = orbit(
-        ident, generators, RMatrix.__mul__, budget, f"group enumeration for {label!r}"
+    what = f"group enumeration for {label!r}"
+    dim = generators[0].dim
+    if any(g.dim != dim for g in generators):
+        raise ValueError("dimension mismatch")
+    points = list(RMatrix.identity(dim).rows)
+    index = {p: i for i, p in enumerate(points)}
+    sparse = [g.sparse_rows() for g in generators]
+    images: list[list[int]] = [[] for _ in generators]
+    for v in points:  # the loop reaches the points appended below
+        for sp, image in zip(sparse, images):
+            w = _row_times(v, sp)
+            i = index.get(w)
+            if i is None:
+                if budget is not None and len(points) >= dim * budget:
+                    raise BudgetExceededError(f"{what} exceeded budget {budget}")
+                i = index[w] = len(points)
+                points.append(w)
+            image.append(i)
+    gen_perms = tuple(map(tuple, images))
+    for k, p in enumerate(gen_perms):
+        # the points span the space and g maps them into themselves, so g is
+        # invertible iff it permutes them
+        if len(set(p)) < len(p):
+            raise InputError(f"generator {k + 1} of {label!r} is not invertible")
+    perms = tuple(orbit(tuple(range(len(points))), gen_perms, _then, budget, what))
+    points = tuple(points)
+    elements = tuple(RMatrix._trusted(tuple([points[i] for i in p[:dim]])) for p in perms)
+    return RGroup(
+        label=label,
+        generators=tuple(generators),
+        elements=elements,
+        points=points,
+        perms=perms,
+        generator_perms=gen_perms,
     )
-    return RGroup(label=label, generators=tuple(generators), elements=tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -353,37 +416,63 @@ def galois_image(group: RGroup, k: int):
 
     When the image set equals the group's element set, the permutation of
     element indices induced by sigma_k is returned (it is then an
-    automorphism of the group); otherwise permutation is None.
+    automorphism of the group); otherwise permutation is None.  The rows of
+    the elements are the basis orbit's points, so sigma_k is applied once per
+    point, and an image is in the group iff its rows are points whose indices
+    are some element's basis images.
     """
     order_lcm = 1
-    for m in group.elements:
-        for row in m.rows:
-            for e in row:
-                order_lcm = order_lcm * e.order // gcd(order_lcm, e.order)
+    for p in group.points:
+        for e in p:
+            order_lcm = order_lcm * e.order // gcd(order_lcm, e.order)
     if gcd(k % order_lcm if order_lcm > 1 else 1, order_lcm) != 1:
         raise InputError(f"sigma_{k} is not defined on entries of order lcm {order_lcm}")
-    images = [m.galois(k) for m in group.elements]
-    same_set = all(m in group for m in images)
-    perm = [group.index_of(m) for m in images] if same_set else None
-    return images, same_set, perm
+    dim = group.dim
+    moved = [tuple(cyclo.galois(e, k) for e in p) for p in group.points]
+    point_index = {p: i for i, p in enumerate(group.points)}
+    moved_index = [point_index.get(q) for q in moved]
+    by_basis_images = {p[:dim]: i for i, p in enumerate(group.perms)}
+    images = []
+    perm = []
+    for p in group.perms:
+        images.append(RMatrix._trusted(tuple([moved[i] for i in p[:dim]])))
+        perm.append(by_basis_images.get(tuple([moved_index[i] for i in p[:dim]])))
+    same_set = None not in perm
+    return images, same_set, perm if same_set else None
 
 
 def invariant_hermitian_form(group: RGroup) -> RMatrix:
     """H = (1/|G|) * sum of conj(w)^T w; exact G-invariant Hermitian form.
 
+    Row k of w runs over the orbit O_k of e_k, meeting each point |G|/|O_k|
+    times, so H = sum_k (1/|O_k|) sum over p in O_k of conj(p)^T p: one outer
+    product per orbit point, and basis vectors in one orbit share its sum.
     Raises if exact invariance or Hermitian symmetry fails; positive
     definiteness is checked numerically (tolerance 1e-9) by the caller via
     `hermitian_is_positive_definite`.
     """
     dim = group.dim
+    weights: dict[frozenset[int], int] = {}  # orbit of e_k -> basis vectors in it
+    for k in range(dim):
+        orb = next((o for o in weights if k in o), None)
+        if orb is None:
+            orb = frozenset(orbit(k, group.generator_perms, lambda i, g: g[i]))
+        weights[orb] = weights.get(orb, 0) + 1
     total = [[cyclo.ZERO] * dim for _ in range(dim)]
-    for w in group.elements:
-        m = w.conjugate().transpose() * w
-        for i in range(dim):
-            for j in range(dim):
-                total[i][j] = total[i][j] + m.rows[i][j]
-    scale = cyclo.rational(Fraction(1, group.order()))
-    h = RMatrix([[scale * total[i][j] for j in range(dim)] for i in range(dim)])
+    for orb, count in weights.items():
+        acc = [[cyclo.ZERO] * dim for _ in range(dim)]
+        for i in orb:
+            p = group.points[i]
+            support = [(j, x) for j, x in enumerate(p) if x]
+            for a, x in support:
+                cx = cyclo.galois(x, -1)
+                for b, y in support:
+                    acc[a][b] = acc[a][b] + cx * y
+        scale = cyclo.rational(Fraction(count, len(orb)))
+        for a in range(dim):
+            for b in range(dim):
+                total[a][b] = total[a][b] + scale * acc[a][b]
+    h = RMatrix._trusted(tuple(map(tuple, total)))
     if h.conjugate().transpose() != h:
         raise RuntimeError("averaged form is not Hermitian")
     for w in group.generators:
@@ -403,12 +492,52 @@ def hermitian_is_positive_definite(h: RMatrix, tol: float = 1e-9) -> bool:
 
 
 def center(group: RGroup) -> list[RMatrix]:
-    """Elements commuting with every generator."""
+    """Elements commuting with every generator: their permutations of the
+    basis orbit commute with the generators' permutations."""
+    gens = group.generator_perms
     return [
         m
-        for m in group.elements
-        if all(m * g == g * m for g in group.generators)
+        for m, p in zip(group.elements, group.perms)
+        if all(_then(p, g) == _then(g, p) for g in gens)
     ]
+
+
+def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
+    """Element indices of each conjugacy class, in order of first element.
+
+    A class is the orbit of an element's permutation under conjugation
+    g^-1 x g by the generators.  The classes are found once per group and
+    kept on the group object; each call returns a fresh list.
+    """
+    cache = getattr(group, "_classes", None)
+    if cache is None:
+        cache = _scan_classes(group)
+        object.__setattr__(group, "_classes", cache)
+    return list(cache)
+
+
+def _scan_classes(group: RGroup) -> tuple[tuple[int, ...], ...]:
+    index = {p: i for i, p in enumerate(group.perms)}
+    conjugators = []
+    for g in group.generator_perms:
+        inverse = [0] * len(g)
+        for x, y in enumerate(g):
+            inverse[y] = x
+        conjugators.append((inverse, g))
+
+    def conjugate(p, conjugator):
+        inverse, g = conjugator
+        return tuple([g[p[x]] for x in inverse])
+
+    done = [False] * len(index)
+    classes = []
+    for i, p in enumerate(group.perms):
+        if not done[i]:
+            members = tuple(index[q] for q in orbit(p, conjugators, conjugate))
+            for j in members:
+                done[j] = True
+            classes.append(members)
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------

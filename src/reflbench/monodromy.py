@@ -203,8 +203,11 @@ def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -
         if fiber == "regular":
             return regular_cover(group, x, y, data.get("label", "cover"))
         sub_gens = [_evaluate(group, names, parse_word(t, names)) for t in fiber["subgroup"]]
-        sub_elems = orbit(RMatrix.identity(group.dim), sub_gens, RMatrix.__mul__)
-        return coset_cover(group, sub_elems, x, y, data.get("label", "cover"))
+        # no words give the trivial subgroup
+        sub = matgroup.enumerate_closure(
+            sub_gens or [RMatrix.identity(group.dim)], "fiber subgroup", budget
+        )
+        return coset_cover(group, sub.elements, x, y, data.get("label", "cover"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed cover spec: {exc}") from exc
 

@@ -215,6 +215,7 @@ def _cyc(n: int) -> dict:
         {"kind": "explicit", "generators": [[_cyc(-1)], [_cyc(0), _cyc(1), _cyc(1), _cyc(0)]]},
         {"kind": "explicit", "generators": [[1, 0, 0, 1]]},
         {"kind": "explicit", "generators": [[]]},
+        {"kind": "explicit", "generators": [[_cyc(1), _cyc(0), _cyc(0), _cyc(0)]]},
         {"kind": "monomial", "d": 2},
         {"kind": "monomial", "d": "two", "e": 1, "n": 2},
         {"kind": "catalog"},
@@ -224,6 +225,7 @@ def _cyc(n: int) -> dict:
         "mixed-dimension",
         "entry-not-cycnum",
         "empty-generator",
+        "singular-generator",
         "missing-e",
         "d-not-int",
         "missing-name",

@@ -381,6 +381,67 @@ def test_schreier_rewriting():
     assert schreier_rewrite(data, prod) is not None
 
 
+def _schreier_rewrite_by_letters(data, w, start=0):
+    """The earlier rewrite: one column lookup per letter."""
+    from reflbench.fpgroups import free_reduce
+
+    table = data.table
+    letters = []
+    alpha = start
+    for sym, step in word_letters(w):
+        col = table.column(sym, step)
+        beta = table.columns[col][alpha]
+        key = (alpha, col) if step > 0 else (beta, col ^ 1)
+        if key in data.schreier_index:
+            letters.append((data.names[data.schreier_index[key]], step))
+        alpha = beta
+    if alpha != start:
+        return None
+    return free_reduce(letters)
+
+
+def _schreier_abelianized_by_names(data, w, start=0):
+    """The earlier exponent vector: each symbol's column found by name."""
+    rewritten = _schreier_rewrite_by_letters(data, w, start)
+    if rewritten is None:
+        return None
+    vec = [0] * len(data.names)
+    for sym, exp in rewritten:
+        vec[data.names.index(sym)] += exp
+    return vec
+
+
+def test_schreier_rewrite_and_abelianized_match_letterwise_rewrite():
+    from reflbench.fpgroups import schreier_abelianized
+
+    rng = random.Random(20261019)
+    br4 = braid_presentation(4)
+    tables = [todd_coxeter(br4, [parse_word(t, br4.generators) for t in ("s1^2", "s2", "s3")])]
+    for m in (3, 4, 7):
+        pres = artin_i2_presentation(m)
+        tq = torsion_quotient(pres, 2)
+        columns = []
+        for name in pres.generators:
+            columns += [tq.gen_perms[name], tq._inverse_perms[name]]
+        tables.append(CosetTable(pres, (), columns, "complete", tq.degree))
+    found = {"member": 0, "moved": 0}
+    for table in tables:
+        data = schreier_data(table)
+        gens = table.presentation.generators
+        for _ in range(150):
+            w = tuple(
+                (rng.choice(gens), rng.choice((-3, -2, -1, 0, 1, 2, 3)))
+                for _ in range(rng.randint(0, 8))
+            )
+            start = rng.randrange(table.index())
+            expected = _schreier_rewrite_by_letters(data, w, start)
+            assert schreier_rewrite(data, w, start) == expected
+            vec = schreier_abelianized(data, w, start)
+            assert vec == _schreier_abelianized_by_names(data, w, start)
+            found["moved" if expected is None else "member"] += 1
+    assert min(found.values()) > 100
+
+
 def test_artin_b_embedding_and_cyclic_quotient():
     hom = artin_b_embedding(3)
     # images satisfy the Art(B_3) relators inside Br_4 / s^3 (finite evidence)

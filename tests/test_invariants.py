@@ -255,7 +255,19 @@ def _per_element_molien_series(group, nterms):
     return [c.as_fraction() / group.order() for c in total]
 
 
-@pytest.mark.parametrize("dde", [(4, 2, 3), (3, 1, 3), (3, 1, 1)], ids=lambda g: "G(%d,%d,%d)" % g)
-def test_molien_series_matches_per_element_sum(dde):
-    g = build_monomial_group(*dde)
+@pytest.mark.parametrize(
+    "group",
+    ["G4", "S3_paper", (4, 2, 3), (3, 1, 3), (3, 1, 1), (3, 3, 3), (2, 2, 4), (1, 1, 4)],
+    ids=lambda g: g if isinstance(g, str) else "G(%d,%d,%d)" % g,
+)
+def test_molien_series_matches_per_element_sum(group, monkeypatch):
+    from reflbench import invariants, matgroup
+
+    g = build_catalog_group(group) if isinstance(group, str) else build_monomial_group(*group)
+    calls = []
+    det = invariants._det_one_minus_tg
+    monkeypatch.setattr(invariants, "_det_one_minus_tg", lambda m: calls.append(m) or det(m))
     assert molien_series(g, 16) == _per_element_molien_series(g, 16)
+    # one denominator per conjugacy class, read off its first element
+    classes = matgroup.conjugacy_classes(g)
+    assert calls == [g.elements[cls[0]] for cls in classes]

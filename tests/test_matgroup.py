@@ -57,9 +57,10 @@ def test_catalog_groups():
 
 
 def test_closure_idempotent():
-    g = build_monomial_group(3, 3, 2)
-    again = enumerate_closure(list(g.elements), "closure-of-closure")
-    assert set(again.elements) == set(g.elements)
+    for g in (build_monomial_group(3, 3, 2), build_catalog_group("G4")):
+        again = enumerate_closure(list(g.elements), "closure-of-closure")
+        assert set(again.elements) == set(g.elements)
+        assert again.elements == _product_closure(list(g.elements))
 
 
 def test_reflection_counts():
@@ -321,3 +322,209 @@ def test_one_reflection_scan_per_group(monkeypatch):
     again = build_monomial_group(4, 2, 3)
     assert [r.hyperplane for r in reflections(again)] == [r.hyperplane for r in reflections(g)]
     assert len(calls) == 2 * g.order()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the basis-orbit representation against the earlier
+# matrix-product computations
+
+
+def _product_closure(generators):
+    """The earlier closure: breadth-first products element * generator."""
+    ident = RMatrix.identity(generators[0].dim)
+    seen = {ident}
+    queue = [ident]
+    for m in queue:
+        for g in generators:
+            p = m * g
+            if p not in seen:
+                seen.add(p)
+                queue.append(p)
+    return tuple(queue)
+
+
+def _explicit(generators):
+    flat = [[cyclo.to_json(e) for row in RMatrix(rows).rows for e in row] for rows in generators]
+    return matgroup.group_from_spec({"kind": "explicit", "generators": flat})
+
+
+Z5 = cyclo.root_of_unity(5, 1)
+ORBIT_GROUPS = {
+    "G4": lambda: build_catalog_group("G4"),
+    "S3_paper": lambda: build_catalog_group("S3_paper"),
+    "G(1,1,1)": lambda: build_monomial_group(1, 1, 1),
+    "G(3,1,1)": lambda: build_monomial_group(3, 1, 1),
+    "G(4,1,1)": lambda: build_monomial_group(4, 1, 1),
+    "G(2,1,2)": lambda: build_monomial_group(2, 1, 2),
+    "G(6,6,2)": lambda: build_monomial_group(6, 6, 2),
+    "G(4,2,2)": lambda: build_monomial_group(4, 2, 2),
+    "G(3,3,3)": lambda: build_monomial_group(3, 3, 3),
+    "G(2,1,3)": lambda: build_monomial_group(2, 1, 3),
+    "G(4,2,3)": lambda: build_monomial_group(4, 2, 3),
+    "G(1,1,4)": lambda: build_monomial_group(1, 1, 4),
+    "G(2,2,4)": lambda: build_monomial_group(2, 2, 4),
+    "G(3,1,4)": lambda: build_monomial_group(3, 1, 4),
+    "G(2,2,5)": lambda: build_monomial_group(2, 2, 5),
+    # a cyclic group that sigma_2 does not map to itself
+    "explicit-twisted-swap": lambda: _explicit([[[0, Z5], [1, 0]]]),
+    # S3_paper beside a sign, and G4's dense generator beside a scalar
+    "explicit-3x3": lambda: _explicit(
+        [[[1, -1, 0], [0, -1, 0], [0, 0, -1]], [[-1, 0, 0], [-1, 1, 0], [0, 0, 1]]]
+    ),
+    "explicit-G4-dense": lambda: _explicit(
+        [build_catalog_group("G4").generators[1].rows, [[Z5, 0], [0, Z5]]]
+    ),
+}
+
+SMALL_ORBIT_GROUPS = [
+    name for name in ORBIT_GROUPS if name not in ("G(3,1,4)", "G(2,2,5)", "G(2,2,4)", "G(4,2,3)")
+]
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_GROUPS))
+def test_closure_matches_product_bfs(name):
+    g = ORBIT_GROUPS[name]()
+    assert g.elements == _product_closure(list(g.generators))
+    # the representation itself: basis first, rows read through the perms
+    n = g.dim
+    assert g.points[:n] == RMatrix.identity(n).rows
+    assert len(g.perms) == g.order() and len(set(g.perms)) == g.order()
+    for m, p in zip(g.elements, g.perms):
+        assert m.rows == tuple(g.points[i] for i in p[:n])
+    for gen, gp in zip(g.generators, g.generator_perms):
+        assert gp == g.perms[g.index_of(gen)]
+        for i, v in enumerate(g.points):
+            image = tuple(
+                sum((v[k] * gen.rows[k][j] for k in range(n)), cyclo.ZERO) for j in range(n)
+            )
+            assert g.points[gp[i]] == image
+
+
+@pytest.mark.parametrize("name", SMALL_ORBIT_GROUPS)
+def test_center_matches_products(name):
+    g = ORBIT_GROUPS[name]()
+    expected = [m for m in g.elements if all(m * s == s * m for s in g.generators)]
+    assert center(g) == expected
+
+
+@pytest.mark.parametrize("name", SMALL_ORBIT_GROUPS + ["G(2,2,4)"])
+def test_hermitian_form_matches_element_sum(name):
+    from fractions import Fraction
+
+    g = ORBIT_GROUPS[name]()
+    n = g.dim
+    total = [[cyclo.ZERO] * n for _ in range(n)]
+    for w in g.elements:
+        m = w.conjugate().transpose() * w
+        total = [[total[i][j] + m.rows[i][j] for j in range(n)] for i in range(n)]
+    scale = cyclo.rational(Fraction(1, g.order()))
+    assert invariant_hermitian_form(g) == RMatrix([[scale * x for x in row] for row in total])
+
+
+@pytest.mark.parametrize("name", SMALL_ORBIT_GROUPS + ["G(2,2,4)"])
+def test_conjugacy_classes_partition_and_are_closed(name):
+    g = ORBIT_GROUPS[name]()
+    classes = matgroup.conjugacy_classes(g)
+    members = sorted(i for cls in classes for i in cls)
+    assert members == list(range(g.order()))
+    assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+    assert all(g.order() % len(cls) == 0 for cls in classes)
+    owner = {i: k for k, cls in enumerate(classes) for i in cls}
+    inverses = [s.inverse() for s in g.generators]
+    for k, cls in enumerate(classes):
+        for i in cls:
+            m = g.elements[i]
+            for s, s_inv in zip(g.generators, inverses):
+                assert owner[g.index_of(s_inv * m * s)] == k
+    # classes are found once per group; each call returns a fresh list
+    classes.clear()
+    assert matgroup.conjugacy_classes(g) == matgroup.conjugacy_classes(g) != []
+
+
+@pytest.mark.parametrize("name", ["G4", "G(2,1,3)", "G(3,3,3)", "explicit-G4-dense"])
+def test_conjugacy_classes_are_full_classes(name):
+    g = ORBIT_GROUPS[name]()
+    inverses = [h.inverse() for h in g.elements]
+    for cls in matgroup.conjugacy_classes(g):
+        m = g.elements[cls[0]]
+        full = {g.index_of(h_inv * m * h) for h, h_inv in zip(g.elements, inverses)}
+        assert full == set(cls)
+
+
+@pytest.mark.parametrize("name", ["G4", "explicit-twisted-swap", "G(3,3,3)"])
+def test_closure_budget_is_exact(name):
+    g = ORBIT_GROUPS[name]()
+    gens = list(g.generators)
+    assert enumerate_closure(gens, "H", budget=g.order()).elements == g.elements
+    with pytest.raises(
+        BudgetExceededError, match=f"group enumeration for 'H' exceeded budget {g.order() - 1}$"
+    ):
+        enumerate_closure(gens, "H", budget=g.order() - 1)
+
+
+def test_too_many_points_raise_before_any_element(monkeypatch):
+    calls = []
+    real_orbit = matgroup.orbit
+    monkeypatch.setattr(matgroup, "orbit", lambda *a: calls.append(a) or real_orbit(*a))
+    rotation = RMatrix([[cyclo.root_of_unity(7, 1)]])  # seven points on the line
+    assert enumerate_closure([rotation], "C7", budget=7).order() == 7
+    assert len(calls) == 1
+    with pytest.raises(BudgetExceededError, match="group enumeration for 'C7' exceeded budget 6$"):
+        enumerate_closure([rotation], "C7", budget=6)
+    # seven points > 1 * 6 prove |G| > 6 before the elements are enumerated
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("budget", [1, 2, 10, 50])
+def test_infinite_group_exceeds_budget(budget):
+    shear = RMatrix([[1, 1], [0, 1]])
+    message = f"group enumeration for 'shear' exceeded budget {budget}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        enumerate_closure([shear], "shear", budget)
+
+
+def test_singular_generator_is_input_error():
+    with pytest.raises(InputError, match="generator 2 of 'monoid' is not invertible"):
+        enumerate_closure([RMatrix([[0, 1], [1, 0]]), RMatrix([[1, 0], [0, 0]])], "monoid")
+
+
+def _galois_image_by_matrices(group, k):
+    """The earlier galois_image: sigma_k on every element, membership by hashing."""
+    from math import gcd
+
+    order_lcm = 1
+    for m in group.elements:
+        for row in m.rows:
+            for e in row:
+                order_lcm = order_lcm * e.order // gcd(order_lcm, e.order)
+    if gcd(k % order_lcm if order_lcm > 1 else 1, order_lcm) != 1:
+        raise InputError(f"sigma_{k} is not defined on entries of order lcm {order_lcm}")
+    images = [m.galois(k) for m in group.elements]
+    same_set = all(m in group for m in images)
+    perm = [group.index_of(m) for m in images] if same_set else None
+    return images, same_set, perm
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["G4", "S3_paper", "G(6,6,2)", "G(4,2,2)", "G(3,3,3)", "G(4,2,3)", "G(3,1,1)"]
+    + ["explicit-twisted-swap", "explicit-G4-dense"],
+)
+def test_galois_image_matches_per_element_images(name):
+    import re
+
+    g = ORBIT_GROUPS[name]()
+    outcomes = set()
+    for k in (-1, 1, 2, 3, 5, 7, 11, 13, -7):
+        try:
+            expected = _galois_image_by_matrices(g, k)
+        except InputError as exc:
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                galois_image(g, k)
+            outcomes.add("undefined")
+            continue
+        assert galois_image(g, k) == expected
+        outcomes.add(expected[1])
+    assert True in outcomes
+    if name == "explicit-twisted-swap":
+        assert False in outcomes

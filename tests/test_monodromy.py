@@ -4,9 +4,11 @@ import pytest
 
 from reflbench import matgroup
 from reflbench.errors import InputError
+from reflbench.fpgroups import parse_word
 from reflbench.matgroup import RMatrix, build_catalog_group, build_monomial_group
 from reflbench.monodromy import (
     RamificationProfile,
+    _evaluate,
     braid_loop_images,
     coset_cover,
     cover_from_spec,
@@ -123,6 +125,33 @@ def test_coset_cover():
     from_spec = cover_from_spec(data)
     assert from_spec.degree() == 8
     assert monodromy_profile(from_spec) == prof
+
+
+@pytest.mark.parametrize(
+    "words", [[], ["g1"], ["g2^2"], ["g1", "g2"], ["g1 g2"], ["g1 g2 g1", "g1^-1"]]
+)
+def test_cover_from_spec_fibres_match_product_closure(words):
+    g4 = build_catalog_group("G4")
+    s1, s2 = g4.generators
+    data = {
+        "group": {"kind": "catalog", "name": "G4"},
+        "fiber": {"subgroup": words},
+        "x": "g1^2",
+        "y": "g2^2",
+    }
+    # the subgroup by breadth-first products, the trivial one when no words
+    names = ["g1", "g2"]
+    sub_gens = [_evaluate(g4, names, parse_word(w, names)) for w in words]
+    sub = [RMatrix.identity(2)]
+    for m in sub:
+        for s in sub_gens:
+            if m * s not in sub:
+                sub.append(m * s)
+    expected = coset_cover(g4, sub, s1 * s1, s2 * s2, "cover")
+    spec = cover_from_spec(data)
+    assert spec.fiber == expected.fiber
+    assert spec.degree() == 24 // len(sub)
+    assert monodromy_profile(spec) == monodromy_profile(expected)
 
 
 def test_intransitive_cover_detected():
