@@ -264,6 +264,16 @@ class Presentation:
     def parse(self, text: str) -> Word:
         return parse_word(text, self.generators)
 
+    @cached_property
+    def letter_columns(self) -> dict[tuple[str, int], int]:
+        """Coset-table column of each letter (name, +-1): 2g for the g-th
+        generator, 2g + 1 for its inverse."""
+        return {
+            (name, step): 2 * g + (step < 0)
+            for g, name in enumerate(self.generators)
+            for step in (1, -1)
+        }
+
 
 def relation(u: Word, v: Word) -> Word:
     """The relator u v^-1 encoding the relation u = v."""
@@ -521,12 +531,12 @@ class CosetTable:
         return self.degree
 
     def column(self, sym: str, step: int) -> int:
-        g = self.presentation.generators.index(sym)
-        return 2 * g + (0 if step > 0 else 1)
+        return self.presentation.letter_columns[sym, step]
 
     def trace(self, coset: int, w: Word) -> int:
-        for sym, step in word_letters(w):
-            coset = self.columns[self.column(sym, step)][coset]
+        columns = self.presentation.letter_columns
+        for letter in word_letters(w):
+            coset = self.columns[columns[letter]][coset]
         return coset
 
     def generator_permutations(self) -> dict[str, tuple[int, ...]]:
@@ -550,12 +560,10 @@ def todd_coxeter(
     (bw), so a scan step is one lookup.  Live cosets are the roots of p.
     """
     ncols = 2 * len(pres.generators)
-    col_of = {name: 2 * g for g, name in enumerate(pres.generators)}
+    columns_of = pres.letter_columns
 
     def letters_to_cols(w: Word) -> list[int]:
-        return [
-            col_of[sym] + (0 if step > 0 else 1) for sym, step in word_letters(w)
-        ]
+        return [columns_of[letter] for letter in word_letters(w)]
 
     rel_cols = [cols for cols in map(letters_to_cols, pres.relators) if cols]
     sub_cols = [cols for cols in map(letters_to_cols, subgroup_words) if cols]
@@ -925,19 +933,15 @@ def _schreier_letters(data: SchreierData, w: Word, start: int):
     tree edge, or None when w moves coset `start`."""
     table = data.table
     index = data.schreier_index
-    col_of = {name: 2 * g for g, name in enumerate(table.presentation.generators)}
     letters: list[tuple[int, int]] = []
     alpha = start
-    for sym, exp in w:
-        step = 1 if exp > 0 else -1
-        col = col_of[sym] + (0 if step > 0 else 1)
-        column = table.columns[col]
-        for _ in range(abs(exp)):
-            beta = column[alpha]
-            h = index.get((alpha, col) if step > 0 else (beta, col ^ 1))
-            if h is not None:
-                letters.append((h, step))
-            alpha = beta
+    for sym, step in word_letters(w):
+        col = table.column(sym, step)
+        beta = table.columns[col][alpha]
+        h = index.get((alpha, col) if step > 0 else (beta, col ^ 1))
+        if h is not None:
+            letters.append((h, step))
+        alpha = beta
     return letters if alpha == start else None
 
 

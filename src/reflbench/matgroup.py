@@ -12,11 +12,15 @@ indices are reproducible and can back permutation actions downstream.
 
 A group is enumerated as a permutation group on the orbit of the standard
 basis rows e_1..e_n under v -> v g (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, ch. 4).  The action is faithful, since a matrix
-is fixed by its basis images, so an element is its permutation of that
-orbit and row k of it is the point its permutation sends e_k to.  Closure,
-center, the Hermitian form, the Galois images and the conjugacy classes
-compose permutations; no matrix product runs.
+Computational Group Theory, ch. 4).  The generators are kept as
+permutations of the whole orbit; an element is kept only as the points it
+sends the frame to, the frame being the basis rows and the generators' rows.
+The basis images fix the element (row k of it is the image of e_k), so the
+action is faithful, and the generators' rows are what the center and the
+conjugacy classes read.  An element's record has at most dim * (1 +
+#generators) entries however large the orbit is.  Closure, center, the
+Hermitian form, the Galois images and the conjugacy classes look up points;
+no matrix product runs.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ DEFAULT_ELEMENT_BUDGET = 200_000
 class RMatrix:
     """Square matrix of CycNum entries; immutable and hashable."""
 
-    # _sparse: the nonzero (column, entry) pairs of each row, filled the first
-    # time the matrix is a right operand of a product
+    # _sparse: filled by sparse_rows()
     __slots__ = ("dim", "rows", "_hash", "_sparse")
 
     def __init__(self, rows):
@@ -135,26 +138,30 @@ def _row_times(v, sparse) -> tuple[CycNum, ...]:
     return tuple(acc)
 
 
-def _then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation of the product (element p) * (element q): v -> v p q."""
-    return tuple(map(q.__getitem__, p))
+def _then(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The frame images of (element x) * (generator g): v -> v x g, with x
+    given by its frame images and g by its permutation of the points."""
+    return tuple(map(g.__getitem__, x))
 
 
 @dataclass(frozen=True)
 class RGroup:
     """A finite matrix group given by generators plus its full element list.
 
-    `points` is the orbit of the basis rows under v -> v g, with e_k point k;
-    `perms[i]` is elements[i] as a permutation of it (point p goes to
-    perms[i][p]) and `generator_perms` are the generators' permutations.
+    `points` is the orbit of the basis rows under v -> v g, with e_k point
+    k, and `generator_perms` are the generators' permutations of it (point p
+    goes to generator_perms[j][p]).  The frame is the basis points followed
+    by the other points the generators send them to, and `images[i]` lists
+    the points elements[i] sends the frame to; `images[0]`, the identity's,
+    is the frame itself.
     """
 
     label: str
     generators: tuple[RMatrix, ...]
     elements: tuple[RMatrix, ...]
     points: tuple[tuple[CycNum, ...], ...] = field(repr=False, compare=False)
-    perms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     generator_perms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    images: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -187,10 +194,10 @@ def enumerate_closure(
     The orbit of the basis rows comes first, each generator acting once on
     each point.  Every basis vector's orbit has at most |G| points, so more
     than dim * budget points proves |G| > budget.  The elements are then the
-    orbit of the identity permutation under the generators' permutations;
-    the action is faithful, so they come in the order that the products
-    element * generator would find them, and row k of an element is the
-    point its permutation sends e_k to.
+    orbit of the frame under the generators' permutations; the basis images
+    fix an element, so they come in the order that the products element *
+    generator would find them, and row k of an element is the point it
+    sends e_k to.
     """
     if not generators:
         raise InputError("a group needs at least one generator (or use the trivial identity)")
@@ -218,16 +225,19 @@ def enumerate_closure(
         # invertible iff it permutes them
         if len(set(p)) < len(p):
             raise InputError(f"generator {k + 1} of {label!r} is not invertible")
-    perms = tuple(orbit(tuple(range(len(points))), gen_perms, _then, budget, what))
+    frame = list(range(dim))
+    for p in gen_perms:
+        frame += [i for i in p[:dim] if i not in frame]
+    images = tuple(orbit(tuple(frame), gen_perms, _then, budget, what))
     points = tuple(points)
-    elements = tuple(RMatrix._trusted(tuple([points[i] for i in p[:dim]])) for p in perms)
+    elements = tuple(RMatrix._trusted(tuple([points[i] for i in x[:dim]])) for x in images)
     return RGroup(
         label=label,
         generators=tuple(generators),
         elements=elements,
         points=points,
-        perms=perms,
         generator_perms=gen_perms,
+        images=images,
     )
 
 
@@ -431,14 +441,14 @@ def galois_image(group: RGroup, k: int):
     moved = [tuple(cyclo.galois(e, k) for e in p) for p in group.points]
     point_index = {p: i for i, p in enumerate(group.points)}
     moved_index = [point_index.get(q) for q in moved]
-    by_basis_images = {p[:dim]: i for i, p in enumerate(group.perms)}
-    images = []
+    by_basis_images = {x[:dim]: i for i, x in enumerate(group.images)}
+    matrices = []
     perm = []
-    for p in group.perms:
-        images.append(RMatrix._trusted(tuple([moved[i] for i in p[:dim]])))
-        perm.append(by_basis_images.get(tuple([moved_index[i] for i in p[:dim]])))
+    for x in group.images:
+        matrices.append(RMatrix._trusted(tuple([moved[i] for i in x[:dim]])))
+        perm.append(by_basis_images.get(tuple([moved_index[i] for i in x[:dim]])))
     same_set = None not in perm
-    return images, same_set, perm if same_set else None
+    return matrices, same_set, perm if same_set else None
 
 
 def invariant_hermitian_form(group: RGroup) -> RMatrix:
@@ -492,22 +502,25 @@ def hermitian_is_positive_definite(h: RMatrix, tol: float = 1e-9) -> bool:
 
 
 def center(group: RGroup) -> list[RMatrix]:
-    """Elements commuting with every generator: their permutations of the
-    basis orbit commute with the generators' permutations."""
-    gens = group.generator_perms
+    """Elements commuting with every generator g: e_k x g = e_k g x for each
+    basis row e_k, the right side read at the frame point e_k g."""
+    dim = group.dim
+    position = {p: s for s, p in enumerate(group.images[0])}
+    gens = [(g, [position[i] for i in g[:dim]]) for g in group.generator_perms]
     return [
         m
-        for m, p in zip(group.elements, group.perms)
-        if all(_then(p, g) == _then(g, p) for g in gens)
+        for m, x in zip(group.elements, group.images)
+        if all(g[x[k]] == x[s] for g, at in gens for k, s in enumerate(at))
     ]
 
 
 def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
     """Element indices of each conjugacy class, in order of first element.
 
-    A class is the orbit of an element's permutation under conjugation
-    g^-1 x g by the generators.  The classes are found once per group and
-    kept on the group object; each call returns a fresh list.
+    A class is the orbit of an element under conjugation g x g^-1 by the
+    generators, whose basis images e_k g x g^-1 are read at the frame points
+    e_k g.  The classes are found once per group and kept on the group
+    object; each call returns a fresh list.
     """
     cache = getattr(group, "_classes", None)
     if cache is None:
@@ -517,23 +530,27 @@ def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
 
 
 def _scan_classes(group: RGroup) -> tuple[tuple[int, ...], ...]:
-    index = {p: i for i, p in enumerate(group.perms)}
+    dim = group.dim
+    images = group.images
+    index = {x[:dim]: i for i, x in enumerate(images)}
+    position = {p: s for s, p in enumerate(images[0])}
     conjugators = []
     for g in group.generator_perms:
         inverse = [0] * len(g)
-        for x, y in enumerate(g):
-            inverse[y] = x
-        conjugators.append((inverse, g))
+        for a, b in enumerate(g):
+            inverse[b] = a
+        conjugators.append((inverse, [position[i] for i in g[:dim]]))
 
-    def conjugate(p, conjugator):
-        inverse, g = conjugator
-        return tuple([g[p[x]] for x in inverse])
+    def conjugate(i, conjugator):
+        inverse, at = conjugator
+        x = images[i]
+        return index[tuple([inverse[x[s]] for s in at])]
 
-    done = [False] * len(index)
+    done = [False] * len(images)
     classes = []
-    for i, p in enumerate(group.perms):
+    for i in range(len(images)):
         if not done[i]:
-            members = tuple(index[q] for q in orbit(p, conjugators, conjugate))
+            members = tuple(orbit(i, conjugators, conjugate))
             for j in members:
                 done[j] = True
             classes.append(members)

@@ -728,6 +728,20 @@ def _br4_cube_table():
     return table, [cols(r) for r in pres.relators], cols
 
 
+def test_trace_follows_each_letter_and_its_inverse():
+    table, _, _ = _br4_cube_table()
+    gens = table.presentation.generators
+    assert [table.column(g, step) for g in gens for step in (1, -1)] == list(range(2 * len(gens)))
+    perms = table.generator_permutations()
+    inverses = {g: {b: a for a, b in enumerate(p)} for g, p in perms.items()}
+    w = table.presentation.parse("s1 s2^-1 s3 s1^-2 s2")
+    for alpha in range(table.index()):
+        beta = alpha
+        for sym, step in word_letters(w):
+            beta = perms[sym][beta] if step > 0 else inverses[sym][beta]
+        assert table.trace(alpha, w) == beta
+
+
 def _mutated(table, columns):
     return CosetTable(table.presentation, table.subgroup, columns, "complete", table.degree)
 

@@ -385,19 +385,56 @@ SMALL_ORBIT_GROUPS = [
 def test_closure_matches_product_bfs(name):
     g = ORBIT_GROUPS[name]()
     assert g.elements == _product_closure(list(g.generators))
-    # the representation itself: basis first, rows read through the perms
+    # the representation itself: basis first, rows read through the frame
     n = g.dim
+    frame = g.images[0]
     assert g.points[:n] == RMatrix.identity(n).rows
-    assert len(g.perms) == g.order() and len(set(g.perms)) == g.order()
-    for m, p in zip(g.elements, g.perms):
-        assert m.rows == tuple(g.points[i] for i in p[:n])
+    assert frame[:n] == tuple(range(n)) and len(set(frame)) == len(frame)
+    assert set(frame) == set(range(n)) | {i for gp in g.generator_perms for i in gp[:n]}
+    assert len(g.images) == g.order() and len(set(g.images)) == g.order()
+    for m, x in zip(g.elements, g.images):
+        assert m.rows == tuple(g.points[i] for i in x[:n])
     for gen, gp in zip(g.generators, g.generator_perms):
-        assert gp == g.perms[g.index_of(gen)]
+        assert g.images[g.index_of(gen)] == tuple(gp[i] for i in frame)
         for i, v in enumerate(g.points):
             image = tuple(
                 sum((v[k] * gen.rows[k][j] for k in range(n)), cyclo.ZERO) for j in range(n)
             )
             assert g.points[gp[i]] == image
+
+
+def _conjugated(group, q):
+    """The generators of Q G Q^-1, whose basis rows e_k move as the rows of Q
+    move under G."""
+    q_inv = q.inverse()
+    return [q * g * q_inv for g in group.generators]
+
+
+def test_regular_basis_orbits_keep_records_small():
+    # the rows of Q have nonzero entries of distinct sizes, so none lies on a
+    # reflecting hyperplane x_i = 0 or x_i = +-x_j of G(2,1,3) and no two
+    # share an orbit: the points are three regular orbits of |G| each
+    q = RMatrix([[1, 2, 4], [3, -5, 7], [2, 9, -6]])
+    gens = _conjugated(build_monomial_group(2, 1, 3), q)
+    g = enumerate_closure(gens, "conjugate")
+    assert g.elements == _product_closure(gens)
+    assert g.order() == 48 and len(g.points) == 3 * 48
+    # an element is kept as its images of the basis and the generators' rows,
+    # not as a permutation of all 144 points
+    assert len(g.images[0]) <= 3 * (1 + len(gens))
+    assert all(len(x) == len(g.images[0]) for x in g.images)
+    expected = [m for m in g.elements if all(m * s == s * m for s in gens)]
+    assert center(g) == expected and len(expected) == 2
+    classes = matgroup.conjugacy_classes(g)
+    inverses = [h.inverse() for h in g.elements]
+    for cls in classes:
+        m = g.elements[cls[0]]
+        assert {g.index_of(h_inv * m * h) for h, h_inv in zip(g.elements, inverses)} == set(cls)
+    assert sorted(i for cls in classes for i in cls) == list(range(48)) and len(classes) == 10
+    # dim * budget points are allowed, one more element is not
+    assert enumerate_closure(gens, "conjugate", budget=48).elements == g.elements
+    with pytest.raises(BudgetExceededError, match="'conjugate' exceeded budget 47$"):
+        enumerate_closure(gens, "conjugate", budget=47)
 
 
 @pytest.mark.parametrize("name", SMALL_ORBIT_GROUPS)
