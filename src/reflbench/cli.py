@@ -260,7 +260,7 @@ def cmd_present_verify_map(args):
     if not backend_spec:
         raise InputError("no backend given (flag --backend or map JSON 'backend' key)")
     backend = _build_backend(backend_spec, hom, args.budget_cosets)
-    verdict = fpgroups.verify_hom(hom, [backend])
+    verdict = fpgroups.verify_hom(hom, backend)
     payload = {
         "map": hom.label,
         "consistent": verdict.consistent,
@@ -280,29 +280,16 @@ def _build_backend(spec: str, hom: fpgroups.GroupHom, budget_cosets: int):
     if spec.startswith("torsion:"):
         (k,) = _ints(spec.split(":", 1)[1], "k")
         target_pres = _infer_target_presentation(hom)
-        q = fpgroups.torsion_quotient(target_pres, k, budget_cosets)
-        return fpgroups.PermBackend(q)
+        return fpgroups.torsion_quotient(target_pres, k, budget_cosets)
     if spec.startswith("coxeter:"):
         n, k = _ints(spec.split(":", 1)[1], "n,k")
-        return fpgroups.PermBackend(fpgroups.coxeter_quotient(_braid_n(n), k, budget_cosets))
+        return fpgroups.coxeter_quotient(_braid_n(n), k, budget_cosets)
     if spec.startswith("garside:"):
-        ctx = garside.context(parse_type(spec.split(":")[1]))
-
-        class _G:
-            exact = True
-            label = f"garside:{ctx.type}"
-
-            def eval_word(self, w):
-                return ctx.normal_form(w)
-
-            def identity(self):
-                return garside.GarsideNF(ctx.type, 0, ())
-
-        return _G()
+        return garside.context(parse_type(spec.split(":")[1]))
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
-            return fpgroups.PermBackend(_table_quotient(f"table:{path}", json.load(fh)))
+            return _table_quotient(f"table:{path}", json.load(fh))
     raise InputError(f"unknown backend {spec!r}")
 
 

@@ -756,6 +756,7 @@ class PermQuotient:
     presentation: Presentation
     gen_perms: dict[str, tuple[int, ...]]
     degree: int
+    exact = False  # a verification backend that gives evidence, not proof
 
     def eval_word(self, w: Word) -> tuple[int, ...]:
         perm = tuple(range(self.degree))
@@ -797,26 +798,21 @@ def quotient_from_table(label: str, table: CosetTable) -> PermQuotient:
     )
 
 
+def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQuotient:
+    """pres/(g^k for every generator g) on the cosets of the trivial subgroup."""
+    rel = pres.relators + tuple(word_pow(single(name), k) for name in pres.generators)
+    quot = Presentation(label, pres.generators, rel)
+    return quotient_from_table(label, todd_coxeter(quot, [], limit))
+
+
 def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:
     """Br_n/(s_i^k) as a permutation group on the cosets of the trivial subgroup."""
-    pres = braid_presentation(n)
-    rel = list(pres.relators)
-    for name in pres.generators:
-        rel.append(word_pow(single(name), k))
-    quot = Presentation(f"Br{n}/s^{k}", pres.generators, tuple(rel))
-    return quotient_from_table(quot.label, todd_coxeter(quot, [], limit))
+    return _power_quotient(braid_presentation(n), f"Br{n}/s^{k}", k, limit)
 
 
-def torsion_quotient(
-    pres: Presentation, orders, limit: int = DEFAULT_COSET_BUDGET
-) -> PermQuotient:
-    """Quotient by gen^order relators (orders: int for all, or per-name dict)."""
-    rel = list(pres.relators)
-    for name in pres.generators:
-        k = orders if isinstance(orders, int) else orders[name]
-        rel.append(word_pow(single(name), k))
-    quot = Presentation(f"{pres.label}+torsion", pres.generators, tuple(rel))
-    return quotient_from_table(quot.label, todd_coxeter(quot, [], limit))
+def torsion_quotient(pres: Presentation, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:
+    """The quotient of pres by the k-th power of every generator."""
+    return _power_quotient(pres, f"{pres.label}+torsion", k, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -827,55 +823,30 @@ def torsion_quotient(
 class HomVerdict:
     consistent: bool
     exact_proof: bool
-    backends: tuple[str, ...]
     falsifier: tuple[str, str] | None  # (backend label, relator) when falsified
     note: str
 
 
-def verify_hom(hom: GroupHom, backends: list) -> HomVerdict:
-    """Check every source relator's image on each backend.
+def verify_hom(hom: GroupHom, backend) -> HomVerdict:
+    """Check every source relator's image on the backend.
 
-    A backend must provide eval_word(Word) -> element, identity(), a label,
-    and an `exact` attribute; finite quotients are evidence, the Garside
-    backend is exact (its consistency is a proof of homomorphy).
+    The backend is a `PermQuotient` (evidence: a finite quotient can only
+    falsify) or a `garside.GarsideContext` (exact: its consistency proves
+    homomorphy).  Either gives eval_word(Word) -> element, identity(), a
+    label and an `exact` flag.
     """
-    labels = []
-    exact = False
-    for backend in backends:
-        labels.append(backend.label)
-        for r in hom.source.relators:
-            image = hom.apply(r)
-            if backend.eval_word(image) != backend.identity():
-                return HomVerdict(
-                    consistent=False,
-                    exact_proof=True,
-                    backends=tuple(labels),
-                    falsifier=(backend.label, word_str(r)),
-                    note="falsified: a relator image is nontrivial (definitive)",
-                )
-        exact = exact or getattr(backend, "exact", False)
-    note = (
-        "consistent; exact backend included, so this proves homomorphy"
-        if exact
-        else "consistent: necessary-condition evidence on finite quotients only"
-    )
-    return HomVerdict(True, exact, tuple(labels), None, note)
-
-
-class PermBackend:
-    """Adapter giving a PermQuotient the backend interface."""
-
-    exact = False
-
-    def __init__(self, quotient: PermQuotient):
-        self.quotient = quotient
-        self.label = quotient.label
-
-    def eval_word(self, w: Word):
-        return self.quotient.eval_word(w)
-
-    def identity(self):
-        return self.quotient.identity()
+    one = backend.identity()
+    for r in hom.source.relators:
+        if backend.eval_word(hom.apply(r)) != one:
+            return HomVerdict(
+                consistent=False,
+                exact_proof=True,
+                falsifier=(backend.label, word_str(r)),
+                note="falsified: a relator image is nontrivial (definitive)",
+            )
+    if backend.exact:
+        return HomVerdict(True, True, None, "consistent; exact backend included, so this proves homomorphy")
+    return HomVerdict(True, False, None, "consistent: necessary-condition evidence on finite quotients only")
 
 
 def hom_bijective_on(hom: GroupHom, quotient: PermQuotient) -> bool:

@@ -225,10 +225,17 @@ class GarsideNF:
 
 
 class GarsideContext:
-    """Normal-form arithmetic for one Coxeter type."""
+    """Normal-form arithmetic for one Coxeter type.
+
+    Also a verification backend for `fpgroups.verify_hom`: normal forms
+    decide equality in the Artin group, so its verdicts are exact.
+    """
+
+    exact = True
 
     def __init__(self, t: CoxeterType):
         self.type = t
+        self.label = f"garside:{t}"
         m = self.model = _model(t)
         self.gen_list = list(m.gen_names)
         self.one = m.one()
@@ -354,6 +361,12 @@ class GarsideContext:
             d += gained
             odd ^= gained
         return self._nf(d, odd, factors)
+
+    def identity(self) -> GarsideNF:
+        return GarsideNF(self.type, 0, ())
+
+    def eval_word(self, w: Word) -> GarsideNF:
+        return self.normal_form(w)
 
     def nf_inverse(self, x: GarsideNF) -> GarsideNF:
         """(Delta^k f1 ... fl)^-1 = Delta^-(k+l) g_l ... g_1, already

@@ -106,34 +106,26 @@ class ActionReport:
     notes: list[str] = field(default_factory=list)
 
 
-def act_on_quotient(quotient: fpgroups.PermQuotient, pair: GTPair, n: int | None = None) -> ActionReport:
+def act_on_quotient(quotient: fpgroups.PermQuotient, pair: GTPair) -> ActionReport:
     """Evaluate the Drinfeld images in a finite quotient of some Br_n.
 
     Checks every braid relator's image and, when well defined, whether the
     induced endomorphism is bijective (images generate the whole quotient).
+    Unlike `fpgroups.verify_hom`, which stops at the first falsifier, the
+    report lists every relator's verdict.
     """
-    names = [g for g in quotient.presentation.generators]
-    if n is None:
-        n = len(names) + 1
-    images = drinfeld_images(n, pair)
-    source = braid_presentation(n)
-    verdicts = []
-    ok = True
-    for r in source.relators:
-        image = substitute(r, images)
-        holds = quotient.eval_word(image) == quotient.identity()
-        verdicts.append((word_str(r), holds))
-        ok = ok and holds
-    bij = None
-    if ok:
-        image_perms = [quotient.eval_word(w) for w in images.values()]
-        bij = quotient.subgroup_order(image_perms) == quotient.order()
+    n = len(quotient.presentation.generators) + 1
+    hom = fpgroups.GroupHom(f"Drinfeld({pair.lam})", braid_presentation(n), drinfeld_images(n, pair))
+    one = quotient.identity()
+    verdicts = [(word_str(r), quotient.eval_word(hom.apply(r)) == one) for r in hom.source.relators]
+    ok = all(holds for _, holds in verdicts)
+    bij = fpgroups.hom_bijective_on(hom, quotient) if ok else None
     notes = []
     if pair.lambda_parity_note:
         notes.append(pair.lambda_parity_note)
     return ActionReport(
         backend=quotient.label,
-        images=images,
+        images=hom.images,
         relator_verdicts=verdicts,
         well_defined=ok,
         bijective=bij,
@@ -227,7 +219,7 @@ def check_gd_pair(m: int, lam: int, g: Word, limit: int = fpgroups.DEFAULT_COSET
     tq = fpgroups.torsion_quotient(pres, 2, limit)
     columns = []
     for name in pres.generators:
-        columns += [tq.gen_perms[name], tq._inverse_perms[name]]
+        columns += [tq.gen_perms[name], tq.eval_word(single(name, -1))]
     table = fpgroups.CosetTable(pres, (), columns, "complete", tq.degree)
     data = schreier_data(table)
     vec = fpgroups.schreier_abelianized(data, g)
@@ -244,9 +236,7 @@ def check_gd_pair(m: int, lam: int, g: Word, limit: int = fpgroups.DEFAULT_COSET
         "a": word_pow(a, lam),
         "b": word_mul(word_inverse(g), word_pow(b, lam), g),
     }
-
-    def apply(w: Word) -> Word:
-        return substitute(w, images)
+    hom = fpgroups.GroupHom(f"I2({m})-pair", pres, images)
 
     delta = fpgroups.alternating_word("a", "b", m)
     report: dict[str, object] = {"m": m, "lambda": lam, "g": word_str(g)}
@@ -256,22 +246,16 @@ def check_gd_pair(m: int, lam: int, g: Word, limit: int = fpgroups.DEFAULT_COSET
     target3 = (
         word_mul(word_pow(delta, lam), g) if m % 2 else word_pow(delta, lam)
     )
-    report["cond3_delta_image"] = ctx.equal(apply(delta), target3)
+    report["cond3_delta_image"] = ctx.equal(hom.apply(delta), target3)
     # (4): Delta^2 -> Delta^(2 lambda), exact
     report["cond4_delta2_image"] = ctx.equal(
-        apply(word_pow(delta, 2)), word_pow(delta, 2 * lam)
+        hom.apply(word_pow(delta, 2)), word_pow(delta, 2 * lam)
     )
     # relator preservation, exact (homomorphy of the induced map)
-    relator_ok = all(
-        ctx.equal(apply(r), ()) for r in pres.relators
-    )
+    relator_ok = fpgroups.verify_hom(hom, ctx).consistent
     report["relator_preserved_exact"] = relator_ok
     # (1) automorphism evidence on the finite reflection quotient
-    if relator_ok:
-        img_perms = [tq.eval_word(apply(single(name))) for name in pres.generators]
-        report["cond1_bijective_on_W"] = tq.subgroup_order(img_perms) == tq.order()
-    else:
-        report["cond1_bijective_on_W"] = False
+    report["cond1_bijective_on_W"] = relator_ok and fpgroups.hom_bijective_on(hom, tq)
     report["all_exact_conditions"] = bool(
         report["cond3_delta_image"] and report["cond4_delta2_image"] and relator_ok
     )
@@ -293,23 +277,17 @@ def _element_words(quotient: fpgroups.PermQuotient) -> dict[tuple[int, ...], Wor
     return words
 
 
-def composed_action_agrees(
-    quotient: fpgroups.PermQuotient, pair1: GTPair, pair2: GTPair, n: int | None = None
-) -> bool:
+def composed_action_agrees(quotient: fpgroups.PermQuotient, pair1: GTPair, pair2: GTPair) -> bool:
     """Whether the maps induced on the finite quotient compose as functions:
     applying the word-level composition of generator images agrees, on every
     element, with applying the two induced endomorphisms in sequence."""
-    names = list(quotient.presentation.generators)
-    if n is None:
-        n = len(names) + 1
+    n = len(quotient.presentation.generators) + 1
     img1 = drinfeld_images(n, pair1)
     img2 = drinfeld_images(n, pair2)
+    words = _element_words(quotient)
 
     def endo(images):
-        table = {}
-        for el, w in _element_words(quotient).items():
-            table[el] = quotient.eval_word(substitute(w, images))
-        return table
+        return {el: quotient.eval_word(substitute(w, images)) for el, w in words.items()}
 
     f1, f2 = endo(img1), endo(img2)
     composed_images = {g: substitute(w, img2) for g, w in img1.items()}

@@ -570,8 +570,12 @@ class FieldOfDefinition:
 
 def field_of_definition(group: RGroup) -> FieldOfDefinition:
     """Smallest conductor f with all traces in Q(zeta_f), plus the exact
-    subgroup of (Z/f)^x fixing every trace."""
-    traces = sorted({m.trace() for m in group.elements}, key=lambda t: (t.order, t.coeffs))
+    subgroup of (Z/f)^x fixing every trace.  The trace is a class function,
+    so one element of each conjugacy class gives every trace."""
+    elements = group.elements
+    traces = sorted(
+        {elements[c[0]].trace() for c in conjugacy_classes(group)}, key=lambda t: (t.order, t.coeffs)
+    )
     big = 1
     for t in traces:
         big = big * t.order // gcd(big, t.order)

@@ -113,6 +113,24 @@ def test_verify_map_cli(capsys):
     assert code == 0 and json.loads(out)["consistent"] is True
 
 
+@pytest.mark.parametrize("name", sorted(cli._MAPS))
+def test_verify_map_every_catalogued_map_on_torsion_quotient(capsys, name):
+    code, out = run_cli(capsys, "present", "verify-map", "--map", name, "--backend", "torsion:2")
+    data = json.loads(out)
+    assert code == 0 and data["consistent"] is True and data["exact_proof"] is False
+    assert data["map"] == cli._MAPS[name]().label and data["falsifier"] is None
+
+
+def test_verify_map_on_garside_backend(capsys):
+    argv = ["present", "verify-map", "--map", "i26_transported_conj", "--backend", "garside:I2(6)"]
+    code, out = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and data["consistent"] is True and data["exact_proof"] is True
+    # a map into B(G13) has letters that type I2(6) does not know
+    code, out = run_cli(capsys, "present", "verify-map", "--map", "i26_to_g13", "--backend", "garside:I2(6)")
+    assert code == 3 and json.loads(out)["error"] == "input"
+
+
 def test_paper_suite_single_criterion(capsys):
     code, out = run_cli(capsys, "paper-suite", "--criteria", "2,7")
     data = json.loads(out)

@@ -9,7 +9,6 @@ from reflbench.orbit import orbit
 from reflbench.fpgroups import (
     CosetTable,
     GroupHom,
-    PermBackend,
     Presentation,
     artin_b_embedding,
     artin_b_cyclic_exponent,
@@ -130,10 +129,14 @@ def test_coxeter_quotients():
     assert coxeter_quotient(3, 2).degree == 6
     assert coxeter_quotient(3, 4).degree == 96
     assert coxeter_quotient(4, 3).degree == 648
+    # the label is printed by `present quotient` and `gt act`
+    assert coxeter_quotient(3, 4).label == coxeter_quotient(3, 4).presentation.label == "Br3/s^4"
 
 
 def test_torsion_quotients():
     assert torsion_quotient(g12_braid_presentation(), 2).degree == 48
+    q13 = torsion_quotient(g13_braid_presentation(), 2)
+    assert q13.label == q13.presentation.label == "B(G13)+torsion"
     assert torsion_quotient(g13_braid_presentation(), 2).degree == 96
     assert torsion_quotient(artin_i2_presentation(6), 2).degree == 12
 
@@ -160,7 +163,7 @@ def test_cp_without_far_commutations_does_not_close():
 def test_verify_g12_conjugation():
     q = torsion_quotient(g12_braid_presentation(), 2)
     hom = g12_conjugation()
-    v = verify_hom(hom, [PermBackend(q)])
+    v = verify_hom(hom, q)
     assert v.consistent and not v.exact_proof
     assert "evidence" in v.note
     assert hom_bijective_on(hom, q)
@@ -172,19 +175,8 @@ def test_verify_g12_conjugation():
 
 def test_verify_i26_iso_and_conjugations():
     q13 = torsion_quotient(g13_braid_presentation(), 2)
-
-    class Target:
-        exact = False
-        label = "G13-torsion"
-
-        def eval_word(self, w):
-            return q13.eval_word(w)
-
-        def identity(self):
-            return q13.identity()
-
-    assert verify_hom(i26_to_g13_iso(), [Target()]).consistent
-    assert verify_hom(g13_conjugation(), [PermBackend(q13)]).consistent
+    assert verify_hom(i26_to_g13_iso(), q13).consistent
+    assert verify_hom(g13_conjugation(), q13).consistent
     assert hom_bijective_on(g13_conjugation(), q13)
 
 
@@ -267,7 +259,7 @@ def test_falsified_map_detected():
     q = coxeter_quotient(3, 2)
     # s1 -> s1, s2 -> s1^2 kills the braid relator in the quotient
     bogus = GroupHom("bogus", br3, {"s1": single("s1"), "s2": word_pow(single("s1"), 2)})
-    v = verify_hom(bogus, [PermBackend(q)])
+    v = verify_hom(bogus, q)
     assert not v.consistent and v.falsifier is not None
 
 
@@ -355,7 +347,7 @@ def test_integer_row_span_matches_full_reduction():
         tq = torsion_quotient(pres, 2)
         columns = []
         for name in pres.generators:
-            columns += [tq.gen_perms[name], tq._inverse_perms[name]]
+            columns += [tq.gen_perms[name], tq.eval_word(single(name, -1))]
         data = schreier_data(CosetTable(pres, (), columns, "complete", tq.degree))
         relmat = subgroup_relator_matrix(data)
         kernel_words = ["a^2", "b^2", "[a^2,b^2]", "[a^2,b^-2]^2 b^4", f"(a b)^{m}"]
@@ -422,7 +414,7 @@ def test_schreier_rewrite_and_abelianized_match_letterwise_rewrite():
         tq = torsion_quotient(pres, 2)
         columns = []
         for name in pres.generators:
-            columns += [tq.gen_perms[name], tq._inverse_perms[name]]
+            columns += [tq.gen_perms[name], tq.eval_word(single(name, -1))]
         tables.append(CosetTable(pres, (), columns, "complete", tq.degree))
     found = {"member": 0, "moved": 0}
     for table in tables:
@@ -446,18 +438,7 @@ def test_artin_b_embedding_and_cyclic_quotient():
     hom = artin_b_embedding(3)
     # images satisfy the Art(B_3) relators inside Br_4 / s^3 (finite evidence)
     q = coxeter_quotient(4, 3)
-
-    class Target:
-        exact = False
-        label = "Br4/s^3"
-
-        def eval_word(self, w):
-            return q.eval_word(w)
-
-        def identity(self):
-            return q.identity()
-
-    assert verify_hom(hom, [Target()]).consistent
+    assert verify_hom(hom, q).consistent
     # t -> 1, s_i -> 0 into Z/e
     pres = artin_b_presentation(3)
     for r in pres.relators:
@@ -781,3 +762,35 @@ def test_closure_check_rejects_a_subgroup_generator_moving_coset_0():
     _validate_table(table, rel_cols, [cols(word_pow(single("s1"), 3))])
     with pytest.raises(RuntimeError, match="subgroup"):
         _validate_table(table, rel_cols, [cols(single("s1"))])
+
+
+def test_verify_hom_on_garside_context(monkeypatch):
+    from reflbench.garside import CoxeterType, GarsideContext, context
+
+    v = verify_hom(i26_transported_conjugation(), context(CoxeterType("I2", 6)))
+    assert v.consistent and v.exact_proof and v.falsifier is None
+    assert "proves homomorphy" in v.note
+    br4 = braid_presentation(4)
+    swap = GroupHom("swap", br4, {"s1": single("s2"), "s2": single("s1"), "s3": single("s3")})
+    v = verify_hom(swap, context(CoxeterType("A", 3)))
+    assert not v.consistent and v.exact_proof
+    assert v.falsifier == ("garside:A3", "s2 s3 s2 s3^-1 s2^-1 s3^-1")
+    # the same map is only falsified, never proved, on a finite quotient
+    assert verify_hom(swap, coxeter_quotient(4, 3)).falsifier[0] == "Br4/s^3"
+    emb = artin_b_embedding(3)
+    exact = verify_hom(emb, context(CoxeterType("A", 3)))
+    assert exact.consistent and exact.exact_proof
+    evidence = verify_hom(emb, coxeter_quotient(4, 3))
+    assert evidence.consistent and not evidence.exact_proof
+    # the backend evaluates words through GarsideContext.normal_form, so a
+    # wrapper installed on the class sees every relator image
+    calls = []
+    original = GarsideContext.normal_form
+
+    def counting(self, w):
+        calls.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(GarsideContext, "normal_form", counting)
+    verify_hom(emb, context(CoxeterType("A", 3)))
+    assert calls == [emb.apply(r) for r in emb.source.relators]

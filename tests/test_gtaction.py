@@ -132,3 +132,104 @@ def test_composition_as_functions():
     q = coxeter_quotient(3, 3)
     assert composed_action_agrees(q, parse_pair(-1, ""), parse_pair(3, "[x,y]"))
     assert composed_action_agrees(q, parse_pair(3, "[x,y]"), parse_pair(-1, "[x,y]"))
+
+
+def _check_gd_pair_inline(m, lam, g):
+    """The report as computed before `check_gd_pair` went through
+    `verify_hom` and `hom_bijective_on`: inline relator and order checks."""
+    from reflbench import fpgroups
+    from reflbench.garside import CoxeterType, context
+    from reflbench.fpgroups import schreier_data, substitute, word_inverse, word_str
+
+    ctx = context(CoxeterType("I2", m))
+    pres = fpgroups.artin_i2_presentation(m)
+    if ctx.image_in_w(g) != ctx.one:
+        raise InputError("g does not lie in the kernel of the reflection quotient")
+    tq = fpgroups.torsion_quotient(pres, 2)
+    columns = []
+    for name in pres.generators:
+        inverse = [0] * tq.degree
+        for i, v in enumerate(tq.gen_perms[name]):
+            inverse[v] = i
+        columns += [tq.gen_perms[name], tuple(inverse)]
+    data = schreier_data(fpgroups.CosetTable(pres, (), columns, "complete", tq.degree))
+    vec = fpgroups.schreier_abelianized(data, g)
+    if vec is None:
+        raise InputError("g does not fix the base coset; not in the kernel")
+    if not fpgroups.in_integer_row_span(fpgroups.subgroup_relator_matrix(data), vec):
+        raise InputError("g is not in the derived subgroup of the kernel")
+    a, b = single("a"), single("b")
+    images = {"a": word_pow(a, lam), "b": word_mul(word_inverse(g), word_pow(b, lam), g)}
+
+    def apply(w):
+        return substitute(w, images)
+
+    delta = fpgroups.alternating_word("a", "b", m)
+    report = {"m": m, "lambda": lam, "g": word_str(g)}
+    report["cond2_images"] = {k: word_str(v) for k, v in images.items()}
+    target3 = word_mul(word_pow(delta, lam), g) if m % 2 else word_pow(delta, lam)
+    report["cond3_delta_image"] = ctx.equal(apply(delta), target3)
+    report["cond4_delta2_image"] = ctx.equal(apply(word_pow(delta, 2)), word_pow(delta, 2 * lam))
+    relator_ok = all(ctx.equal(apply(r), ()) for r in pres.relators)
+    report["relator_preserved_exact"] = relator_ok
+    if relator_ok:
+        img_perms = [tq.eval_word(apply(single(name))) for name in pres.generators]
+        report["cond1_bijective_on_W"] = tq.subgroup_order(img_perms) == tq.order()
+    else:
+        report["cond1_bijective_on_W"] = False
+    report["all_exact_conditions"] = bool(
+        report["cond3_delta_image"] and report["cond4_delta2_image"] and relator_ok
+    )
+    return report
+
+
+def test_gd_pair_report_matches_inline_checks():
+    gs = ["", "[a^2,b^2]", "[b^2,a^-2]", "[a^2, b a^2 b^-1]"]
+    seen = {"relator": set(), "bijective": set()}
+    for m in range(3, 13):
+        for lam in (-3, -1, 1, 2, 3, 5):
+            for text in gs:
+                g = parse_word(text, ("a", "b"))
+                rep, expected = check_gd_pair(m, lam, g), _check_gd_pair_inline(m, lam, g)
+                assert rep == expected, (m, lam, text)
+                # the JSON report prints bools as bools: True == 1 is not enough
+                assert [type(v) for v in rep.values()] == [type(v) for v in expected.values()]
+                seen["relator"].add(rep["relator_preserved_exact"])
+                seen["bijective"].add(rep["cond1_bijective_on_W"])
+    assert seen == {"relator": {True, False}, "bijective": {True, False}}
+
+
+def _act_on_quotient_inline(quotient, pair):
+    """`act_on_quotient` as computed before it went through `GroupHom` and
+    `hom_bijective_on`: inline relator loop and subgroup order."""
+    from reflbench.fpgroups import braid_presentation, substitute, word_str
+    from reflbench.gtaction import ActionReport
+
+    n = len(quotient.presentation.generators) + 1
+    images = drinfeld_images(n, pair)
+    verdicts = []
+    ok = True
+    for r in braid_presentation(n).relators:
+        holds = quotient.eval_word(substitute(r, images)) == quotient.identity()
+        verdicts.append((word_str(r), holds))
+        ok = ok and holds
+    bij = None
+    if ok:
+        image_perms = [quotient.eval_word(w) for w in images.values()]
+        bij = quotient.subgroup_order(image_perms) == quotient.order()
+    notes = [pair.lambda_parity_note] if pair.lambda_parity_note else []
+    return ActionReport(quotient.label, images, verdicts, ok, bij, notes)
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (3, 4), (3, 5), (4, 3)])
+def test_act_on_quotient_matches_inline_checks(n, k):
+    q = coxeter_quotient(n, k)
+    pairs = [(1, ""), (-1, ""), (2, ""), (3, ""), (3, "[x,y]"), (2, "[x,y]"), (-1, "[x^2,y]"), (5, "[x,y^-1]")]
+    seen = set()
+    for lam, f in pairs:
+        rep = act_on_quotient(q, parse_pair(lam, f))
+        assert rep == _act_on_quotient_inline(q, parse_pair(lam, f)), (lam, f)
+        seen.add(rep.bijective)
+    # ill-defined (None) and bijective pairs on every quotient, and on k = 3
+    # also well-defined maps that are not onto
+    assert seen == ({None, True, False} if k == 3 else {None, True})

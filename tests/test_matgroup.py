@@ -121,6 +121,58 @@ def test_field_of_definition_traces_live_in_reported_field():
             assert fod.conductor % m.trace().order == 0
 
 
+def _field_of_definition_over_all_elements(group):
+    """`field_of_definition` as computed before it took one trace per
+    conjugacy class: the traces of every element."""
+    from math import gcd
+
+    traces = sorted({m.trace() for m in group.elements}, key=lambda t: (t.order, t.coeffs))
+    big = 1
+    for t in traces:
+        big = big * t.order // gcd(big, t.order)
+
+    def fixing(modulus):
+        if modulus == 1:
+            return [1]
+        units = [k for k in range(1, modulus + 1) if gcd(k, modulus) == 1]
+        return [
+            k
+            for k in units
+            if all(cyclo.galois(t, k % t.order if t.order > 1 else 1) == t for t in traces)
+        ]
+
+    fix_big = set(fixing(big))
+    units_big = [k for k in range(1, big + 1) if gcd(k, big) == 1]
+    conductor = big
+    for f in sorted(d for d in range(1, big + 1) if big % d == 0):
+        if f % 4 != 2 and all(k in fix_big for k in units_big if k % f == 1 % f):
+            conductor = f
+            break
+    fix = tuple(sorted(fixing(conductor)))
+    return matgroup.FieldOfDefinition(
+        conductor=conductor, fixing_subgroup=fix, degree=cyclo.euler_phi(conductor) // len(fix)
+    )
+
+
+def test_field_of_definition_matches_traces_of_every_element():
+    # the group-info groups of the benchmark, two rank-5/rank-4 groups, and
+    # the groups of the field-of-definition criterion
+    monomial = [
+        (3, 3, 2), (4, 4, 2), (5, 5, 2), (8, 8, 2), (12, 12, 2), (3, 1, 2), (4, 1, 2),
+        (2, 1, 3), (2, 2, 3), (3, 3, 3), (4, 4, 3), (1, 1, 4), (2, 2, 4), (7, 7, 2),
+        (9, 9, 2), (15, 15, 2), (24, 24, 2), (3, 1, 4), (2, 2, 5),
+        (1, 1, 2), (1, 1, 3), (1, 1, 5),
+    ]  # fmt: skip
+    groups = [build_catalog_group(name) for name in ("G4", "S3_paper")]
+    groups += [build_monomial_group(*deg) for deg in monomial]
+    conductors = set()
+    for g in groups:
+        fod = field_of_definition(g)
+        assert fod == _field_of_definition_over_all_elements(g)
+        conductors.add(fod.conductor)
+    assert {1, 3, 8, 24} <= conductors
+
+
 def test_galois_image_identity_and_reality():
     g = build_monomial_group(1, 1, 3)
     _, same, perm = galois_image(g, 1)
