@@ -428,9 +428,9 @@ def g12_conjugation() -> GroupHom:
     )
 
 
-def cp_conjugation(e: int, n: int, include_far_commutations: bool = True) -> GroupHom:
+def cp_conjugation(e: int, n: int) -> GroupHom:
     """s_k -> s_k^-1, t_i -> t_(-i)^-1 on the G(e,e,n) presentation."""
-    p = corran_picantin_presentation(e, n, include_far_commutations)
+    p = corran_picantin_presentation(e, n)
     images: dict[str, Word] = {}
     for i in range(e):
         images[f"t{i}"] = single(f"t{(-i) % e}", -1)
@@ -505,11 +505,6 @@ def artin_b_embedding(n: int) -> GroupHom:
     for i in range(2, n + 1):
         images[f"s{i}"] = single(f"s{i}")
     return GroupHom(f"ArtB{n}->Br{n+1}", p, images)
-
-
-def artin_b_cyclic_exponent(w: Word, e: int) -> int:
-    """Image of an Art(B_n) word under t -> 1, s_i -> 0 into Z/e."""
-    return exponent_sum(w, per_generator=True).get("t", 0) % e
 
 
 # ---------------------------------------------------------------------------

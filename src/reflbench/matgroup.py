@@ -35,6 +35,7 @@ from .errors import BudgetExceededError, InputError
 from .orbit import orbit
 
 DEFAULT_ELEMENT_BUDGET = 200_000
+ORDER_CAP = 10_000  # RMatrix.order gives up past this many powers
 
 
 class RMatrix:
@@ -117,9 +118,9 @@ class RMatrix:
     def is_identity(self) -> bool:
         return self == RMatrix.identity(self.dim)
 
-    def order(self, cap: int = 10_000) -> int:
+    def order(self) -> int:
         p = self
-        for k in range(1, cap + 1):
+        for k in range(1, ORDER_CAP + 1):
             if p.is_identity():
                 return k
             p = p * self
@@ -457,9 +458,8 @@ def invariant_hermitian_form(group: RGroup) -> RMatrix:
     Row k of w runs over the orbit O_k of e_k, meeting each point |G|/|O_k|
     times, so H = sum_k (1/|O_k|) sum over p in O_k of conj(p)^T p: one outer
     product per orbit point, and basis vectors in one orbit share its sum.
-    Raises if exact invariance or Hermitian symmetry fails; positive
-    definiteness is checked numerically (tolerance 1e-9) by the caller via
-    `hermitian_is_positive_definite`.
+    Raises if exact invariance or Hermitian symmetry fails; the caller decides
+    positive definiteness with `hermitian_is_positive_definite`.
     """
     dim = group.dim
     weights: dict[frozenset[int], int] = {}  # orbit of e_k -> basis vectors in it
@@ -491,14 +491,30 @@ def invariant_hermitian_form(group: RGroup) -> RMatrix:
     return h
 
 
-def hermitian_is_positive_definite(h: RMatrix, tol: float = 1e-9) -> bool:
-    import numpy as np
-
-    arr = np.array(
-        [[complex(cyclo.embed_complex(e)) for e in row] for row in h.rows]
-    )
-    eig = np.linalg.eigvalsh(arr)
-    return bool(eig.min() > tol)
+def hermitian_is_positive_definite(h: RMatrix) -> bool:
+    """Sylvester's criterion (Horn and Johnson, Matrix Analysis, Thm 7.2.5): a
+    Hermitian h is positive definite iff its leading principal minors, exact and
+    real, are all positive. A rational minor's sign is exact; any other minor is
+    nonzero, and its sign is read off `embed_complex` outside the bound below.
+    Raises ValueError if h is not Hermitian, RuntimeError if a sign is undecided."""
+    if h.conjugate().transpose() != h:
+        raise ValueError("positive definiteness needs a Hermitian matrix")
+    for k in range(1, h.dim + 1):
+        m = linalg.det([list(r[:k]) for r in h.rows[:k]])
+        if m.is_rational():
+            value = m.as_fraction()
+        else:
+            # u = 2^-53: zeta_n is rounded to ~7u and zeta_n^i takes i rounded
+            # products (<= sqrt(5)u each), so it is off by <= 10iu, i < n; the
+            # terms and their sum add <= (n + 2)u sum|c_i|. The total is under
+            # sum|c_i| * n * 2^-49, and the bound doubles that.
+            value = cyclo.embed_complex(m).real
+            bound = sum(abs(c) for c in m.coeffs) * m.order * 2.0**-48
+            if abs(value) <= bound:
+                raise RuntimeError(f"sign of leading minor {k} is not decided: {value!r}")
+        if value <= 0:
+            return False
+    return True
 
 
 def center(group: RGroup) -> list[RMatrix]:

@@ -325,13 +325,14 @@ def _monomial_count(nvars: int, deg: int) -> int:
     return comb(deg + nvars, nvars)
 
 
-def squarefree_linear_factor_check(p: MPoly, tol: float = 1e-8) -> bool:
+def squarefree_linear_factor_check(p: MPoly) -> bool:
     """True iff the binary form p is a product of pairwise distinct linear forms.
 
-    Exact part: the dehomogenization u(t) = p(t, 1) must be squarefree
-    (gcd(u, u') constant) and the root at [1:0] must have multiplicity <= 1.
-    Numeric part: the complex roots of u must be pairwise separated by at
-    least tol.
+    Over C, p(X, Y) splits into deg(p) linear forms, one per root [x:y] on
+    the projective line counted with multiplicity. They are pairwise distinct
+    iff the dehomogenization u(t) = p(t, 1) is squarefree (gcd(u, u')
+    constant), which covers the roots with y != 0, and the root [1:0] has
+    multiplicity deg(p) - deg(u) <= 1. Both tests are exact.
     """
     if p.nvars != 2:
         raise ValueError("squarefree factor check needs a binary form")
@@ -351,22 +352,8 @@ def squarefree_linear_factor_check(p: MPoly, tol: float = 1e-8) -> bool:
     dprime = len(u) - 1
     if d - dprime > 1:
         return False  # [1:0] is a repeated root
-    if dprime >= 2:
-        du = [u[i] * i for i in range(1, len(u))]
-        if len(_poly_gcd(u, du)) > 1:
-            return False
-    elif dprime <= 0:
-        return d - dprime <= 1 and dprime == 0 and d <= 1
-    # numeric separation of roots
-    import numpy as np
-
-    coeffs = [complex(cyclo.embed_complex(c)) for c in reversed(u)]
-    roots = np.roots(coeffs)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < tol:
-                return False
-    return True
+    du = [u[i] * i for i in range(1, len(u))]
+    return len(_poly_gcd(u, du)) == 1
 
 
 def _poly_gcd(a: list[CycNum], b: list[CycNum]) -> list[CycNum]:

@@ -10,9 +10,7 @@ one with only defect failures has passed=False and its failures fully
 annotated; nothing is silently weakened.  `run_suite` turns the results into
 report dicts with keys id, title, passed, details, defects.
 
-All tolerances are pinned here:
-  - exact (no tolerance) wherever the word "exact" appears,
-  - positive-definiteness and root separation: 1e-9 / 1e-8 numerics.
+Every sub-check is exact: none has a tolerance.
 """
 
 from __future__ import annotations
@@ -107,9 +105,7 @@ def criterion_3_g12_model_free():
     _check(details, "square_root_exists", root is not None)
     if root is not None:
         _check(details, "square_root_degree_12", root.total_degree() == 12)
-        _check(
-            details, "squarefree_12_distinct_roots", squarefree_linear_factor_check(root, tol=1e-8)
-        )
+        _check(details, "squarefree_12_distinct_roots", squarefree_linear_factor_check(root))
         jac = jacobian([alpha, beta])
         prop, scalar = proportional(jac, root)
         _check(details, "jacobian_proportional_to_root", prop)

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import reflbench
 from reflbench import cli, cyclo, fpgroups, garside, mpoly
 from reflbench.cli import main
 
@@ -49,6 +53,43 @@ def test_gt_act(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["well_defined"] and data["bijective"]
+
+
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from reflbench.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append((code, json.loads(out.getvalue())))
+print(json.dumps(results))
+"""
+
+
+def test_exact_checks_run_without_numpy():
+    commands = [
+        ["group", "info", "--catalog", "G4"],
+        ["group", "info", "--monomial", "2,2,4"],
+        ["invariants", "check", "--catalog", "G12"],
+        ["paper-suite", "--criteria", "3"],
+    ]
+    src = os.path.dirname(os.path.dirname(reflbench.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_NUMPY, json.dumps(commands)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )  # fmt: skip
+    (c1, g4), (c2, g224), (c3, g12), (c4, suite) = json.loads(proc.stdout)
+    assert (c1, c2, c3, c4) == (0, 0, 0, 0)
+    assert g4["hermitian_form_positive_definite"] is True
+    assert g224["hermitian_form_positive_definite"] is True
+    assert g12["squarefree_distinct_roots"] is True
+    [crit3] = suite["criteria"]
+    assert crit3["id"] == 3 and crit3["passed"] is True
+    assert crit3["details"]["squarefree_12_distinct_roots"] is True
 
 
 def test_group_info(capsys):

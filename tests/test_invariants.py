@@ -136,7 +136,7 @@ def test_g12_model_free_checks():
     root = poly_square_root(diff)
     assert root is not None and root.total_degree() == 12
     assert root * root == diff
-    assert squarefree_linear_factor_check(root, tol=1e-8)
+    assert squarefree_linear_factor_check(root)
     jac = jacobian([alpha, beta])
     assert jac.total_degree() == 12 and not jac.is_zero()
     ok, scalar = proportional(jac, root)

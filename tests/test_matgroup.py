@@ -195,17 +195,47 @@ def test_galois_image_g4_is_automorphism():
 
 
 def test_hermitian_form():
-    for label in ("G4", "S3_paper"):
-        g = build_catalog_group(label)
+    groups = [build_catalog_group(label) for label in ("G4", "S3_paper")]
+    groups += [
+        build_monomial_group(*den)
+        for den in (
+            (2, 1, 2), (3, 3, 2), (5, 5, 2), (8, 8, 2), (3, 1, 2), (2, 1, 3), (2, 2, 3),
+            (3, 3, 3), (4, 4, 3), (2, 2, 4), (7, 7, 2), (9, 9, 2), (15, 15, 2),
+            (3, 1, 4), (2, 1, 5), (2, 2, 5), (3, 3, 5), (2, 2, 6),
+        )
+    ]  # fmt: skip
+    for g in groups:
         h = invariant_hermitian_form(g)
         assert h.conjugate().transpose() == h
         for w in g.elements:
             assert w.conjugate().transpose() * h * w == h
-        assert hermitian_is_positive_definite(h, tol=1e-9)
+        assert hermitian_is_positive_definite(h)
     # monomial groups are unitary in the standard form
     assert invariant_hermitian_form(build_monomial_group(3, 3, 2)).is_identity()
     hs3 = invariant_hermitian_form(build_catalog_group("S3_paper"))
     assert all(e.is_rational() for row in hs3.rows for e in row)
+
+
+def test_positive_definite_by_leading_minors():
+    r2 = cyclo.sqrt_rational(2)
+    i = cyclo.root_of_unity(4)
+
+    def definite(rows):
+        return hermitian_is_positive_definite(RMatrix(rows))
+
+    assert definite([[1, 0], [0, 2 - r2]])  # irrational minor 2 - sqrt(2)
+    assert definite([[2, i], [-i, 2]])
+    assert not definite([[1, 2], [2, 1]])  # indefinite
+    assert not definite([[1, 1], [1, 1]])  # semidefinite: minor 0
+    assert not definite([[-1, 0], [0, -1]])  # positive determinant, first minor -1
+    assert not definite([[r2 - 2]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        definite([[1, i], [i, 1]])
+    # 3880899 - 2744210 sqrt(2) is about 1.3e-7, below its rounding bound
+    with pytest.raises(RuntimeError, match="not decided"):
+        definite([[3880899 - 2744210 * r2]])
+    # 665857 - 470832 sqrt(2) is about 7.5e-7, above its bound
+    assert definite([[665857 - 470832 * r2]])
 
 
 def test_centers():

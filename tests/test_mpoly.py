@@ -77,6 +77,16 @@ def test_squarefree_linear_factor_check():
     assert not squarefree_linear_factor_check(Z1**2 * Z2)
 
 
+def test_squarefree_is_decided_exactly():
+    # two distinct roots 1e-10 apart: a root-separation test at 1e-8 rejected this
+    p = (Z1 - Z2) * (Z1 - Z2.scale(1 + Fraction(1, 10**10)))
+    assert squarefree_linear_factor_check(p)
+    assert not squarefree_linear_factor_check((Z1 - Z2) ** 2)
+    # u(t) = p(t, 1) = t is squarefree, but [1:0] is a double root of X Y^2
+    assert not squarefree_linear_factor_check(Z1 * Z2**2)
+    assert squarefree_linear_factor_check(Z2 * (Z1 - Z2))
+
+
 def test_squarefree_rejects_nonbinary():
     with pytest.raises(ValueError):
         squarefree_linear_factor_check(MPoly.variable(3, 0))
