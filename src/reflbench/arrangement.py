@@ -6,10 +6,10 @@ the subspace.  The lattice order is reverse inclusion of subspaces, i.e.
 inclusion of hyperplane index sets.  A closure is one elimination of
 independent forms: the kernel basis read off its pivots spans the flat, and
 a hyperplane contains the flat iff its form annihilates that basis.  Meets
-are intersections of index sets, which are closed already.
-Supersolvability is decided by depth-first search for a maximal chain of
-modular flats, with modularity tested, only for the flats the search
-reaches, through the rank identity rk(x ^ y) + rk(x v y) = rk(x) + rk(y).
+are intersections of index sets, which are closed already; a join is the
+first flat, in rank order, above both.
+Supersolvability is decided top-down by modular coatoms, each tested with
+the rank-2 flats the lattice already holds.
 
 A slower oracle that enumerates *all* maximal chains is provided for
 cross-checking on small instances.
@@ -18,6 +18,7 @@ cross-checking on small instances.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from . import cyclo, linalg, matgroup
@@ -75,7 +76,6 @@ def arrangement_of(group: matgroup.RGroup) -> Arrangement:
 
 @dataclass(frozen=True)
 class Flat:
-    index: int
     hyperplane_set: frozenset[int]
     rank: int
 
@@ -109,8 +109,6 @@ class FlatLattice:
     arrangement: Arrangement
     flats: list[Flat]  # deterministic order: by (rank, sorted hyperplane set)
     by_set: dict[frozenset[int], Flat] = field(default_factory=dict)
-    bases: list[frozenset[int]] = field(default_factory=list)  # independent, per flat
-    _closure_cache: dict[frozenset[int], Flat] = field(default_factory=dict)
 
     def rank(self) -> int:
         return max(f.rank for f in self.flats)
@@ -119,26 +117,14 @@ class FlatLattice:
         r = self.rank()
         return [f for f in self.flats if f.rank == r]
 
-    def closure(self, idx_set: frozenset[int]) -> Flat:
-        """The flat cut out by the given hyperplanes."""
-        key = frozenset(idx_set)
-        return self._flat_of(key, key)
-
     def meet(self, a: Flat, b: Flat) -> Flat:
         # the hyperplanes containing both flats are closed already
         return self.by_set[a.hyperplane_set & b.hyperplane_set]
 
     def join(self, a: Flat, b: Flat) -> Flat:
-        spanning = self.bases[a.index] | self.bases[b.index]
-        return self._flat_of(a.hyperplane_set | b.hyperplane_set, spanning)
-
-    def _flat_of(self, key: frozenset[int], spanning: frozenset[int]) -> Flat:
-        """The closure of `key`, eliminating only `spanning`, which spans it."""
-        flat = self.by_set.get(key) or self._closure_cache.get(key)
-        if flat is None:
-            members, _ = _close(self.arrangement.hyperplanes, spanning)
-            flat = self._closure_cache[key] = self.by_set[members]
-        return flat
+        # every other flat above both has a larger rank than the least one
+        both = a.hyperplane_set | b.hyperplane_set
+        return next(f for f in self.flats if both <= f.hyperplane_set)
 
 
 def intersection_lattice(arr: Arrangement) -> FlatLattice:
@@ -172,15 +158,8 @@ def intersection_lattice(arr: Arrangement) -> FlatLattice:
                     nxt.append(closed)
         frontier = nxt
     ordered = sorted(found, key=lambda s: (found[s][0], sorted(s)))
-    flats = [
-        Flat(index=i, hyperplane_set=s, rank=found[s][0]) for i, s in enumerate(ordered)
-    ]
-    return FlatLattice(
-        arrangement=arr,
-        flats=flats,
-        by_set={f.hyperplane_set: f for f in flats},
-        bases=[found[s][1] for s in ordered],
-    )
+    flats = [Flat(hyperplane_set=s, rank=found[s][0]) for s in ordered]
+    return FlatLattice(arrangement=arr, flats=flats, by_set={f.hyperplane_set: f for f in flats})
 
 
 def is_modular(lat: FlatLattice, f: Flat) -> bool:
@@ -191,38 +170,48 @@ def is_modular(lat: FlatLattice, f: Flat) -> bool:
 
 
 def is_supersolvable(arr: Arrangement):
-    """Depth-first search for a maximal chain of modular flats.
+    """Top-down search for a maximal chain of modular flats, by modular coatoms.
 
-    Modularity is tested only for the flats the search reaches, once each.
+    It rests on three facts:
+    - A is supersolvable iff it has a modular coatom X with A_X
+      supersolvable (Björner, Edelman and Ziegler, DCG 5, 1990).
+    - A coatom X is modular iff it meets every rank-2 flat: each pair of
+      hyperplanes outside X lies in a rank-2 flat holding a hyperplane of X
+      (Brylawski's criterion).
+    - An element modular in [0, X], with X modular, is modular in L
+      (Stanley, *Supersolvable lattices*, 1972).  So the witness is a chain
+      of modular flats of L.
+    The rank-2 flat of each pair of hyperplanes is read off the lattice.
     Returns (verdict, witness) where the witness is the chain of hyperplane
     index sets from the bottom flat to the top, or None.
     """
     lat = intersection_lattice(arr)
-    top_rank = lat.rank()
-    modular = functools.cache(lambda f: is_modular(lat, f))
+    pair_flat = {
+        pair: f.hyperplane_set
+        for f in lat.flats
+        if f.rank == 2
+        for pair in itertools.combinations(sorted(f.hyperplane_set), 2)
+    }
 
-    def extend(chain: list[Flat]):
-        last = chain[-1]
-        if last.rank == top_rank:
-            return chain
-        for f in lat.flats:
-            if (
-                f.rank == last.rank + 1
-                and last.hyperplane_set < f.hyperplane_set
-                and modular(f)
-            ):
-                got = extend(chain + [f])
-                if got:
-                    return got
+    def modular_in(x: Flat, top: Flat) -> bool:
+        outside = sorted(top.hyperplane_set - x.hyperplane_set)
+        return all(pair_flat[p] & x.hyperplane_set for p in itertools.combinations(outside, 2))
+
+    @functools.cache
+    def chain(top: Flat):
+        if top.rank == 0:
+            return [top]
+        for x in lat.flats:
+            if x.rank == top.rank - 1 and x.hyperplane_set < top.hyperplane_set:
+                below = modular_in(x, top) and chain(x)
+                if below:
+                    return below + [top]
         return None
 
-    bottom = lat.flats[0]
-    if not modular(bottom):
+    found = chain(lat.flats[-1])
+    if found is None:
         return False, None
-    chain = extend([bottom])
-    if chain is None:
-        return False, None
-    return True, [sorted(f.hyperplane_set) for f in chain]
+    return True, [sorted(f.hyperplane_set) for f in found]
 
 
 def is_supersolvable_bruteforce(arr: Arrangement, max_hyperplanes: int = 14):

@@ -178,9 +178,6 @@ def cmd_arrangement_discriminant(args):
 
 
 _PRESENTATIONS = {
-    "Br3": lambda: fpgroups.braid_presentation(3),
-    "Br4": lambda: fpgroups.braid_presentation(4),
-    "Br5": lambda: fpgroups.braid_presentation(5),
     "G12": fpgroups.g12_braid_presentation,
     "G13": fpgroups.g13_braid_presentation,
     "I2(6)": lambda: fpgroups.artin_i2_presentation(6),

@@ -155,14 +155,12 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def invariant_space(
-    group: RGroup, degree: int, budget: int = DEFAULT_MONOMIAL_BUDGET
-) -> list[MPoly]:
+def invariant_space(group: RGroup, degree: int) -> list[MPoly]:
     """Basis of the degree-d invariants: Reynolds images + exact rank reduction."""
     nvars = group.dim
     monos = _monomials(nvars, degree)
-    if len(monos) > budget:
-        raise BudgetExceededError(f"{len(monos)} monomials exceed budget {budget}")
+    if len(monos) > DEFAULT_MONOMIAL_BUDGET:
+        raise BudgetExceededError(f"{len(monos)} monomials exceed budget {DEFAULT_MONOMIAL_BUDGET}")
     images = []
     for exps in monos:
         r = reynolds(group, MPoly(nvars, {exps: 1}))

@@ -518,16 +518,9 @@ def hermitian_is_positive_definite(h: RMatrix) -> bool:
 
 
 def center(group: RGroup) -> list[RMatrix]:
-    """Elements commuting with every generator g: e_k x g = e_k g x for each
-    basis row e_k, the right side read at the frame point e_k g."""
-    dim = group.dim
-    position = {p: s for s, p in enumerate(group.images[0])}
-    gens = [(g, [position[i] for i in g[:dim]]) for g in group.generator_perms]
-    return [
-        m
-        for m, x in zip(group.elements, group.images)
-        if all(g[x[k]] == x[s] for g, at in gens for k, s in enumerate(at))
-    ]
+    """The elements whose conjugacy class is a singleton, in index order: an
+    element is central iff it commutes with every generator."""
+    return [group.elements[c[0]] for c in conjugacy_classes(group) if len(c) == 1]
 
 
 def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:

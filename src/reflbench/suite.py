@@ -203,9 +203,9 @@ def criterion_5_garside_lemmas():
     return CriterionResult(details)
 
 
-def criterion_6_presentation_maps(coset_budget: int = fpgroups.DEFAULT_COSET_BUDGET):
+def criterion_6_presentation_maps():
     details: dict = {}
-    q12 = torsion_quotient(fpgroups.g12_braid_presentation(), 2, coset_budget)
+    q12 = torsion_quotient(fpgroups.g12_braid_presentation(), 2)
     _check(details, "g12_quotient_order_48", q12.degree == 48)
     v = verify_hom(fpgroups.g12_conjugation(), q12)
     _check(details, "g12_conjugation_consistent", v.consistent)
@@ -215,7 +215,7 @@ def criterion_6_presentation_maps(coset_budget: int = fpgroups.DEFAULT_COSET_BUD
     for e in (3, 4):
         for n in (3, 4):
             expected = e ** (n - 1) * math.factorial(n)
-            q = torsion_quotient(fpgroups.corran_picantin_presentation(e, n), 2, coset_budget)
+            q = torsion_quotient(fpgroups.corran_picantin_presentation(e, n), 2)
             _check(details, f"cp_{e}_{n}_order_{expected}", q.degree == expected)
             hom = fpgroups.cp_conjugation(e, n)
             v = verify_hom(hom, q)
@@ -234,7 +234,7 @@ def criterion_6_presentation_maps(coset_budget: int = fpgroups.DEFAULT_COSET_BUD
             details[f"cp_{e}_4_without_far_commutations"] = (
                 "budget_exceeded at 30000 cosets (quotient does not close without them)"
             )
-    q13 = torsion_quotient(fpgroups.g13_braid_presentation(), 2, coset_budget)
+    q13 = torsion_quotient(fpgroups.g13_braid_presentation(), 2)
     _check(details, "g13_quotient_order_96", q13.degree == 96)
     v13 = verify_hom(fpgroups.g13_conjugation(), q13)
     _check(details, "g13_conjugation_consistent", v13.consistent)
@@ -258,20 +258,20 @@ def criterion_6_presentation_maps(coset_budget: int = fpgroups.DEFAULT_COSET_BUD
     return CriterionResult(details)
 
 
-def criterion_7_coxeter_quotients(coset_budget: int = fpgroups.DEFAULT_COSET_BUDGET):
+def criterion_7_coxeter_quotients():
     details: dict = {}
-    _check(details, "br3_s3_order_24", coxeter_quotient(3, 3, coset_budget).degree == 24)
-    _check(details, "br3_s4_order_96", coxeter_quotient(3, 4, coset_budget).degree == 96)
-    _check(details, "br4_s3_order_648", coxeter_quotient(4, 3, coset_budget).degree == 648)
+    _check(details, "br3_s3_order_24", coxeter_quotient(3, 3).degree == 24)
+    _check(details, "br3_s4_order_96", coxeter_quotient(3, 4).degree == 96)
+    _check(details, "br4_s3_order_648", coxeter_quotient(4, 3).degree == 648)
     _check(
         details,
         "g12_torsion_48",
-        torsion_quotient(fpgroups.g12_braid_presentation(), 2, coset_budget).degree == 48,
+        torsion_quotient(fpgroups.g12_braid_presentation(), 2).degree == 48,
     )
     _check(
         details,
         "g13_torsion_96",
-        torsion_quotient(fpgroups.g13_braid_presentation(), 2, coset_budget).degree == 96,
+        torsion_quotient(fpgroups.g13_braid_presentation(), 2).degree == 96,
     )
     return CriterionResult(details)
 

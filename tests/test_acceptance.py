@@ -26,7 +26,7 @@ TIME_BUDGETS = {
     7: 10,
     8: 5,
     9: 2,
-    10: 5,
+    10: 1,
     11: 10,
     12: 15,
 }

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from reflbench import cyclo, linalg
 from reflbench.arrangement import (
     Arrangement,
+    _close,
     arrangement_of,
     discriminant_poly,
     from_json,
@@ -212,10 +214,11 @@ def test_closure_matches_rank_per_hyperplane(label):
     n = len(arr.hyperplanes)
     for _ in range(25):
         subset = frozenset(rng.sample(range(n), rng.randint(1, n)))
-        flat = lat.closure(subset)
-        assert flat.hyperplane_set == _closure_by_rank(arr.hyperplanes, subset)
+        members, rk = _close(arr.hyperplanes, subset)
+        assert members == _closure_by_rank(arr.hyperplanes, subset)
         rows = [list(arr.hyperplanes[i]) for i in sorted(subset)]
-        assert flat.rank == linalg.rank(rows)
+        assert rk == linalg.rank(rows)
+        assert lat.by_set[members].rank == rk
     assert set(lat.by_set) == _flats_by_rank(arr.hyperplanes)
 
 
@@ -229,3 +232,120 @@ def test_verdict_matches_bruteforce_and_witness_is_modular(label):
         lat = intersection_lattice(arr)
         assert [lat.by_set[frozenset(s)].rank for s in chain] == list(range(lat.rank() + 1))
         assert all(is_modular(lat, lat.by_set[frozenset(s)]) for s in chain)
+
+
+# ---------------------------------------------------------------------------
+# the modular-coatom search against the earlier bottom-up search and the
+# classification
+
+
+def _dfs_supersolvable(arr):
+    """The earlier search: depth-first from the bottom flat through flats
+    that `is_modular` accepts in the whole lattice."""
+    lat = intersection_lattice(arr)
+    top_rank = lat.rank()
+    modular = functools.cache(lambda f: is_modular(lat, f))
+
+    def extend(chain):
+        last = chain[-1]
+        if last.rank == top_rank:
+            return chain
+        for f in lat.flats:
+            if f.rank == last.rank + 1 and last.hyperplane_set < f.hyperplane_set and modular(f):
+                got = extend(chain + [f])
+                if got:
+                    return got
+        return None
+
+    bottom = lat.flats[0]
+    return modular(bottom) and extend([bottom]) is not None
+
+
+def _differential_cases():
+    yield pytest.param(Arrangement(dim=2, hyperplanes=(), multiplicities=()), id="empty")
+    for label in BENCHMARK_GROUPS:
+        yield pytest.param(_arrangement(label), id=str(label))
+    rng = random.Random(2014)
+    for label in ((2, 2, 4), (3, 1, 3), (4, 4, 3)):
+        arr = _arrangement(label)
+        for k in range(8):
+            picks = sorted(rng.sample(range(len(arr.hyperplanes)), rng.randint(4, 12)))
+            sub = Arrangement(
+                dim=arr.dim,
+                hyperplanes=tuple(arr.hyperplanes[i] for i in picks),
+                multiplicities=tuple(arr.multiplicities[i] for i in picks),
+            )
+            yield pytest.param(sub, id=f"{label}-sub{k}")
+
+
+@pytest.mark.parametrize("arr", _differential_cases())
+def test_coatom_search_matches_depth_first_search(arr):
+    verdict, chain = is_supersolvable(arr)
+    assert verdict == _dfs_supersolvable(arr)
+    assert (chain is not None) == verdict
+    if chain:
+        lat = intersection_lattice(arr)
+        flats = [lat.by_set[frozenset(s)] for s in chain]
+        assert [f.rank for f in flats] == list(range(lat.rank() + 1))
+        assert all(is_modular(lat, f) for f in flats)
+
+
+@pytest.mark.parametrize("label", DIFFERENTIAL, ids=str)
+def test_join_is_the_closure_of_the_union(label):
+    arr = _arrangement(label)
+    lat = intersection_lattice(arr)
+    rng = random.Random(str(label))
+    for _ in range(40):
+        a, b = rng.choice(lat.flats), rng.choice(lat.flats)
+        union = a.hyperplane_set | b.hyperplane_set
+        assert lat.join(a, b).hyperplane_set == _close(arr.hyperplanes, union)[0]
+
+
+# every G(d,e,n) with n >= 3 and at most 20 hyperplanes
+VERDICT_TABLE = [
+    (1, 1, 3), (2, 2, 3), (2, 1, 3), (3, 3, 3), (3, 1, 3), (4, 4, 3), (4, 2, 3),
+    (4, 1, 3), (5, 5, 3), (5, 1, 3), (6, 6, 3), (1, 1, 4), (2, 2, 4), (2, 1, 4),
+    (3, 3, 4), (1, 1, 5), (2, 2, 5), (1, 1, 6),
+]  # fmt: skip
+
+
+def _mobius_char_poly(lat):
+    """sum over flats X of mu(0, X) t^(dim - rank X), constant term first."""
+    mu = {}
+    for f in lat.flats:  # ordered by rank, so every flat below f comes first
+        below = [g for g in mu if g.hyperplane_set < f.hyperplane_set]
+        mu[f] = 1 if f.rank == 0 else -sum(mu[g] for g in below)
+    dim = lat.arrangement.dim
+    poly = [0] * (dim + 1)
+    for f, m in mu.items():
+        poly[dim - f.rank] += m
+    return poly
+
+
+def _product_poly(roots):
+    """prod (t - b) over the roots, constant term first."""
+    poly = [1]
+    for b in roots:
+        poly = [x - b * y for x, y in zip([0] + poly, poly + [0])]
+    return poly
+
+
+@pytest.mark.parametrize("label", VERDICT_TABLE, ids=str)
+def test_verdict_matches_hoge_roehrle(label):
+    """G(d,e,n), n >= 3, is supersolvable iff d = 1, e < d or it is D3 = A3
+    (Hoge and Röhrle, Proc. AMS 142, 2014)."""
+    d, e, n = label
+    verdict, _ = is_supersolvable(_arrangement(label))
+    assert verdict == (d == 1 or e < d or label == (2, 2, 3))
+
+
+@pytest.mark.parametrize("label", VERDICT_TABLE, ids=str)
+def test_characteristic_polynomial_factors_over_exponents(label):
+    """chi(A, t) = prod (t - b_i) over the Orlik-Solomon exponents of G(d,e,n)."""
+    d, e, n = label
+    if e < d:
+        exponents = [k * d + 1 for k in range(n)]
+    else:
+        exponents = [k * d + 1 for k in range(n - 1)] + [(n - 1) * (d - 1)]
+    lat = intersection_lattice(_arrangement(label))
+    assert _mobius_char_poly(lat) == _product_poly(exponents)
