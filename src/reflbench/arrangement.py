@@ -50,6 +50,11 @@ class Arrangement:
         if len(set(self.hyperplanes)) != len(self.hyperplanes):
             raise InputError("two linear forms are proportional (one hyperplane listed twice)")
 
+    @functools.cached_property
+    def lattice(self) -> "FlatLattice":
+        """The intersection lattice, built once and kept on the arrangement."""
+        return intersection_lattice(self)
+
 
 def normalize_form(form) -> tuple[CycNum, ...]:
     form = [c if isinstance(c, CycNum) else cyclo.rational(c) for c in form]
@@ -112,10 +117,6 @@ class FlatLattice:
 
     def rank(self) -> int:
         return max(f.rank for f in self.flats)
-
-    def top_flats(self) -> list[Flat]:
-        r = self.rank()
-        return [f for f in self.flats if f.rank == r]
 
     def meet(self, a: Flat, b: Flat) -> Flat:
         # the hyperplanes containing both flats are closed already
@@ -185,7 +186,7 @@ def is_supersolvable(arr: Arrangement):
     Returns (verdict, witness) where the witness is the chain of hyperplane
     index sets from the bottom flat to the top, or None.
     """
-    lat = intersection_lattice(arr)
+    lat = arr.lattice
     pair_flat = {
         pair: f.hyperplane_set
         for f in lat.flats
@@ -221,7 +222,7 @@ def is_supersolvable_bruteforce(arr: Arrangement, max_hyperplanes: int = 14):
         raise BudgetExceededError(
             f"brute-force oracle limited to {max_hyperplanes} hyperplanes"
         )
-    lat = intersection_lattice(arr)
+    lat = arr.lattice
     top_rank = lat.rank()
     modular = functools.cache(lambda f: is_modular(lat, f))
 

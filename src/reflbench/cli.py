@@ -151,6 +151,9 @@ def cmd_invariants_check(args):
 def cmd_arrangement_supersolvable(args):
     g = _load_group(args)
     arr = arr_mod.arrangement_of(g)
+    if args.oracle:
+        # first, so its hyperplane limit is checked before a lattice is built
+        overdict, _ = arr_mod.is_supersolvable_bruteforce(arr)
     verdict, chain = arr_mod.is_supersolvable(arr)
     payload = {
         "label": g.label,
@@ -159,7 +162,6 @@ def cmd_arrangement_supersolvable(args):
         "modular_chain": chain,
     }
     if args.oracle:
-        overdict, _ = arr_mod.is_supersolvable_bruteforce(arr)
         payload["oracle_agrees"] = overdict == verdict
         return (0 if payload["oracle_agrees"] else 1), payload
     return 0, payload
@@ -249,7 +251,11 @@ def cmd_present_verify_map(args):
         with open(args.map_file) as fh:
             data = json.load(fh)
         pres = _load_presentation(args)
-        images = {g: parse_word(w, _target_alphabet(data, pres)) for g, w in data["images"].items()}
+        try:
+            alphabet = _target_alphabet(data, pres)
+            images = {g: parse_word(w, alphabet) for g, w in data["images"].items()}
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise InputError(f"malformed map file: {exc}") from exc
         hom = fpgroups.GroupHom(args.map or "user-map", pres, images)
         backend_spec = backend_spec or data.get("backend")
     else:
@@ -431,12 +437,7 @@ def cmd_monodromy_profile(args):
 
 def cmd_monodromy_genus(args):
     with open(args.profile) as fh:
-        data = json.load(fh)
-    prof = monodromy.RamificationProfile(
-        degree=int(data["degree"]),
-        points={k: {int(ln): int(ct) for ln, ct in v} for k, v in data["points"].items()},
-        transitive=bool(data.get("transitive", True)),
-    )
+        prof = monodromy.profile_from_json(json.load(fh))
     return 0, {"genus": monodromy.riemann_hurwitz_genus(prof)}
 
 
@@ -574,7 +575,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         _emit({"error": "budget_exceeded", "message": str(exc)}, args)
         return 2
-    except (InputError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": "input", "message": str(exc)}, args)
         return 3
     _emit(payload, args)

@@ -18,14 +18,16 @@ sends the frame to, the frame being the basis rows and the generators' rows.
 The basis images fix the element (row k of it is the image of e_k), so the
 action is faithful, and the generators' rows are what the center and the
 conjugacy classes read.  An element's record has at most dim * (1 +
-#generators) entries however large the orbit is.  Closure, center, the
-Hermitian form, the Galois images and the conjugacy classes look up points;
-no matrix product runs.
+#generators) entries however large the orbit is.  A group keeps one point
+index and one element index (basis images -> element).  Closure, center, the
+Hermitian form, the Galois images, the conjugacy classes and the covers of
+`monodromy` look up points in them; no matrix product runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -139,9 +141,10 @@ def _row_times(v, sparse) -> tuple[CycNum, ...]:
     return tuple(acc)
 
 
-def _then(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """The frame images of (element x) * (generator g): v -> v x g, with x
-    given by its frame images and g by its permutation of the points."""
+def then(x: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of (element x) * (element g): v -> v x g, with x given by
+    the points it sends some vectors to and g by its permutation of the
+    points."""
     return tuple(map(g.__getitem__, x))
 
 
@@ -150,17 +153,18 @@ class RGroup:
     """A finite matrix group given by generators plus its full element list.
 
     `points` is the orbit of the basis rows under v -> v g, with e_k point
-    k, and `generator_perms` are the generators' permutations of it (point p
-    goes to generator_perms[j][p]).  The frame is the basis points followed
-    by the other points the generators send them to, and `images[i]` lists
-    the points elements[i] sends the frame to; `images[0]`, the identity's,
-    is the frame itself.
+    k and `point_index` the inverse map, and `generator_perms` are the
+    generators' permutations of it (point p goes to generator_perms[j][p]).
+    The frame is the basis points followed by the other points the
+    generators send them to, and `images[i]` lists the points elements[i]
+    sends the frame to; `images[0]`, the identity's, is the frame itself.
     """
 
     label: str
     generators: tuple[RMatrix, ...]
     elements: tuple[RMatrix, ...]
     points: tuple[tuple[CycNum, ...], ...] = field(repr=False, compare=False)
+    point_index: dict[tuple[CycNum, ...], int] = field(repr=False, compare=False)
     generator_perms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     images: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
@@ -171,20 +175,30 @@ class RGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def element_index(self) -> dict[tuple[int, ...], int]:
+        """An element's basis images -> its index in `elements`."""
+        dim = self.dim
+        return {x[:dim]: i for i, x in enumerate(self.images)}
+
+    def permutation(self, m: RMatrix) -> tuple[int, ...]:
+        """The points m sends each point to; KeyError if an image is not a point."""
+        return tuple(_point_images([m], self.points, self.point_index.__getitem__)[0])
+
     def index_of(self, m: RMatrix) -> int:
-        return self._index()[m]
+        """The element index of m, read off its rows; KeyError if m is not in the group."""
+        return self.element_index[tuple(map(self.point_index.__getitem__, m.rows))]
 
-    def __contains__(self, m: RMatrix) -> bool:
-        return m in self._index()
 
-    def _index(self) -> dict[RMatrix, int]:
-        # lazily cached on the instance (bypassing frozen) so distinct groups
-        # can never share an index table
-        cache = getattr(self, "_idx", None)
-        if cache is None:
-            cache = {m: i for i, m in enumerate(self.elements)}
-            object.__setattr__(self, "_idx", cache)
-        return cache
+def _point_images(matrices, points, lookup) -> list[list[int]]:
+    """Each matrix's images of the points, as the indices `lookup` gives: one
+    `_row_times` pass over the points, which reaches any that `lookup` appends."""
+    sparse = [m.sparse_rows() for m in matrices]
+    images: list[list[int]] = [[] for _ in matrices]
+    for v in points:
+        for sp, image in zip(sparse, images):
+            image.append(lookup(_row_times(v, sp)))
+    return images
 
 
 def enumerate_closure(
@@ -208,19 +222,17 @@ def enumerate_closure(
         raise ValueError("dimension mismatch")
     points = list(RMatrix.identity(dim).rows)
     index = {p: i for i, p in enumerate(points)}
-    sparse = [g.sparse_rows() for g in generators]
-    images: list[list[int]] = [[] for _ in generators]
-    for v in points:  # the loop reaches the points appended below
-        for sp, image in zip(sparse, images):
-            w = _row_times(v, sp)
-            i = index.get(w)
-            if i is None:
-                if budget is not None and len(points) >= dim * budget:
-                    raise BudgetExceededError(f"{what} exceeded budget {budget}")
-                i = index[w] = len(points)
-                points.append(w)
-            image.append(i)
-    gen_perms = tuple(map(tuple, images))
+
+    def lookup(w):
+        i = index.get(w)
+        if i is None:
+            if budget is not None and len(points) >= dim * budget:
+                raise BudgetExceededError(f"{what} exceeded budget {budget}")
+            i = index[w] = len(points)
+            points.append(w)
+        return i
+
+    gen_perms = tuple(map(tuple, _point_images(generators, points, lookup)))
     for k, p in enumerate(gen_perms):
         # the points span the space and g maps them into themselves, so g is
         # invertible iff it permutes them
@@ -229,7 +241,7 @@ def enumerate_closure(
     frame = list(range(dim))
     for p in gen_perms:
         frame += [i for i in p[:dim] if i not in frame]
-    images = tuple(orbit(tuple(frame), gen_perms, _then, budget, what))
+    images = tuple(orbit(tuple(frame), gen_perms, then, budget, what))
     points = tuple(points)
     elements = tuple(RMatrix._trusted(tuple([points[i] for i in x[:dim]])) for x in images)
     return RGroup(
@@ -237,6 +249,7 @@ def enumerate_closure(
         generators=tuple(generators),
         elements=elements,
         points=points,
+        point_index=index,
         generator_perms=gen_perms,
         images=images,
     )
@@ -440,14 +453,12 @@ def galois_image(group: RGroup, k: int):
         raise InputError(f"sigma_{k} is not defined on entries of order lcm {order_lcm}")
     dim = group.dim
     moved = [tuple(cyclo.galois(e, k) for e in p) for p in group.points]
-    point_index = {p: i for i, p in enumerate(group.points)}
-    moved_index = [point_index.get(q) for q in moved]
-    by_basis_images = {x[:dim]: i for i, x in enumerate(group.images)}
+    moved_index = [group.point_index.get(q) for q in moved]
     matrices = []
     perm = []
     for x in group.images:
         matrices.append(RMatrix._trusted(tuple([moved[i] for i in x[:dim]])))
-        perm.append(by_basis_images.get(tuple([moved_index[i] for i in x[:dim]])))
+        perm.append(group.element_index.get(tuple([moved_index[i] for i in x[:dim]])))
     same_set = None not in perm
     return matrices, same_set, perm if same_set else None
 
@@ -541,7 +552,7 @@ def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
 def _scan_classes(group: RGroup) -> tuple[tuple[int, ...], ...]:
     dim = group.dim
     images = group.images
-    index = {x[:dim]: i for i, x in enumerate(images)}
+    index = group.element_index
     position = {p: s for s, p in enumerate(images[0])}
     conjugators = []
     for g in group.generator_perms:

@@ -1,11 +1,16 @@
 """Monodromy of finite coverings of the thrice-punctured line.
 
-A cover is specified by a finite group, a fiber (the group itself for regular
-covers, or the cosets of a subgroup), and images of the two free loop
-generators x, y; the loop around infinity is always derived as z = (x y)^-1.
+A cover is specified by a finite group G, a subgroup H (trivial for regular
+covers) and images of the two free loop generators x, y; the loop around
+infinity is always derived as z = (x y)^-1.  The fiber is the right cosets
+H\\G, each the set of its elements' basis images (see `matgroup`), and a
+loop acts by right multiplication, Hg -> Hgx, moving those images by x's
+permutation of the points: no matrix product runs.  gH -> Hg^-1 carries x
+on G/H to x^-1 on H\\G, which has the same cycle type, so the profiles are
+those of the left action (left translation for regular covers).
 Ramification profiles list, per branch point, the multiset of cycle lengths
-of the loop image acting on the fiber (left translation for regular covers),
-and the genus comes from Riemann-Hurwitz: 2 - 2g = 2N - sum (length - 1).
+of the loop image acting on the fiber, and the genus comes from
+Riemann-Hurwitz: 2 - 2g = 2N - sum (length - 1).
 """
 
 from __future__ import annotations
@@ -14,19 +19,26 @@ from dataclasses import dataclass
 
 from . import matgroup
 from .errors import InputError
-from .fpgroups import Word, parse_word, word_letters
-from .matgroup import RGroup, RMatrix
+from .fpgroups import PermQuotient, Presentation, parse_word
+from .matgroup import RGroup, RMatrix, then
 from .orbit import orbit
 
 
 @dataclass(frozen=True)
 class CoverSpec:
     group: RGroup
-    fiber: tuple  # tuple of fiber points (group elements or frozensets of them)
-    point_index: dict
-    x_image: RMatrix
-    y_image: RMatrix
+    fiber: tuple[frozenset[tuple[int, ...]], ...]  # right cosets, by basis images
+    x: tuple[int, ...]  # the loops' permutations of group.points
+    y: tuple[int, ...]
     label: str
+
+    @property
+    def x_image(self) -> RMatrix:
+        return self.group.elements[self.group.element_index[self.x[: self.group.dim]]]
+
+    @property
+    def y_image(self) -> RMatrix:
+        return self.group.elements[self.group.element_index[self.y[: self.group.dim]]]
 
     @property
     def z_image(self) -> RMatrix:
@@ -36,46 +48,22 @@ class CoverSpec:
         return len(self.fiber)
 
 
+def _coset_times(coset: frozenset, perm) -> frozenset:
+    return frozenset(then(x, perm) for x in coset)
+
+
+def coset_cover(group: RGroup, subgroup, x, y, label: str, budget: int | None = None) -> CoverSpec:
+    """The cover on the right cosets H\\G, with H generated by the point
+    permutations `subgroup` (none: H = 1, the regular cover) and the loops
+    acting by the point permutations x, y.  H is the orbit of the identity's
+    basis images under the element budget, the fiber the orbit of H under G."""
+    sub = frozenset(orbit(tuple(range(group.dim)), subgroup, then, budget, "fiber subgroup"))
+    fiber = tuple(orbit(sub, group.generator_perms, _coset_times))
+    return CoverSpec(group=group, fiber=fiber, x=x, y=y, label=label)
+
+
 def regular_cover(group: RGroup, x: RMatrix, y: RMatrix, label: str) -> CoverSpec:
-    fiber = tuple(group.elements)
-    return CoverSpec(
-        group=group,
-        fiber=fiber,
-        point_index={el: i for i, el in enumerate(fiber)},
-        x_image=x,
-        y_image=y,
-        label=label,
-    )
-
-
-def coset_cover(group: RGroup, subgroup_elements, x: RMatrix, y: RMatrix, label: str) -> CoverSpec:
-    sub = list(subgroup_elements)
-    seen: set = set()
-    fiber = []
-    for g in group.elements:
-        coset = frozenset(g * h for h in sub)
-        if coset not in seen:
-            seen.add(coset)
-            fiber.append(coset)
-    return CoverSpec(
-        group=group,
-        fiber=tuple(fiber),
-        point_index={c: i for i, c in enumerate(fiber)},
-        x_image=x,
-        y_image=y,
-        label=label,
-    )
-
-
-def _translation_permutation(spec: CoverSpec, g: RMatrix) -> list[int]:
-    perm = []
-    for pt in spec.fiber:
-        if isinstance(pt, frozenset):
-            image = frozenset(g * h for h in pt)
-        else:
-            image = g * pt
-        perm.append(spec.point_index[image])
-    return perm
+    return coset_cover(group, (), group.permutation(x), group.permutation(y), label)
 
 
 def cycle_type(perm: list[int]) -> dict[int, int]:
@@ -110,38 +98,30 @@ class RamificationProfile:
 
 
 def monodromy_profile(spec: CoverSpec) -> RamificationProfile:
-    """Cycle structure of x, y and z = (xy)^-1 on the fiber."""
-    perms = {
-        "0": _translation_permutation(spec, spec.x_image),
-        "1": _translation_permutation(spec, spec.y_image),
-        "inf": _translation_permutation(spec, spec.z_image),
-    }
+    """Cycle structure of x, y and z = (xy)^-1 on the fiber; z's permutation
+    is the inverse of x's followed by y's."""
+    index = {c: i for i, c in enumerate(spec.fiber)}
+    x, y = ([index[_coset_times(c, perm)] for c in spec.fiber] for perm in (spec.x, spec.y))
     n = spec.degree()
-    # sanity: x y z = identity on the fiber
-    xy = [perms["0"][perms["1"][i]] for i in range(n)]
-    xyz = [xy[perms["inf"][i]] for i in range(n)]
-    if xyz != list(range(n)):
-        raise RuntimeError("loop images do not compose to the identity")
+    z = [0] * n
+    for i in range(n):
+        z[y[x[i]]] = i
     # transitivity of <x, y> on the fiber; the group is finite, so forward
     # images alone reach the whole orbit
-    reached = orbit(0, (perms["0"], perms["1"]), lambda i, p: p[i])
-    profile = RamificationProfile(
+    reached = orbit(0, (x, y), lambda i, p: p[i])
+    return RamificationProfile(
         degree=n,
-        points={k: cycle_type(p) for k, p in perms.items()},
+        points={k: cycle_type(p) for k, p in (("0", x), ("1", y), ("inf", z))},
         transitive=(len(reached) == n),
     )
-    for cycles in profile.points.values():
-        if sum(ln * ct for ln, ct in cycles.items()) != n:
-            raise RuntimeError("cycle lengths do not add up to the degree")
-    return profile
 
 
 def order_based_profile(spec: CoverSpec) -> RamificationProfile:
     """Independent computation for regular covers: every cycle of a loop image
     has length equal to the element's order, with N/order cycles."""
-    if any(isinstance(pt, frozenset) for pt in spec.fiber):
-        raise InputError("order-based profile applies to regular covers only")
     n = spec.degree()
+    if n != spec.group.order():
+        raise InputError("order-based profile applies to regular covers only")
     points = {}
     for key, el in (("0", spec.x_image), ("1", spec.y_image), ("inf", spec.z_image)):
         k = el.order()
@@ -171,9 +151,9 @@ def braid_loop_images(name: str) -> CoverSpec:
     free generators x, y act by the squares of the catalogued generators."""
     if name != "G4_paper":
         raise InputError(f"unknown cover catalog entry {name!r}")
-    group = matgroup.build_catalog_group("G4")
-    s1, s2 = group.generators
-    return regular_cover(group, s1 * s1, s2 * s2, "G4_paper")
+    return cover_from_spec(
+        {"group": {"kind": "catalog", "name": "G4"}, "x": "g1^2", "y": "g2^2", "label": name}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,31 +171,35 @@ def profile_to_json(p: RamificationProfile) -> dict:
     }
 
 
+def profile_from_json(data: dict) -> RamificationProfile:
+    """The inverse of `profile_to_json` ("transitive" defaults to true); raises InputError."""
+    try:
+        return RamificationProfile(
+            degree=int(data["degree"]),
+            points={k: {int(ln): int(ct) for ln, ct in v} for k, v in data["points"].items()},
+            transitive=bool(data.get("transitive", True)),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed ramification profile: {exc}") from exc
+
+
 def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -> CoverSpec:
     """{"group": <group spec>, "fiber": "regular"|{"subgroup":[words]},
-    "x": <word>, "y": <word>} with words over g1..gk naming the generators."""
+    "x": <word>, "y": <word>} with words over g1..gk naming the generators.
+    A word is evaluated on the points, as a composition of the generators'
+    point permutations."""
     try:
         group = matgroup.group_from_spec(data["group"], budget)
-        names = [f"g{i+1}" for i in range(len(group.generators))]
-        x = _evaluate(group, names, parse_word(data["x"], names))
-        y = _evaluate(group, names, parse_word(data["y"], names))
-        fiber = data.get("fiber", "regular")
-        if fiber == "regular":
-            return regular_cover(group, x, y, data.get("label", "cover"))
-        sub_gens = [_evaluate(group, names, parse_word(t, names)) for t in fiber["subgroup"]]
-        # no words give the trivial subgroup
-        sub = matgroup.enumerate_closure(
-            sub_gens or [RMatrix.identity(group.dim)], "fiber subgroup", budget
+        names = tuple(f"g{i+1}" for i in range(len(group.generators)))
+        on_points = PermQuotient(
+            group.label, Presentation(group.label, names, ()),
+            dict(zip(names, group.generator_perms)), len(group.points),
         )
-        return coset_cover(group, sub.elements, x, y, data.get("label", "cover"))
+        x, y = (on_points.eval_word(parse_word(data[k], names)) for k in ("x", "y"))
+        fiber = data.get("fiber", "regular")
+        # no words give the trivial subgroup, the regular cover's
+        words = [] if fiber == "regular" else fiber["subgroup"]
+        sub = [on_points.eval_word(parse_word(w, names)) for w in words]
+        return coset_cover(group, sub, x, y, data.get("label", "cover"), budget)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed cover spec: {exc}") from exc
-
-
-def _evaluate(group: RGroup, names: list[str], word: Word) -> RMatrix:
-    """The group element a word over g1..gk names."""
-    m = RMatrix.identity(group.dim)
-    for sym, step in word_letters(word):
-        gen = group.generators[names.index(sym)]
-        m = m * (gen if step > 0 else gen.inverse())
-    return m

@@ -46,7 +46,7 @@ def test_braid_arrangement_lattice():
     arr = arrangement_of(build_monomial_group(1, 1, 3))
     lat = intersection_lattice(arr)
     atoms = [f for f in lat.flats if f.rank == 1]
-    tops = lat.top_flats()
+    tops = [f for f in lat.flats if f.rank == lat.rank()]
     assert len(atoms) == 3 and len(tops) == 1 and tops[0].rank == 2
 
 

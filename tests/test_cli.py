@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import reflbench
-from reflbench import cli, cyclo, fpgroups, garside, mpoly
+from reflbench import arrangement, cli, cyclo, fpgroups, garside, mpoly
 from reflbench.cli import main
 
 
@@ -307,6 +307,56 @@ def test_group_spec_order_over_cap_is_input_error(capsys, tmp_path):
     code, out = run_cli(capsys, "group", "info", "--spec", str(path))
     assert code == 3
     assert json.loads(out)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["monodromy", "genus", "--profile"], {"points": {}}),
+        (["monodromy", "genus", "--profile"], {"degree": 3, "points": {"0": [[2]]}}),
+        (["present", "verify-map", "--catalog", "G12", "--map-file"], {}),
+        (["group", "info", "--spec"], None),  # the path is a directory
+    ],
+    ids=["profile-no-degree", "profile-short-cycle", "map-no-images", "spec-is-directory"],
+)
+def test_malformed_input_file_is_input_error(capsys, tmp_path, command, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+    code, out = run_cli(capsys, *command, str(path))
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def _count_lattices(monkeypatch):
+    calls = []
+    build = arrangement.intersection_lattice
+
+    def counted(arr):
+        calls.append(arr)
+        return build(arr)
+
+    monkeypatch.setattr(arrangement, "intersection_lattice", counted)
+    return calls
+
+
+def test_supersolvable_oracle_over_its_limit_builds_no_lattice(capsys, monkeypatch):
+    calls = _count_lattices(monkeypatch)
+    argv = ["arrangement", "supersolvable", "--oracle", "--monomial", "2,2,6"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and json.loads(out)["error"] == "budget_exceeded"
+    assert calls == []
+
+
+def test_supersolvable_oracle_builds_one_lattice(capsys, monkeypatch):
+    calls = _count_lattices(monkeypatch)
+    argv = ["arrangement", "supersolvable", "--oracle", "--monomial", "2,1,3"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["supersolvable"] is True and data["oracle_agrees"] is True
+    assert len(calls) == 1
 
 
 def test_verify_map_backend_honours_coset_budget(capsys):

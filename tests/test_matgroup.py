@@ -607,6 +607,20 @@ def test_singular_generator_is_input_error():
         enumerate_closure([RMatrix([[0, 1], [1, 0]]), RMatrix([[1, 0], [0, 0]])], "monoid")
 
 
+@pytest.mark.parametrize("name", sorted(ORBIT_GROUPS))
+def test_element_index_and_point_permutations(name):
+    g = ORBIT_GROUPS[name]()
+    assert [g.index_of(m) for m in g.elements] == list(range(g.order()))
+    assert tuple(map(g.permutation, g.generators)) == g.generator_perms
+    for m, x in zip(g.elements, g.images):
+        assert g.permutation(m)[: g.dim] == x[: g.dim]
+    double = RMatrix([[2 if i == j else 0 for j in range(g.dim)] for i in range(g.dim)])
+    with pytest.raises(KeyError):
+        g.index_of(double)
+    with pytest.raises(KeyError):
+        g.permutation(double)
+
+
 def _galois_image_by_matrices(group, k):
     """The earlier galois_image: sigma_k on every element, membership by hashing."""
     from math import gcd
@@ -618,9 +632,10 @@ def _galois_image_by_matrices(group, k):
                 order_lcm = order_lcm * e.order // gcd(order_lcm, e.order)
     if gcd(k % order_lcm if order_lcm > 1 else 1, order_lcm) != 1:
         raise InputError(f"sigma_{k} is not defined on entries of order lcm {order_lcm}")
+    members = {m: i for i, m in enumerate(group.elements)}
     images = [m.galois(k) for m in group.elements]
-    same_set = all(m in group for m in images)
-    perm = [group.index_of(m) for m in images] if same_set else None
+    same_set = all(m in members for m in images)
+    perm = [members[m] for m in images] if same_set else None
     return images, same_set, perm
 
 

@@ -4,20 +4,57 @@ import pytest
 
 from reflbench import matgroup
 from reflbench.errors import InputError
-from reflbench.fpgroups import parse_word
+from reflbench.fpgroups import parse_word, word_letters
 from reflbench.matgroup import RMatrix, build_catalog_group, build_monomial_group
 from reflbench.monodromy import (
     RamificationProfile,
-    _evaluate,
     braid_loop_images,
     coset_cover,
     cover_from_spec,
+    cycle_type,
     monodromy_profile,
     order_based_profile,
+    profile_from_json,
     profile_to_json,
     regular_cover,
     riemann_hurwitz_genus,
 )
+from reflbench.orbit import orbit
+
+
+def _evaluate(group, names, word):
+    """The group element a word over g1..gk names, by matrix products."""
+    m = RMatrix.identity(group.dim)
+    for sym, step in word_letters(word):
+        gen = group.generators[names.index(sym)]
+        m = m * (gen if step > 0 else gen.inverse())
+    return m
+
+
+def _left_action_profile(group, subgroup_gens, x, y):
+    """The earlier construction, kept as a reference: the fibre is the left
+    cosets gH as sets of matrices, H closed under products, and a loop acts
+    by left multiplication, one matrix product per coset element."""
+    sub = [RMatrix.identity(group.dim)]
+    seen = set(sub)
+    for m in sub:
+        for s in subgroup_gens:
+            if m * s not in seen:
+                seen.add(m * s)
+                sub.append(m * s)
+    fiber = list(dict.fromkeys(frozenset(g * h for h in sub) for g in group.elements))
+    index = {c: i for i, c in enumerate(fiber)}
+
+    def translation(a):
+        return [index[frozenset(a * h for h in c)] for c in fiber]
+
+    perms = {"0": translation(x), "1": translation(y), "inf": translation((x * y).inverse())}
+    reached = orbit(0, (perms["0"], perms["1"]), lambda i, p: p[i])
+    return RamificationProfile(
+        degree=len(fiber),
+        points={k: cycle_type(p) for k, p in perms.items()},
+        transitive=len(reached) == len(fiber),
+    )
 
 
 def test_g4_paper_cover_spec():
@@ -110,11 +147,13 @@ def test_coset_cover():
     g4 = build_catalog_group("G4")
     s1, s2 = g4.generators
     # subgroup generated by s1 has order 3, so 8 cosets
-    sub = [RMatrix.identity(2), s1, s1 * s1]
-    spec = coset_cover(g4, sub, s1 * s1, s2 * s2, "cosets")
+    x, y = g4.permutation(s1 * s1), g4.permutation(s2 * s2)
+    spec = coset_cover(g4, [g4.generator_perms[0]], x, y, "cosets")
     assert spec.degree() == 8
+    assert all(len(c) == 3 for c in spec.fiber)
     prof = monodromy_profile(spec)
     assert sum(ln * ct for ln, ct in prof.points["0"].items()) == 8
+    assert prof == _left_action_profile(g4, [s1], s1 * s1, s2 * s2)
     # the same cover with the subgroup given by a generating word
     data = {
         "group": {"kind": "catalog", "name": "G4"},
@@ -125,6 +164,8 @@ def test_coset_cover():
     from_spec = cover_from_spec(data)
     assert from_spec.degree() == 8
     assert monodromy_profile(from_spec) == prof
+    with pytest.raises(InputError):
+        order_based_profile(from_spec)
 
 
 @pytest.mark.parametrize(
@@ -142,16 +183,60 @@ def test_cover_from_spec_fibres_match_product_closure(words):
     # the subgroup by breadth-first products, the trivial one when no words
     names = ["g1", "g2"]
     sub_gens = [_evaluate(g4, names, parse_word(w, names)) for w in words]
-    sub = [RMatrix.identity(2)]
-    for m in sub:
-        for s in sub_gens:
-            if m * s not in sub:
-                sub.append(m * s)
-    expected = coset_cover(g4, sub, s1 * s1, s2 * s2, "cover")
+    expected = _left_action_profile(g4, sub_gens, s1 * s1, s2 * s2)
     spec = cover_from_spec(data)
-    assert spec.fiber == expected.fiber
-    assert spec.degree() == 24 // len(sub)
-    assert monodromy_profile(spec) == monodromy_profile(expected)
+    assert spec.degree() == expected.degree
+    assert len({len(c) for c in spec.fiber}) == 1
+    assert spec.degree() * len(spec.fiber[0]) == 24
+    assert monodromy_profile(spec) == expected
+
+
+@pytest.mark.parametrize(
+    "group",
+    [("G4",), (2, 1, 3), (3, 3, 3), (2, 2, 4)],
+    ids=lambda g: "-".join(map(str, g)),
+)
+def test_right_coset_covers_match_left_action(group):
+    # x acts on G/H as x^-1 on H\G, so the profiles must be the same
+    g = build_catalog_group(*group) if len(group) == 1 else build_monomial_group(*group)
+    rng = random.Random(repr(group))
+    pick = lambda: g.elements[rng.randrange(g.order())]  # noqa: E731
+    for n_sub in (0, 1, 2, 3, 1, 2):
+        x, y = pick(), pick()
+        sub = [pick() for _ in range(n_sub)]
+        sub_perms = [g.permutation(h) for h in sub]
+        spec = coset_cover(g, sub_perms, g.permutation(x), g.permutation(y), "random")
+        assert spec.x_image == x and spec.y_image == y
+        assert monodromy_profile(spec) == _left_action_profile(g, sub, x, y)
+
+
+def test_spec_cover_runs_no_matrix_product(monkeypatch):
+    data = {
+        "group": {"kind": "monomial", "d": 2, "e": 1, "n": 3},
+        "fiber": {"subgroup": ["g1", "g3 g2^-1"]},
+        "x": "g1 g2",
+        "y": "g3^-1 g2 g2",
+    }
+    expected = monodromy_profile(cover_from_spec(data))
+
+    def refuse(*args):
+        raise AssertionError("a matrix product or inverse ran")
+
+    monkeypatch.setattr(RMatrix, "__mul__", refuse)
+    monkeypatch.setattr(RMatrix, "inverse", refuse)
+    spec = cover_from_spec(data)
+    assert len(spec.fiber[0]) > 1
+    assert monodromy_profile(spec) == expected
+    assert monodromy_profile(braid_loop_images("G4_paper")).degree == 24
+
+
+def test_profile_json_round_trip():
+    prof = monodromy_profile(braid_loop_images("G4_paper"))
+    assert profile_from_json(profile_to_json(prof)) == prof
+    bad_profiles = [{"points": {}}, {"degree": 3, "points": {"0": [[2]]}}, {"degree": 3, "points": []}, []]
+    for bad in bad_profiles:
+        with pytest.raises(InputError):
+            profile_from_json(bad)
 
 
 def test_intransitive_cover_detected():
