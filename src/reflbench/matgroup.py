@@ -181,24 +181,9 @@ class RGroup:
         dim = self.dim
         return {x[:dim]: i for i, x in enumerate(self.images)}
 
-    def permutation(self, m: RMatrix) -> tuple[int, ...]:
-        """The points m sends each point to; KeyError if an image is not a point."""
-        return tuple(_point_images([m], self.points, self.point_index.__getitem__)[0])
-
     def index_of(self, m: RMatrix) -> int:
         """The element index of m, read off its rows; KeyError if m is not in the group."""
         return self.element_index[tuple(map(self.point_index.__getitem__, m.rows))]
-
-
-def _point_images(matrices, points, lookup) -> list[list[int]]:
-    """Each matrix's images of the points, as the indices `lookup` gives: one
-    `_row_times` pass over the points, which reaches any that `lookup` appends."""
-    sparse = [m.sparse_rows() for m in matrices]
-    images: list[list[int]] = [[] for _ in matrices]
-    for v in points:
-        for sp, image in zip(sparse, images):
-            image.append(lookup(_row_times(v, sp)))
-    return images
 
 
 def enumerate_closure(
@@ -222,17 +207,19 @@ def enumerate_closure(
         raise ValueError("dimension mismatch")
     points = list(RMatrix.identity(dim).rows)
     index = {p: i for i, p in enumerate(points)}
-
-    def lookup(w):
-        i = index.get(w)
-        if i is None:
-            if budget is not None and len(points) >= dim * budget:
-                raise BudgetExceededError(f"{what} exceeded budget {budget}")
-            i = index[w] = len(points)
-            points.append(w)
-        return i
-
-    gen_perms = tuple(map(tuple, _point_images(generators, points, lookup)))
+    sparse = [g.sparse_rows() for g in generators]
+    images: list[list[int]] = [[] for _ in generators]
+    for v in points:  # the loop reaches the points appended below
+        for sp, image in zip(sparse, images):
+            w = _row_times(v, sp)
+            i = index.get(w)
+            if i is None:
+                if budget is not None and len(points) >= dim * budget:
+                    raise BudgetExceededError(f"{what} exceeded budget {budget}")
+                i = index[w] = len(points)
+                points.append(w)
+            image.append(i)
+    gen_perms = tuple(map(tuple, images))
     for k, p in enumerate(gen_perms):
         # the points span the space and g maps them into themselves, so g is
         # invertible iff it permutes them

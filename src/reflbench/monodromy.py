@@ -52,18 +52,15 @@ def _coset_times(coset: frozenset, perm) -> frozenset:
     return frozenset(then(x, perm) for x in coset)
 
 
-def coset_cover(group: RGroup, subgroup, x, y, label: str, budget: int | None = None) -> CoverSpec:
+def coset_cover(group: RGroup, subgroup, x, y, label: str) -> CoverSpec:
     """The cover on the right cosets H\\G, with H generated by the point
     permutations `subgroup` (none: H = 1, the regular cover) and the loops
     acting by the point permutations x, y.  H is the orbit of the identity's
-    basis images under the element budget, the fiber the orbit of H under G."""
-    sub = frozenset(orbit(tuple(range(group.dim)), subgroup, then, budget, "fiber subgroup"))
+    basis images, the fiber the orbit of H under G."""
+    # H lies in G, which was enumerated under the element budget
+    sub = frozenset(orbit(tuple(range(group.dim)), subgroup, then))
     fiber = tuple(orbit(sub, group.generator_perms, _coset_times))
     return CoverSpec(group=group, fiber=fiber, x=x, y=y, label=label)
-
-
-def regular_cover(group: RGroup, x: RMatrix, y: RMatrix, label: str) -> CoverSpec:
-    return coset_cover(group, (), group.permutation(x), group.permutation(y), label)
 
 
 def cycle_type(perm: list[int]) -> dict[int, int]:
@@ -200,6 +197,6 @@ def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -
         # no words give the trivial subgroup, the regular cover's
         words = [] if fiber == "regular" else fiber["subgroup"]
         sub = [on_points.eval_word(parse_word(w, names)) for w in words]
-        return coset_cover(group, sub, x, y, data.get("label", "cover"), budget)
+        return coset_cover(group, sub, x, y, data.get("label", "cover"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed cover spec: {exc}") from exc

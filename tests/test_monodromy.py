@@ -5,7 +5,7 @@ import pytest
 from reflbench import matgroup
 from reflbench.errors import InputError
 from reflbench.fpgroups import parse_word, word_letters
-from reflbench.matgroup import RMatrix, build_catalog_group, build_monomial_group
+from reflbench.matgroup import RMatrix, _row_times, build_catalog_group, build_monomial_group
 from reflbench.monodromy import (
     RamificationProfile,
     braid_loop_images,
@@ -16,10 +16,20 @@ from reflbench.monodromy import (
     order_based_profile,
     profile_from_json,
     profile_to_json,
-    regular_cover,
     riemann_hurwitz_genus,
 )
 from reflbench.orbit import orbit
+
+
+def _permutation(group, m):
+    """m's permutation of the group's points, one row-times-matrix pass."""
+    sparse = m.sparse_rows()
+    return tuple(group.point_index[_row_times(v, sparse)] for v in group.points)
+
+
+def regular_cover(group, x, y, label):
+    """The regular cover with loops acting by the matrices x, y."""
+    return coset_cover(group, (), _permutation(group, x), _permutation(group, y), label)
 
 
 def _evaluate(group, names, word):
@@ -147,7 +157,7 @@ def test_coset_cover():
     g4 = build_catalog_group("G4")
     s1, s2 = g4.generators
     # subgroup generated by s1 has order 3, so 8 cosets
-    x, y = g4.permutation(s1 * s1), g4.permutation(s2 * s2)
+    x, y = _permutation(g4, s1 * s1), _permutation(g4, s2 * s2)
     spec = coset_cover(g4, [g4.generator_perms[0]], x, y, "cosets")
     assert spec.degree() == 8
     assert all(len(c) == 3 for c in spec.fiber)
@@ -204,8 +214,8 @@ def test_right_coset_covers_match_left_action(group):
     for n_sub in (0, 1, 2, 3, 1, 2):
         x, y = pick(), pick()
         sub = [pick() for _ in range(n_sub)]
-        sub_perms = [g.permutation(h) for h in sub]
-        spec = coset_cover(g, sub_perms, g.permutation(x), g.permutation(y), "random")
+        sub_perms = [_permutation(g, h) for h in sub]
+        spec = coset_cover(g, sub_perms, _permutation(g, x), _permutation(g, y), "random")
         assert spec.x_image == x and spec.y_image == y
         assert monodromy_profile(spec) == _left_action_profile(g, sub, x, y)
 
@@ -228,6 +238,24 @@ def test_spec_cover_runs_no_matrix_product(monkeypatch):
     assert len(spec.fiber[0]) > 1
     assert monodromy_profile(spec) == expected
     assert monodromy_profile(braid_loop_images("G4_paper")).degree == 24
+
+
+def test_spec_words_name_their_elements():
+    # a word's point permutation is that of the matrix product it names,
+    # inverse letters of order-3 generators and 9,999-letter words included
+    cases = [
+        ({"kind": "catalog", "name": "G4"}, [("g1^-1 g2", "(g1 g2^-1 g1)^-3"), ("G2 g1^9999", "[g1, g2]")]),
+        ({"kind": "monomial", "d": 3, "e": 1, "n": 2}, [("g1 g2^-1", "g2^-2 g1"), ("(g1 G2)^5", "g2^9998")]),
+    ]
+    for group, pairs in cases:
+        g = matgroup.group_from_spec(group)
+        names = [f"g{i + 1}" for i in range(len(g.generators))]
+        for x, y in pairs:
+            spec = cover_from_spec({"group": group, "x": x, "y": y})
+            for word, perm in ((x, spec.x), (y, spec.y)):
+                m = _evaluate(g, names, parse_word(word, names))
+                assert perm == _permutation(g, m)
+                assert g.elements[g.index_of(m)] == m
 
 
 def test_profile_json_round_trip():
