@@ -426,9 +426,11 @@ def cmd_gt_gd_check(args):
 def cmd_monodromy_profile(args):
     if args.catalog:
         spec = monodromy.braid_loop_images(args.catalog)
-    else:
+    elif args.spec:
         with open(args.spec) as fh:
             spec = monodromy.cover_from_spec(json.load(fh), args.budget_elements)
+    else:
+        raise InputError("monodromy profile needs --catalog or --spec")
     prof = monodromy.monodromy_profile(spec)
     payload = monodromy.profile_to_json(prof)
     payload["genus"] = monodromy.riemann_hurwitz_genus(prof)

@@ -1,31 +1,42 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A CycNum stores an order n and a coefficient tuple of length phi(n) over the
+A CycNum stores an order n, a tuple of phi(n) integer numerators and one
+positive common denominator: the value is sum(nums[i] * z^i) / den over the
 power basis 1, z, ..., z^(phi(n)-1) of Q(zeta_n), with z = exp(2*pi*i/n),
 reduced by the n-th cyclotomic polynomial.  Every value is kept in a canonical
 normal form:
 
-- coefficients are Fractions, reduced mod Phi_n after each operation;
+- the numerators are reduced mod Phi_n after each operation, and
+  gcd(den, *nums) = 1;
 - the order is minimal: a value lying in a proper cyclotomic subfield
   Q(zeta_m), m | n, is stored with order m (so e.g. zeta_6 is stored as
   -zeta_3^2 with order 3, and any rational is stored with order 1).
 
 Because the form is canonical, equality and hashing are structural, which is
-what makes matrix-group element deduplication cheap.
+what makes matrix-group element deduplication cheap.  The hash is that of
+(order, coeffs), computed on the integers.
 
-Arithmetic runs on integer numerators over one common denominator and builds
-the Fractions once per result.  Order minimisation tries one prime p of n at
-a time: when p^2 | n the descent to Q(zeta_(n/p)) is a support check, and
-otherwise it applies a projection computed once per (n, n/p) and cached.
-Adding a rational, inverting and Galois conjugation never change the order,
-so they skip the descent.
+The arithmetic reads and writes integers only.  Fractions appear at the
+edges: `CycNum.coeffs` builds them on demand, for `repr` and ordering.
+Order minimisation tries one prime p of n at a time: when p^2 | n the descent
+to Q(zeta_(n/p)) is a support check, and otherwise it applies a projection
+computed once per (n, n/p) and cached.  Adding a rational, inverting and
+Galois conjugation never change the order, so they skip the descent.
 
 Values are immutable; all operations return fresh values.
+
+>>> z = root_of_unity(6)  # zeta_6 = -zeta_3^2 = 1 + zeta_3
+>>> z.order, z.coeffs
+(3, (Fraction(1, 1), Fraction(1, 1)))
+>>> (z + rational(Fraction(1, 2))).coeffs
+(Fraction(3, 2), Fraction(1, 1))
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -163,14 +174,17 @@ def _reduce_mod_cyclotomic(n: int, dense: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# integer kernels: a coefficient vector is handled as integer numerators over
-# one common denominator, and turned back into Fractions once per result
+# integer kernels: a value is a vector of integer numerators over one positive
+# common denominator; Fractions are built only for `CycNum.coeffs`
 
 
 def _numerators(coeffs) -> tuple[list[int], int]:
-    """The numerators of the Fractions coeffs over their least common denominator."""
+    """The numerators of the rationals coeffs over their least common denominator."""
+    coeffs = list(coeffs)
     den = 1
     for c in coeffs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot interpret {c!r} as a rational coefficient")
         d = c.denominator
         if d != 1 and den % d:
             den = den // gcd(den, d) * d
@@ -179,13 +193,13 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _fractions(nums: list[int], den: int) -> tuple[Fraction, ...]:
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     if den == 1:
         return tuple(map(Fraction, nums))
     return tuple(Fraction(a, den) for a in nums)
 
 
-def _product(n: int, a: list[int], b: list[int]) -> list[int]:
+def _product(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """a * b in Q(zeta_n), both reduced, on integer vectors."""
     conv = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -195,7 +209,7 @@ def _product(n: int, a: list[int], b: list[int]) -> list[int]:
     return _reduce_mod_cyclotomic(n, conv)
 
 
-def _conjugate(n: int, nums: list[int], k: int) -> list[int]:
+def _conjugate(n: int, nums: Sequence[int], k: int) -> list[int]:
     """The substitution zeta_n -> zeta_n^k (k prime to n) on an integer vector."""
     dense = [0] * n
     for i, c in enumerate(nums):
@@ -208,15 +222,15 @@ def _units(n: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, n) if gcd(k, n) == 1)
 
 
-def _lifted(x: "CycNum", n: int) -> tuple[list[int], int]:
-    """Numerators and denominator of x inside Q(zeta_n) (x.order | n)."""
-    nums, den = _numerators(x.coeffs)
+def _lifted(x: "CycNum", n: int) -> Sequence[int]:
+    """The numerators of x inside Q(zeta_n) (x.order | n), over x._den."""
+    nums = x._nums
     if n == x.order:
-        return nums, den
+        return nums
     step = n // x.order
     dense = [0] * ((len(nums) - 1) * step + 1)
     dense[::step] = nums
-    return _reduce_mod_cyclotomic(n, dense), den
+    return _reduce_mod_cyclotomic(n, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +302,44 @@ def _descend(n: int, p: int, nums: list[int]):
 
 
 class CycNum:
-    """An element of some Q(zeta_n), in canonical (order-minimal) form."""
+    """An element of some Q(zeta_n), in canonical (order-minimal) form.
 
-    __slots__ = ("order", "coeffs", "_hash")
+    The value is sum(_nums[i] * zeta_order^i) / _den with _den > 0 and
+    gcd(_den, *_nums) == 1, so equal values have equal fields.
+    """
+
+    __slots__ = ("order", "_nums", "_den", "_hash")
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    _nums: tuple[int, ...]
+    _den: int
 
     def __init__(self, order: int, coeffs):
         # reduce the dense coefficients over zeta_order to canonical form
-        nums, den = _numerators([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs])
+        nums, den = _numerators(coeffs)
         x = _minimal(order, _reduce_mod_cyclotomic(order, nums), den)
         self.order = x.order
-        self.coeffs = x.coeffs
+        self._nums = x._nums
+        self._den = x._den
         self._hash = None
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "CycNum":
-        return _make(1, (Fraction(q),))
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"cannot interpret {q!r} as a rational number")
+        return _make(1, (q.numerator,), q.denominator)
 
     # -- structure ------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients over the power basis of Q(zeta_order), as Fractions."""
+        return _fractions(self._nums, self._den)
+
     def is_zero(self) -> bool:
-        return self.order == 1 and not self.coeffs[0]
+        return self.order == 1 and not self._nums[0]
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -320,7 +347,7 @@ class CycNum:
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"not a rational number: {self}")
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -332,13 +359,17 @@ class CycNum:
         # adding a rational only moves the coefficient of 1, and the order of
         # x + q is the order of x
         if other.order == 1:
-            q = other.coeffs[0]
+            q = other._nums[0]
             if not q:
                 return self
-            c = self.coeffs
-            return _make(self.order, (c[0] + q,) + c[1:])
+            qd, nums, den = other._den, self._nums, self._den
+            if qd == 1:
+                # gcd(den, nums) = 1 survives adding a multiple of den
+                return _make(self.order, (nums[0] + q * den,) + nums[1:], den)
+            return _reduced(self.order, [nums[0] * qd + q * den] + [c * qd for c in nums[1:]], den * qd)
         n = lcm(self.order, other.order)
-        (a, da), (b, db) = _lifted(self, n), _lifted(other, n)
+        a, b = _lifted(self, n), _lifted(other, n)
+        da, db = self._den, other._den
         if da == db:
             nums, den = [x + y for x, y in zip(a, b)], da
         else:
@@ -351,7 +382,7 @@ class CycNum:
         return self.__add__(other)
 
     def __neg__(self) -> "CycNum":
-        return _make(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, tuple([-c for c in self._nums]), self._den)
 
     def __sub__(self, other) -> "CycNum":
         return self.__add__(-_coerce(other))
@@ -363,17 +394,18 @@ class CycNum:
         if other.__class__ is not CycNum:
             other = _coerce(other)
         if self.order == 1:
-            q = self.coeffs[0]
+            q = self._nums[0]
             if not q:
                 return ZERO
-            if q == 1:
+            qd = self._den
+            if q == qd:  # q / qd == 1
                 return other
-            return _make(other.order, tuple(q * c for c in other.coeffs))
+            return _reduced(other.order, [q * c for c in other._nums], qd * other._den)
         if other.order == 1:
             return other.__mul__(self)
         n = lcm(self.order, other.order)
-        (a, da), (b, db) = _lifted(self, n), _lifted(other, n)
-        return _minimal(n, _product(n, a, b), da * db)
+        a, b = _lifted(self, n), _lifted(other, n)
+        return _minimal(n, _product(n, a, b), self._den * other._den)
 
     def __rmul__(self, other) -> "CycNum":
         return self.__mul__(other)
@@ -381,18 +413,20 @@ class CycNum:
     def inverse(self) -> "CycNum":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
+        a, den = self._nums, self._den
         if self.order == 1:
-            return _make(1, (1 / self.coeffs[0],))
+            return _make(1, (den,), a[0]) if a[0] > 0 else _make(1, (-den,), -a[0])
         # with x = a / den and P the product of the other Galois conjugates
         # of a, a * P is the norm N(a), a rational: 1/x = den * P / N(a)
         n = self.order
-        a, den = _numerators(self.coeffs)
         others = [1] + [0] * (len(a) - 1)
         for k in _units(n)[1:]:  # every unit but 1
             others = _product(n, others, _conjugate(n, a, k))
         norm = _product(n, a, others)[0]
+        if norm < 0:
+            norm, den = -norm, -den
         # 1/x lies in exactly the cyclotomic fields that x lies in
-        return _make(n, tuple(Fraction(c * den, norm) for c in others))
+        return _reduced(n, [c * den for c in others], norm)
 
     def __truediv__(self, other) -> "CycNum":
         return self.__mul__(_coerce(other).inverse())
@@ -418,18 +452,28 @@ class CycNum:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycNum):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return self.order == other.order and self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
-            return self.order == 1 and self.coeffs[0] == other
+            return self.order == 1 and self._nums[0] == other.numerator and self._den == other.denominator
         return NotImplemented
 
     def __hash__(self):
+        # hash((order, coeffs)), computed on the integers: a Fraction a / d
+        # hashes as a * pow(d, -1, M) mod M with the sign of a (M the
+        # hash modulus), and the reduced and unreduced forms of a / _den agree
         if self._hash is None:
-            self._hash = hash((self.order, self.coeffs))
+            den = self._den
+            if den == 1:
+                self._hash = hash((self.order, self._nums))
+            elif den % _HASH_MODULUS:
+                dinv = pow(den, -1, _HASH_MODULUS)
+                self._hash = hash((self.order, tuple([_fraction_hash(a, dinv) for a in self._nums])))
+            else:  # no inverse mod M: Fraction's own rule for infinite hashes
+                self._hash = hash((self.order, self.coeffs))
         return self._hash
 
     def __bool__(self) -> bool:
-        return self.order != 1 or bool(self.coeffs[0])
+        return self.order != 1 or bool(self._nums[0])
 
     def __repr__(self) -> str:
         if self.order == 1:
@@ -450,13 +494,36 @@ class CycNum:
         return galois(self, -1)
 
 
-def _make(order: int, coeffs: tuple[Fraction, ...]) -> CycNum:
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _fraction_hash(a: int, dinv: int) -> int:
+    # hash(Fraction(a, d)) for dinv = pow(d, -1, _HASH_MODULUS)
+    h = abs(a) * dinv % _HASH_MODULUS
+    if a < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+def _make(order: int, nums: tuple[int, ...], den: int) -> CycNum:
     # a CycNum from data already in canonical form
     x = object.__new__(CycNum)
     x.order = order
-    x.coeffs = coeffs
+    x._nums = nums
+    x._den = den
     x._hash = None
     return x
+
+
+def _reduced(order: int, nums: Sequence[int], den: int) -> CycNum:
+    """The CycNum nums / den (order minimal, den > 0), divided by the common
+    factor of nums and den."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    return _make(order, tuple(nums), den)
 
 
 def _coerce(x) -> CycNum:
@@ -472,7 +539,7 @@ def _minimal(n: int, nums: list[int], den: int) -> CycNum:
     descend one prime at a time until no descent applies."""
     while n > 1:
         if not any(nums[1:]):
-            return _make(1, (Fraction(nums[0], den),))
+            return _reduced(1, nums[:1], den)
         for p in _prime_factors(n):
             if n == p:
                 continue  # the rational case is the test above
@@ -484,15 +551,15 @@ def _minimal(n: int, nums: list[int], den: int) -> CycNum:
                 break
         else:
             break
-    return _make(n, _fractions(nums, den))
+    return _reduced(n, nums, den)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-ZERO = _make(1, (Fraction(0),))
-ONE = _make(1, (Fraction(1),))
+ZERO = _make(1, (0,), 1)
+ONE = _make(1, (1,), 1)
 
 
 def rational(q) -> CycNum:
@@ -509,8 +576,8 @@ def root_of_unity(n: int, k: int = 1) -> CycNum:
     if n < 1:
         raise ValueError("order of a root of unity must be >= 1")
     k %= n
-    dense = [Fraction(0)] * (k + 1)
-    dense[k] = Fraction(1)
+    dense = [0] * (k + 1)
+    dense[k] = 1
     return CycNum(n, dense)
 
 
@@ -522,19 +589,22 @@ def galois(a: CycNum, k: int) -> CycNum:
         raise ValueError(f"galois exponent {k} is not coprime to the order {n}")
     if n == 1 or k == 1:
         return a
-    nums, den = _numerators(a.coeffs)
-    # a Galois conjugate lies in exactly the cyclotomic fields that a lies in
-    return _make(n, _fractions(_conjugate(n, nums, k), den))
+    # a Galois conjugate lies in exactly the cyclotomic fields that a lies in,
+    # and the substitution is an automorphism of Z[zeta_n], so it keeps
+    # gcd(den, *nums) = 1
+    return _make(n, tuple(_conjugate(n, a._nums, k)), a._den)
 
 
 def embed_complex(a: CycNum) -> complex:
     """Approximate complex value, evaluating zeta_n at exp(2*pi*i/n)."""
     z = cmath.exp(2j * cmath.pi / a.order)
+    den = a._den
     total = 0j
     p = 1 + 0j
-    for c in a.coeffs:
+    for c in a._nums:
         if c:
-            total += float(c) * p
+            # int / int rounds correctly, as float(Fraction(c, den)) does
+            total += (c / den) * p
         p *= z
     return total
 
@@ -597,10 +667,16 @@ def sqrt_rational(q) -> CycNum:
 
 
 def to_json(a: CycNum) -> dict:
-    return {
-        "order": a.order,
-        "coeffs": [[str(c.numerator), str(c.denominator)] for c in a.coeffs],
-    }
+    # each coefficient in lowest terms, as `Fraction` would give it
+    den = a._den
+    if den == 1:
+        coeffs = [[str(c), "1"] for c in a._nums]
+    else:
+        coeffs = []
+        for c in a._nums:
+            g = gcd(c, den)
+            coeffs.append([str(c // g), str(den // g)])
+    return {"order": a.order, "coeffs": coeffs}
 
 
 # Largest order `from_json` accepts.  The groups and checks here reach orders
@@ -610,14 +686,23 @@ def to_json(a: CycNum) -> dict:
 MAX_JSON_ORDER = 1000
 
 
+def _json_int(v) -> int:
+    # a JSON integer or a decimal string; a float or a bool is not exact input
+    if v.__class__ is bool or not isinstance(v, (int, str)):
+        raise TypeError(f"expected an integer or a string, got {v!r}")
+    return int(v)
+
+
 def from_json(data: dict) -> CycNum:
     try:
-        order = int(data["order"])
-        coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+        order = _json_int(data["order"])
+        coeffs = [(_json_int(num), _json_int(den)) for num, den in data["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed CycNum encoding: {data!r}") from exc
+    if any(den == 0 for _, den in coeffs):
+        raise ValueError(f"CycNum encoding has a zero denominator: {data!r}")
     if order > MAX_JSON_ORDER:
         raise ValueError(f"CycNum order {order} exceeds the limit {MAX_JSON_ORDER}")
     if order < 1 or len(coeffs) != euler_phi(order):
         raise ValueError(f"CycNum encoding has wrong coefficient count: {data!r}")
-    return CycNum(order, coeffs)
+    return CycNum(order, [Fraction(num, den) for num, den in coeffs])

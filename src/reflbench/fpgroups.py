@@ -795,6 +795,9 @@ def quotient_from_table(label: str, table: CosetTable) -> PermQuotient:
 
 def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQuotient:
     """pres/(g^k for every generator g) on the cosets of the trivial subgroup."""
+    if k == 0:
+        # g^0 is the empty relator: the quotient is pres itself, infinite here
+        raise InputError(f"power quotient {label} needs an exponent k != 0")
     rel = pres.relators + tuple(word_pow(single(name), k) for name in pres.generators)
     quot = Presentation(label, pres.generators, rel)
     return quotient_from_table(label, todd_coxeter(quot, [], limit))

@@ -220,6 +220,11 @@ def test_paper_suite_stdout_deterministic(capsys):
         ["present", "verify-map", "--map", "g12_conj", "--backend", "coxeter:3,3,3"],
         ["present", "verify-map", "--map", "g12_conj", "--backend", "torsion:x"],
         ["present", "tc", "--catalog", "CPx"],
+        # a power quotient with k = 0 has the empty relator and is infinite
+        ["present", "quotient", "--coxeter", "3,0"],
+        ["present", "quotient", "--catalog", "G12", "--torsion", "0"],
+        ["gt", "act", "--lambda", "1", "--backend", "coxeter:3,0"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", "torsion:0"],
     ],
 )
 def test_malformed_integer_list_is_input_error(capsys, argv):
@@ -279,6 +284,8 @@ def _cyc(n: int) -> dict:
         {"kind": "monomial", "d": "two", "e": 1, "n": 2},
         {"kind": "catalog"},
         ["not", "an", "object"],
+        {"kind": "explicit", "generators": [[{"order": 1, "coeffs": [["1", "0"]]}]]},
+        {"kind": "explicit", "generators": [[{"order": 1, "coeffs": [[-1.5, 1]]}]]},
     ],
     ids=[
         "mixed-dimension",
@@ -289,6 +296,8 @@ def _cyc(n: int) -> dict:
         "d-not-int",
         "missing-name",
         "not-object",
+        "zero-denominator",
+        "float-coefficient",
     ],
 )
 def test_malformed_group_spec_is_input_error(capsys, tmp_path, command, spec):
@@ -381,8 +390,9 @@ def test_explicit_group_spec_still_builds(capsys, tmp_path):
     [
         ["present", "verify-map", "--map", "cp_conj_4_4", "--backend", "torsion:2", "--budget-cosets", "10"],
         ["nosuchcmd"],
+        ["monodromy", "profile"],
     ],
-    ids=["global-flag-after-subcommand", "unknown-command"],
+    ids=["global-flag-after-subcommand", "unknown-command", "monodromy-profile-without-source"],
 )
 def test_usage_error_is_input_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -136,8 +137,20 @@ def test_json_roundtrip_bit_exact():
 
 
 def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        from_json({"order": 5, "coeffs": [["1", "1"]]})  # wrong length
+    bad = [
+        {"order": 5, "coeffs": [["1", "1"]]},  # wrong length
+        {"order": 1, "coeffs": [["1", "0"]]},  # zero denominator
+        {"order": 1, "coeffs": [[-1.5, 1]]},  # a float would be truncated
+        {"order": 1, "coeffs": [["1", 2.0]]},
+        {"order": 1, "coeffs": [[True, 1]]},
+        {"order": 2.5, "coeffs": [["1", "1"]]},
+        {"order": 1, "coeffs": [["1/2", "1"]]},
+    ]
+    for data in bad:
+        with pytest.raises(ValueError):
+            from_json(data)
+    # JSON integers and decimal strings are both exact
+    assert from_json({"order": "1", "coeffs": [[-3, "2"]]}) == rational(Fraction(-3, 2))
 
 
 def test_json_order_cap():
@@ -363,3 +376,273 @@ def test_descent_projections_invert_the_descent_columns():
             for k, c in row:
                 dense_row[k] = Fraction(c)
         assert linalg.rank(dense) == len(cons), (n, m)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the Fraction-stored CycNum that the integer
+# representation replaced: the same canonical values with coefficients kept as
+# a tuple of Fractions, and every operation converting them to integer
+# numerators and back.
+
+
+def _ref_numerators(coeffs):
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if d != 1 and den % d:
+            den = den // gcd(den, d) * d
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _ref_fractions(nums, den):
+    return tuple(Fraction(a, den) for a in nums)
+
+
+class _FracCycNum:
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order, coeffs):
+        nums, den = _ref_numerators([Fraction(c) for c in coeffs])
+        x = _ref_minimal(order, cyclo._reduce_mod_cyclotomic(order, nums), den)
+        self.order, self.coeffs = x.order, x.coeffs
+
+    def _lifted(self, n):
+        nums, den = _ref_numerators(self.coeffs)
+        if n == self.order:
+            return nums, den
+        step = n // self.order
+        dense = [0] * ((len(nums) - 1) * step + 1)
+        dense[::step] = nums
+        return cyclo._reduce_mod_cyclotomic(n, dense), den
+
+    def __add__(self, other):
+        other = _ref_coerce(other)
+        if self.order == 1:
+            self, other = other, self
+        if other.order == 1:
+            if not other.coeffs[0]:
+                return self
+            c = self.coeffs
+            return _ref_make(self.order, (c[0] + other.coeffs[0],) + c[1:])
+        n = self.order * other.order // gcd(self.order, other.order)
+        (a, da), (b, db) = self._lifted(n), other._lifted(n)
+        den = da * db // gcd(da, db)
+        return _ref_minimal(n, [x * (den // da) + y * (den // db) for x, y in zip(a, b)], den)
+
+    def __neg__(self):
+        return _ref_make(self.order, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-_ref_coerce(other))
+
+    def __mul__(self, other):
+        other = _ref_coerce(other)
+        if self.order == 1:
+            q = self.coeffs[0]
+            if not q:
+                return _ref_make(1, (Fraction(0),))
+            return _ref_make(other.order, tuple(q * c for c in other.coeffs))
+        if other.order == 1:
+            return other * self
+        n = self.order * other.order // gcd(self.order, other.order)
+        (a, da), (b, db) = self._lifted(n), other._lifted(n)
+        return _ref_minimal(n, cyclo._product(n, a, b), da * db)
+
+    def inverse(self):
+        if self.order == 1:
+            return _ref_make(1, (1 / self.coeffs[0],))
+        n = self.order
+        a, den = _ref_numerators(self.coeffs)
+        others = [1] + [0] * (len(a) - 1)
+        for k in cyclo._units(n)[1:]:
+            others = cyclo._product(n, others, cyclo._conjugate(n, a, k))
+        norm = cyclo._product(n, a, others)[0]
+        return _ref_make(n, tuple(Fraction(c * den, norm) for c in others))
+
+    def __truediv__(self, other):
+        return self * _ref_coerce(other).inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = _ref_make(1, (Fraction(1),))
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def galois(self, k):
+        n = self.order
+        k %= n
+        if n == 1 or k == 1:
+            return self
+        nums, den = _ref_numerators(self.coeffs)
+        return _ref_make(n, _ref_fractions(cyclo._conjugate(n, nums, k), den))
+
+    def __eq__(self, other):
+        if isinstance(other, _FracCycNum):
+            return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == 1 and self.coeffs[0] == other
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
+
+    def to_json(self):
+        return {"order": self.order, "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs]}
+
+    def __repr__(self):
+        if self.order == 1:
+            return f"CycNum({self.coeffs[0]})"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                z = f"z{self.order}" + (f"^{i}" if i > 1 else "")
+                terms.append(f"{c}*{z}" if c != 1 else z)
+        return "CycNum(" + (" + ".join(terms) or "0") + ")"
+
+
+def _ref_make(order, coeffs):
+    x = object.__new__(_FracCycNum)
+    x.order, x.coeffs = order, coeffs
+    return x
+
+
+def _ref_coerce(x):
+    return x if isinstance(x, _FracCycNum) else _ref_make(1, (Fraction(x),))
+
+
+def _ref_minimal(n, nums, den):
+    while n > 1:
+        if not any(nums[1:]):
+            return _ref_make(1, (Fraction(nums[0], den),))
+        for p in cyclo._prime_factors(n):
+            if n == p:
+                continue
+            step = cyclo._descend(n, p, nums)
+            if step is not None:
+                n //= p
+                nums, scale = step
+                den *= scale
+                break
+        else:
+            break
+    return _ref_make(n, _ref_fractions(nums, den))
+
+
+DIFF_ORDERS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 24)
+
+
+def _check_pair(new, ref):
+    key = (new.order, new.coeffs)
+    assert key == (ref.order, ref.coeffs)
+    assert all(type(c) is Fraction for c in new.coeffs)
+    assert hash(new) == hash(ref) == hash(key)
+    assert to_json(new) == ref.to_json()
+    assert repr(new) == repr(ref)
+
+
+def _diff_values(rng, count):
+    # values of every order, some lying in a subfield of their written order,
+    # some with integer coefficients only, and a few rationals
+    out = []
+    for i in range(count):
+        n = DIFF_ORDERS[i % len(DIFF_ORDERS)]
+        m = rng.choice([d for d in range(1, n + 1) if n % d == 0] + [n] * 3)
+        step = n // m
+        dense = [Fraction(0)] * n
+        for _ in range(rng.randint(1, 2 * cyclo.euler_phi(m))):
+            den = 1 if i % 3 == 0 else rng.randint(1, 6)
+            dense[step * rng.randrange(m)] += Fraction(rng.randint(-9, 9), den)
+        out.append((CycNum(n, dense), _FracCycNum(n, dense)))
+    return out
+
+
+def test_integer_representation_matches_fraction_reference():
+    rng = random.Random(15)
+    values = _diff_values(rng, 66)
+    values += [(rational(q), _FracCycNum(1, [q])) for q in (Fraction(0), Fraction(1), Fraction(-7, 4))]
+    for new, ref in values:
+        _check_pair(new, ref)
+        _check_pair(-new, -ref)
+        units = [k for k in range(1, max(new.order, 2)) if gcd(k, new.order) == 1]
+        k = rng.choice(units)
+        _check_pair(galois(new, k), ref.galois(k))
+        if new:
+            _check_pair(new.inverse(), ref.inverse())
+            e = rng.choice([-2, -1, 2, 3])
+            _check_pair(new**e, ref**e)
+        _check_pair(new**0, ref**0)
+    for _ in range(400):
+        (a, ra), (b, rb) = rng.choice(values), rng.choice(values)
+        _check_pair(a + b, ra + rb)
+        _check_pair(a - b, ra - rb)
+        _check_pair(a * b, ra * rb)
+        if b:
+            _check_pair(a / b, ra / rb)
+        assert (a == b) == (ra == rb) and (a != b) == (not ra == rb)
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        _check_pair(a + q, ra + q)
+        _check_pair(a * q, ra * q)
+        assert (a == q) == (ra == q) and (a == q.numerator) == (ra == q.numerator)
+    # values equal to each other keep equal keys whatever order built them
+    a, ra = values[7]
+    _check_pair((a + a) - a, ra)
+    # the (order, coeffs) sort key orders both representations alike
+    new_sorted = sorted((v for v, _ in values), key=lambda t: (t.order, t.coeffs))
+    ref_sorted = sorted((r for _, r in values), key=lambda t: (t.order, t.coeffs))
+    assert [repr(v) for v in new_sorted] == [repr(r) for r in ref_sorted]
+
+
+def test_hash_of_denominator_without_inverse_mod_the_hash_modulus():
+    # Fraction gives a denominator divisible by the hash modulus an infinite hash
+    m = sys.hash_info.modulus
+    for order, coeffs in [(1, [Fraction(1, m)]), (3, [0, Fraction(2, m)]), (4, [Fraction(3, 2 * m), Fraction(1, 2)])]:
+        x = CycNum(order, coeffs)
+        assert x._den % m == 0
+        assert hash(x) == hash((x.order, x.coeffs))
+
+
+class _NoFraction:
+    """Stands in for fractions.Fraction: isinstance works, building one fails."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built on the arithmetic path")
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    z8, z12, z5 = root_of_unity(8), root_of_unity(12), root_of_unity(5)
+    a = z8 * rational(Fraction(2, 3)) + rational(Fraction(1, 5))
+    b = z12 + rational(Fraction(-3, 4))
+    c = z5 * rational(7) - rational(2)
+    q, r = rational(Fraction(5, 6)), rational(-4)
+
+    def run():
+        out = []
+        for x, y in [(a, b), (b, c), (a, c), (c, c), (q, a), (b, q), (q, r), (r, q)]:
+            out += [x + y, x - y, y - x, x * y, x / y, -x, x.inverse(), x**2, x**-1, galois(x, -1)]
+            out += [x + 1, 2 * x, x - 1, 1 - x, 1 / x, x / 3]
+        return out
+
+    expected = run()  # fills the cached descent projections
+    with monkeypatch.context() as m:
+        m.setattr(cyclo, "Fraction", _NoFraction)
+        got = run()
+        hashes = [hash(x) for x in got]
+        truth = [bool(x) for x in got]
+        zero = [x.is_zero() for x in got]
+        assert got == expected
+        assert a != b and q == q and r == -4 and not (q == a)
+        assert all((x - x).is_zero() and not (x - x) for x in got)
+    assert hashes == [hash((x.order, x.coeffs)) for x in got]
+    assert truth == [any(x.coeffs) for x in got] == [not z for z in zero]
+    assert any(zero) and not all(zero)
+
+
+def test_float_is_not_a_rational():
+    with pytest.raises(TypeError):
+        CycNum(3, [1.5, 0])
+    with pytest.raises(TypeError):
+        rational(0.5)
