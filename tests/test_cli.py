@@ -375,6 +375,15 @@ def test_verify_map_backend_honours_coset_budget(capsys):
     assert json.loads(out)["error"] == "budget_exceeded"
 
 
+def test_quotient_budget_caps_the_quotient_degree(capsys):
+    # Br4/s^3 has 648 elements; its enumeration over <s1> defines 228 cosets
+    argv = ["present", "quotient", "--coxeter", "4,3"]
+    code, out = run_cli(capsys, "--budget-cosets", "647", *argv)
+    assert code == 2 and json.loads(out)["error"] == "budget_exceeded"
+    code, out = run_cli(capsys, "--budget-cosets", "648", *argv)
+    assert code == 0 and json.loads(out)["order"] == 648
+
+
 def test_explicit_group_spec_still_builds(capsys, tmp_path):
     path = tmp_path / "spec.json"
     swap = [_cyc(0), _cyc(1), _cyc(1), _cyc(0)]

@@ -9,6 +9,7 @@ from reflbench.orbit import orbit
 from reflbench.fpgroups import (
     CosetTable,
     GroupHom,
+    PermQuotient,
     Presentation,
     artin_b_embedding,
     artin_i2_presentation,
@@ -153,9 +154,90 @@ def test_cp_quotient_orders():
 
 
 def test_cp_without_far_commutations_does_not_close():
-    pres = corran_picantin_presentation(3, 4, include_far_commutations=False)
-    with pytest.raises(BudgetExceededError):
-        torsion_quotient(pres, 2, limit=20_000)
+    for e, limit in ((3, 20_000), (4, 30_000)):
+        pres = corran_picantin_presentation(e, 4, include_far_commutations=False)
+        with pytest.raises(BudgetExceededError):
+            torsion_quotient(pres, 2, limit=limit)
+
+
+def quotient_from_table(label, table):
+    """The regular quotient read straight off a table of the trivial subgroup."""
+    assert table.status == "complete" and table.subgroup == ()
+    return PermQuotient(label, table.presentation, table.generator_permutations(), table.index())
+
+
+def _permutation_isomorphic(q1, q2) -> bool:
+    """Simultaneous BFS from point 0 in generator order: the map it builds
+    must be a bijection that commutes with every generator."""
+    gens = q1.presentation.generators
+    if q2.presentation.generators != gens or q1.degree != q2.degree:
+        return False
+    phi = {0: 0}
+    queue = deque([0])
+    while queue:
+        point = queue.popleft()
+        for g in gens:
+            image, image2 = q1.gen_perms[g][point], q2.gen_perms[g][phi[point]]
+            if image not in phi:
+                phi[image] = image2
+                queue.append(image)
+            elif phi[image] != image2:
+                return False
+    return len(phi) == q1.degree and len(set(phi.values())) == q1.degree
+
+
+POWER_QUOTIENTS = [
+    (f"Br{n}/s^{k}", lambda n=n, k=k: coxeter_quotient(n, k))
+    for n, k in ((3, 3), (3, 4), (3, 5), (4, 3))
+]
+POWER_QUOTIENTS += [
+    (f"CP({e},{e},{n})+2", lambda e=e, n=n: torsion_quotient(corran_picantin_presentation(e, n), 2))
+    for e in (3, 4)
+    for n in (3, 4)
+]
+POWER_QUOTIENTS += [
+    (f"{name}+2", lambda p=p: torsion_quotient(p(), 2))
+    for name, p in (
+        ("G12", g12_braid_presentation),
+        ("G13", g13_braid_presentation),
+        ("I2(6)", lambda: artin_i2_presentation(6)),
+    )
+]
+POWER_QUOTIENTS += [
+    (f"Br{n}+2", lambda n=n: torsion_quotient(braid_presentation(n), 2)) for n in range(2, 6)
+]
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in POWER_QUOTIENTS], ids=[i for i, _ in POWER_QUOTIENTS]
+)
+def test_power_quotient_matches_trivial_subgroup_enumeration(build):
+    # the cyclic-subgroup quotient against HLT over the trivial subgroup
+    q = build()
+    oracle = quotient_from_table(q.label, todd_coxeter(q.presentation, []))
+    assert q.degree == oracle.degree <= 20_000
+    assert _permutation_isomorphic(q, oracle)
+
+
+def test_permutation_isomorphism_check_rejects_a_wrong_generator():
+    q = torsion_quotient(braid_presentation(3), 2)
+    perms = {"s1": q.gen_perms["s1"], "s2": q.gen_perms["s1"]}
+    wrong = PermQuotient(q.label, q.presentation, perms, q.degree)
+    assert _permutation_isomorphic(q, q)
+    assert not _permutation_isomorphic(q, wrong)
+
+
+def test_br5_s3_degree():
+    assert coxeter_quotient(5, 3).degree == 155_520
+
+
+def test_unbalanced_relator_takes_the_trivial_subgroup():
+    # a b^-2 has exponent sum -1, not 0 mod 3: no map to Z/3 sends a and b to 1
+    pres = Presentation("P", ("a", "b"), (parse_word("a b^-2", ("a", "b")),))
+    q = torsion_quotient(pres, 3)
+    table = todd_coxeter(q.presentation, [])
+    assert q.degree == table.index() == 3
+    assert q.gen_perms == table.generator_permutations()
 
 
 def test_verify_g12_conjugation():
@@ -234,6 +316,32 @@ def test_eval_word_matches_letter_by_letter_inversion():
     gens = q.presentation.generators
     for _ in range(40):
         w = tuple((rng.choice(gens), rng.choice((-2, -1, 1, 3))) for _ in range(rng.randint(0, 8)))
+        assert q.eval_word(w) == reference(w)
+
+
+def test_eval_word_powers_match_letter_by_letter_composition():
+    # seeded random permutations of 40 points, of orders 336, 60 and 124, so
+    # exponents up to +-10,000 are not reduced to a few letters
+    rng = random.Random(16)
+    perms = {}
+    for g in ("a", "b", "c"):
+        points = list(range(40))
+        rng.shuffle(points)
+        perms[g] = tuple(points)
+    q = PermQuotient("random", Presentation("random", tuple(perms), ()), perms, 40)
+
+    def reference(w):
+        perm = q.identity()
+        for sym, step in word_letters(w):
+            g = perms[sym] if step > 0 else tuple(sorted(range(40), key=perms[sym].__getitem__))
+            perm = tuple(g[x] for x in perm)
+        return perm
+
+    for _ in range(30):
+        w = tuple(
+            (rng.choice("abc"), rng.choice((-1, 1, 2, -3, rng.randint(-10_000, 10_000) or 1)))
+            for _ in range(rng.randint(1, 4))
+        )
         assert q.eval_word(w) == reference(w)
 
 
