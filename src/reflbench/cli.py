@@ -187,6 +187,8 @@ _PRESENTATIONS = {
 
 
 def _load_presentation(args) -> fpgroups.Presentation:
+    if args.catalog and args.pres:
+        raise InputError("give --catalog or --pres, not both")
     if args.catalog:
         key = args.catalog
         if key in _PRESENTATIONS:
@@ -225,12 +227,15 @@ def cmd_present_tc(args):
 
 def cmd_present_quotient(args):
     if args.coxeter:
+        if args.catalog or args.pres or args.torsion is not None:
+            raise InputError("--coxeter takes no --catalog, --pres or --torsion")
         n, k = _ints(args.coxeter, "n,k")
-        q = fpgroups.coxeter_quotient(_braid_n(n), k, args.budget_cosets)
-        return 0, {"quotient": q.label, "order": q.degree}
-    pres = _load_presentation(args)
-    q = fpgroups.torsion_quotient(pres, args.torsion, args.budget_cosets)
-    return 0, {"quotient": q.label, "order": q.degree}
+        pres, label = fpgroups.braid_presentation(_braid_n(n)), f"Br{n}/s^{k}"
+    else:
+        pres = _load_presentation(args)
+        k, label = 2 if args.torsion is None else args.torsion, f"{pres.label}+torsion"
+    order = fpgroups.power_quotient_order(pres, label, k, args.budget_cosets)
+    return 0, {"quotient": label, "order": order}
 
 
 _MAPS = {
@@ -504,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog")
     p.add_argument("--pres")
     p.add_argument("--coxeter", help="n,k for Br_n/(s_i^k)")
-    p.add_argument("--torsion", type=int, default=2)
+    p.add_argument("--torsion", type=int, help="k for pres/(g^k), default 2")
     p.set_defaults(fn=cmd_present_quotient)
     p = pres.add_parser("verify-map")
     p.add_argument("--map", help=f"catalogued map name: {sorted(_MAPS)}")

@@ -15,9 +15,11 @@ A power quotient Q = pres/(g^k) is enumerated over the cyclic subgroup
 H = <g1> when psi, every generator to 1 in Z/m with m = |k|, is a
 homomorphism (every relator's exponent sum is 0 mod m).  Then |H| = m:
 g1^k = 1 bounds it above, and psi(g1) = 1 generates Z/m, which bounds it
-below.  So q -> (Hq, psi(q)) numbers the elements of Q, and the regular
-action is read off the [Q : H] cosets: Br5/s^3 enumerates 51,840 cosets
-for its 155,520 elements.
+below.  So |Q| = m [Q : H], read off the validated table of H by
+`power_quotient_order` (`present quotient`, criterion 7): Br5/s^3 has
+51,840 cosets and 155,520 elements.  q -> (Hq, psi(q)) numbers the elements,
+and `coxeter_quotient`/`torsion_quotient` build and validate the regular
+table on them for the callers that need permutations.
 """
 
 from __future__ import annotations
@@ -750,14 +752,14 @@ def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
 class PermQuotient:
     """A finite quotient acting by permutations of range(degree).
 
-    Every quotient built by `_power_quotient` is the regular action of Q on
-    its own elements, point 0 being the identity.  A subgroup H of a regular
-    group acts freely, so |H| = |H.0|: `order` and `subgroup_order` are one
-    orbit of the point 0, never a listing of the group.
-
-    The points come from the cosets of H = <g1> and a residue mod m, where
-    psi sends every generator to 1 in Z/m.  Since g1^m = 1, |H| <= m; since
-    psi(g1) = 1 generates Z/m, |H| >= m; so q -> (Hq, psi(q)) is one-to-one.
+    Every quotient built by `_power_quotient` (the `torsion:`/`coxeter:`
+    backends, `gt act`, `gt gd-check`, bijectivity) is the regular action of
+    Q on its own elements, point 0 being the identity, and its table passes
+    `_validate_table`.  A subgroup H of a regular group acts freely, so
+    |H| = |H.0|: `order` and `subgroup_order` are one orbit of the point 0,
+    never a listing of the group.  The points are the pairs
+    (Hq, psi(q)) of H = <g1> and a residue mod m (see the module docstring),
+    whose count m [Q : H] `power_quotient_order` gives without this table.
     """
 
     label: str
@@ -809,15 +811,11 @@ def _perm_power(g: tuple[int, ...], e: int) -> tuple[int, ...]:
         g = _gather(g, g)
 
 
-def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQuotient:
-    """pres/(g^k for every generator g), acting regularly on its elements.
-
-    When every relator of pres has exponent sum 0 mod m = |k|, the cosets of
-    H = <g1> are enumerated (|H| = m: see the module docstring); otherwise
-    m = 1 and H is trivial.  Element q = (Hq, psi(q)) = (t, a) is point
-    t*m + a, and a generator x sends it to (t.x, a + 1).  `limit` caps the
-    cosets defined and the number of points.
-    """
+def _power_enumeration(pres: Presentation, label: str, k: int, limit: int):
+    """Q = pres/(g^k for every generator g) as (Q's presentation, m, table
+    of H): H = <g1> and |H| = m = |k| when every relator of pres has exponent
+    sum 0 mod m (see the module docstring), else m = 1 and H is trivial.
+    `limit` caps the cosets defined and |Q| = m [Q : H]."""
     if k == 0:
         # g^0 is the empty relator: the quotient is pres itself, infinite here
         raise InputError(f"power quotient {label} needs an exponent k != 0")
@@ -834,6 +832,23 @@ def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQ
         raise BudgetExceededError(
             f"cannot build quotient {label}: {n} points exceed the coset budget {limit}"
         )
+    return quot, m, table
+
+
+def power_quotient_order(pres: Presentation, label: str, k: int, limit: int = DEFAULT_COSET_BUDGET) -> int:
+    """|pres/(g^k)| = m [Q : H] from the validated table of H, building no permutation of Q."""
+    _, m, table = _power_enumeration(pres, label, k, limit)
+    return m * table.index()
+
+
+def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQuotient:
+    """pres/(g^k for every generator g), acting regularly on its elements.
+
+    Element q = (Hq, psi(q)) = (t, a) is point t*m + a, and a generator x
+    sends it to (t.x, a + 1).
+    """
+    quot, m, table = _power_enumeration(pres, label, k, limit)
+    n = m * table.index()
     # slices of one tuple of points, so every entry shares its int object;
     # column 2g moves the residue by +1 and column 2g + 1 by -1
     points = tuple(range(n))
@@ -843,12 +858,12 @@ def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQ
         residues = [_gather(points[(a + step) % m :: m], col) for a in range(m)]
         columns.append(tuple(chain.from_iterable(zip(*residues))))
     regular = CosetTable(quot, (), columns, "complete", n)
-    _validate_table(regular, [[quot.letter_columns[x] for x in word_letters(r)] for r in rel], [])
+    _validate_table(regular, [[quot.letter_columns[x] for x in word_letters(r)] for r in quot.relators], [])
     return PermQuotient(label, quot, regular.generator_permutations(), n)
 
 
 def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:
-    """Br_n/(s_i^k) as a permutation group on the cosets of the trivial subgroup."""
+    """Br_n/(s_i^k), acting regularly on its elements."""
     return _power_quotient(braid_presentation(n), f"Br{n}/s^{k}", k, limit)
 
 

@@ -29,6 +29,7 @@ from .fpgroups import (
     braid_presentation,
     coxeter_quotient,
     parse_word,
+    power_quotient_order,
     single,
     todd_coxeter,
     torsion_quotient,
@@ -260,19 +261,15 @@ def criterion_6_presentation_maps():
 
 def criterion_7_coxeter_quotients():
     details: dict = {}
-    _check(details, "br3_s3_order_24", coxeter_quotient(3, 3).degree == 24)
-    _check(details, "br3_s4_order_96", coxeter_quotient(3, 4).degree == 96)
-    _check(details, "br4_s3_order_648", coxeter_quotient(4, 3).degree == 648)
-    _check(
-        details,
-        "g12_torsion_48",
-        torsion_quotient(fpgroups.g12_braid_presentation(), 2).degree == 48,
-    )
-    _check(
-        details,
-        "g13_torsion_96",
-        torsion_quotient(fpgroups.g13_braid_presentation(), 2).degree == 96,
-    )
+    for n, k, order in ((3, 3, 24), (3, 4, 96), (4, 3, 648)):
+        got = power_quotient_order(braid_presentation(n), f"Br{n}/s^{k}", k)
+        _check(details, f"br{n}_s{k}_order_{order}", got == order)
+    for name, pres, order in (
+        ("g12", fpgroups.g12_braid_presentation(), 48),
+        ("g13", fpgroups.g13_braid_presentation(), 96),
+    ):
+        got = power_quotient_order(pres, f"{pres.label}+torsion", 2)
+        _check(details, f"{name}_torsion_{order}", got == order)
     return CriterionResult(details)
 
 

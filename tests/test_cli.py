@@ -1,14 +1,18 @@
+import argparse
+import ast
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import reflbench
-from reflbench import arrangement, cli, cyclo, fpgroups, garside, mpoly
+from reflbench import arrangement, cli, cyclo, fpgroups, garside, mpoly, suite
 from reflbench.cli import main
 
 
@@ -384,6 +388,55 @@ def test_quotient_budget_caps_the_quotient_degree(capsys):
     assert code == 0 and json.loads(out)["order"] == 648
 
 
+def _cosets_workload_lists() -> dict:
+    """COXETER, LARGE_COXETER and TORSION of the benchmark's `cosets`
+    workload, read from its source without importing it."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    values = {}
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("COXETER", "LARGE_COXETER", "TORSION"):
+                values[node.targets[0].id] = ast.literal_eval(node.value)
+    return values
+
+
+def test_quotient_orders_build_no_regular_table(capsys, monkeypatch):
+    lists = _cosets_workload_lists()
+    expected = {}
+    for n, k in lists["COXETER"] + [lists["LARGE_COXETER"], (3, -3)]:
+        q = fpgroups.coxeter_quotient(n, k)
+        expected["--coxeter", f"{n},{k}"] = {"quotient": q.label, "order": q.degree}
+    for name in lists["TORSION"]:
+        pres = cli._load_presentation(argparse.Namespace(catalog=name, pres=None))
+        q = fpgroups.torsion_quotient(pres, 2)
+        expected["--catalog", name, "--torsion", "2"] = {"quotient": q.label, "order": q.degree}
+    criterion_7 = suite.criterion_7_coxeter_quotients().details
+
+    def no_regular_table(*args):
+        raise AssertionError("the regular permutation table was built")
+
+    monkeypatch.setattr(fpgroups, "_power_quotient", no_regular_table)
+    for flags, payload in expected.items():
+        code, out = run_cli(capsys, "present", "quotient", *flags)
+        assert code == 0 and out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert suite.criterion_7_coxeter_quotients().details == criterion_7
+    assert all(criterion_7.values()) and len(criterion_7) == 5
+    # the budget rule and the k = 0 refusal belong to the enumeration step
+    argv = ["present", "quotient", "--coxeter", "4,3"]
+    assert run_cli(capsys, "--budget-cosets", "647", *argv)[0] == 2
+    assert run_cli(capsys, "--budget-cosets", "648", *argv)[0] == 0
+    assert run_cli(capsys, "present", "quotient", "--coxeter", "3,0")[0] == 3
+
+
+def test_br5_s3_quotient_time_budget(capsys):
+    # time budget: 3 s for Br5/s^3 in-process, about 0.5 s on a 2-vCPU VM
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "present", "quotient", "--coxeter", "5,3")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(out)["order"] == 155_520
+    assert elapsed <= 3, f"present quotient --coxeter 5,3 took {elapsed:.2f} s, over its 3 s budget"
+
+
 def test_explicit_group_spec_still_builds(capsys, tmp_path):
     path = tmp_path / "spec.json"
     swap = [_cyc(0), _cyc(1), _cyc(1), _cyc(0)]
@@ -400,13 +453,36 @@ def test_explicit_group_spec_still_builds(capsys, tmp_path):
         ["present", "verify-map", "--map", "cp_conj_4_4", "--backend", "torsion:2", "--budget-cosets", "10"],
         ["nosuchcmd"],
         ["monodromy", "profile"],
+        ["present", "quotient", "--coxeter", "3,3", "--catalog", "G12"],
+        ["present", "quotient", "--coxeter", "3,3", "--pres", "/nonexistent.json"],
+        ["present", "quotient", "--coxeter", "3,3", "--torsion", "5"],
+        ["present", "quotient", "--catalog", "G12", "--pres", "/nonexistent.json"],
+        ["present", "tc", "--catalog", "Br3", "--pres", "/nonexistent.json"],
     ],
-    ids=["global-flag-after-subcommand", "unknown-command", "monodromy-profile-without-source"],
+    ids=[
+        "global-flag-after-subcommand",
+        "unknown-command",
+        "monodromy-profile-without-source",
+        "coxeter-with-catalog",
+        "coxeter-with-pres",
+        "coxeter-with-torsion",
+        "quotient-catalog-with-pres",
+        "tc-catalog-with-pres",
+    ],
 )
 def test_usage_error_is_input_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert json.loads(out)["error"] == "input"
+
+
+def test_verify_map_file_with_catalog_and_pres_is_input_error(capsys, tmp_path):
+    swap = tmp_path / "swap.json"
+    swap.write_text(json.dumps({"images": {"s1": "s2", "s2": "s1"}, "backend": "torsion:2"}))
+    argv = ["present", "verify-map", "--map-file", str(swap), "--catalog", "Br3", "--pres", str(swap)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": "input", "message": "give --catalog or --pres, not both"}
 
 
 def test_help_exits_0(capsys):

@@ -27,6 +27,7 @@ from reflbench.fpgroups import (
     i26_transported_conjugation,
     is_in_derived_f2,
     parse_word,
+    power_quotient_order,
     schreier_data,
     schreier_rewrite,
     single,
@@ -186,17 +187,23 @@ def _permutation_isomorphic(q1, q2) -> bool:
     return len(phi) == q1.degree and len(set(phi.values())) == q1.degree
 
 
-POWER_QUOTIENTS = [
-    (f"Br{n}/s^{k}", lambda n=n, k=k: coxeter_quotient(n, k))
-    for n, k in ((3, 3), (3, 4), (3, 5), (4, 3))
-]
+def _coxeter_case(n, k):
+    return f"Br{n}/s^{k}", lambda: braid_presentation(n), k, lambda: coxeter_quotient(n, k)
+
+
+def _torsion_case(name, pres):
+    return name, pres, 2, lambda: torsion_quotient(pres(), 2)
+
+
+# (id, presentation, k, quotient): the catalogued power quotients of degree <= 20,000
+POWER_QUOTIENTS = [_coxeter_case(n, k) for n, k in ((3, 3), (3, 4), (3, 5), (4, 3))]
 POWER_QUOTIENTS += [
-    (f"CP({e},{e},{n})+2", lambda e=e, n=n: torsion_quotient(corran_picantin_presentation(e, n), 2))
+    _torsion_case(f"CP({e},{e},{n})+2", lambda e=e, n=n: corran_picantin_presentation(e, n))
     for e in (3, 4)
     for n in (3, 4)
 ]
 POWER_QUOTIENTS += [
-    (f"{name}+2", lambda p=p: torsion_quotient(p(), 2))
+    _torsion_case(f"{name}+2", p)
     for name, p in (
         ("G12", g12_braid_presentation),
         ("G13", g13_braid_presentation),
@@ -204,19 +211,26 @@ POWER_QUOTIENTS += [
     )
 ]
 POWER_QUOTIENTS += [
-    (f"Br{n}+2", lambda n=n: torsion_quotient(braid_presentation(n), 2)) for n in range(2, 6)
+    _torsion_case(f"Br{n}+2", lambda n=n: braid_presentation(n)) for n in range(2, 6)
 ]
+POWER_QUOTIENT_IDS = [case[0] for case in POWER_QUOTIENTS]
 
 
-@pytest.mark.parametrize(
-    "build", [b for _, b in POWER_QUOTIENTS], ids=[i for i, _ in POWER_QUOTIENTS]
-)
+@pytest.mark.parametrize("build", [case[3] for case in POWER_QUOTIENTS], ids=POWER_QUOTIENT_IDS)
 def test_power_quotient_matches_trivial_subgroup_enumeration(build):
     # the cyclic-subgroup quotient against HLT over the trivial subgroup
     q = build()
     oracle = quotient_from_table(q.label, todd_coxeter(q.presentation, []))
     assert q.degree == oracle.degree <= 20_000
     assert _permutation_isomorphic(q, oracle)
+
+
+@pytest.mark.parametrize("pres, k", [case[1:3] for case in POWER_QUOTIENTS], ids=POWER_QUOTIENT_IDS)
+def test_power_quotient_order_matches_trivial_subgroup_enumeration(pres, k):
+    pres = pres()
+    powers = tuple(word_pow(single(g), k) for g in pres.generators)
+    oracle = todd_coxeter(Presentation("Q", pres.generators, pres.relators + powers), [])
+    assert power_quotient_order(pres, "Q", k) == oracle.index() <= 20_000
 
 
 def test_permutation_isomorphism_check_rejects_a_wrong_generator():
@@ -228,7 +242,8 @@ def test_permutation_isomorphism_check_rejects_a_wrong_generator():
 
 
 def test_br5_s3_degree():
-    assert coxeter_quotient(5, 3).degree == 155_520
+    order = power_quotient_order(braid_presentation(5), "Br5/s^3", 3)
+    assert order == coxeter_quotient(5, 3).degree == 155_520
 
 
 def test_unbalanced_relator_takes_the_trivial_subgroup():
@@ -236,7 +251,7 @@ def test_unbalanced_relator_takes_the_trivial_subgroup():
     pres = Presentation("P", ("a", "b"), (parse_word("a b^-2", ("a", "b")),))
     q = torsion_quotient(pres, 3)
     table = todd_coxeter(q.presentation, [])
-    assert q.degree == table.index() == 3
+    assert q.degree == table.index() == power_quotient_order(pres, "P", 3) == 3
     assert q.gen_perms == table.generator_permutations()
 
 
