@@ -230,12 +230,11 @@ def cmd_present_quotient(args):
         if args.catalog or args.pres or args.torsion is not None:
             raise InputError("--coxeter takes no --catalog, --pres or --torsion")
         n, k = _ints(args.coxeter, "n,k")
-        pres, label = fpgroups.braid_presentation(_braid_n(n)), f"Br{n}/s^{k}"
+        q = fpgroups.coxeter_quotient(_braid_n(n), k, args.budget_cosets)
     else:
-        pres = _load_presentation(args)
-        k, label = 2 if args.torsion is None else args.torsion, f"{pres.label}+torsion"
-    order = fpgroups.power_quotient_order(pres, label, k, args.budget_cosets)
-    return 0, {"quotient": label, "order": order}
+        k = 2 if args.torsion is None else args.torsion
+        q = fpgroups.torsion_quotient(_load_presentation(args), k, args.budget_cosets)
+    return 0, {"quotient": q.label, "order": q.degree}
 
 
 _MAPS = {
@@ -251,6 +250,8 @@ _MAPS = {
 def cmd_present_verify_map(args):
     backend_spec = args.backend
     if args.map in _MAPS:
+        if args.map_file or args.catalog or args.pres:
+            raise InputError("a catalogued --map takes no --map-file, --catalog or --pres")
         hom = _MAPS[args.map]()
     elif args.map_file:
         with open(args.map_file) as fh:
@@ -302,8 +303,8 @@ def _build_backend(spec: str, hom: fpgroups.GroupHom, budget_cosets: int):
 
 
 def _table_quotient(label: str, data) -> fpgroups.PermQuotient:
-    """The quotient of a `present tc --full` file: one permutation of
-    range(degree) per listed generator, all of the same degree.
+    """The quotient of a `present tc --full` file: a label plus the table of
+    one permutation of range(degree) per listed generator, and of its inverse.
 
     The points need not be the cosets of the trivial subgroup, so the action
     need not be regular: this quotient only evaluates words and is never
@@ -322,12 +323,7 @@ def _table_quotient(label: str, data) -> fpgroups.PermQuotient:
             raise InputError(f"{label}: perm of {g!r} has length {len(perm)}, not {degree}")
         if any(type(x) is not int for x in perm) or set(perm) != set(range(degree)):
             raise InputError(f"{label}: perm of {g!r} is not a permutation of range({degree})")
-    return fpgroups.PermQuotient(
-        label=label,
-        presentation=fpgroups.Presentation(label, gens, ()),
-        gen_perms=perms,
-        degree=degree,
-    )
+    return fpgroups.PermQuotient(label, fpgroups.permutation_table(label, perms))
 
 
 def _infer_target_presentation(hom: fpgroups.GroupHom) -> fpgroups.Presentation:

@@ -15,11 +15,12 @@ A power quotient Q = pres/(g^k) is enumerated over the cyclic subgroup
 H = <g1> when psi, every generator to 1 in Z/m with m = |k|, is a
 homomorphism (every relator's exponent sum is 0 mod m).  Then |H| = m:
 g1^k = 1 bounds it above, and psi(g1) = 1 generates Z/m, which bounds it
-below.  So |Q| = m [Q : H], read off the validated table of H by
-`power_quotient_order` (`present quotient`, criterion 7): Br5/s^3 has
-51,840 cosets and 155,520 elements.  q -> (Hq, psi(q)) numbers the elements,
-and `coxeter_quotient`/`torsion_quotient` build and validate the regular
-table on them for the callers that need permutations.
+below.  A `PermQuotient` is a label plus the validated table of H and m, so
+its `degree` |Q| = m [Q : H] needs no permutation (`present quotient`,
+criterion 7): Br5/s^3 has 51,840 cosets and 155,520 elements.
+q -> (Hq, psi(q)) numbers the elements, and `PermQuotient.columns` builds
+and validates the regular table on them on first use, for the callers that
+need permutations.
 """
 
 from __future__ import annotations
@@ -728,7 +729,8 @@ def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
             gamma = _gather(cols[c], gamma)
         return gamma
 
-    if any(len(col) != n or min(col) < 0 or max(col) >= n for col in cols) or any(
+    # a table of no points (a `table:FILE` of empty perms) has no entry to range-check
+    if any(len(col) != n or n and (min(col) < 0 or max(col) >= n) for col in cols) or any(
         act((c, c + 1)) != identity for c in range(0, len(cols), 2)
     ):
         raise RuntimeError("coset table is not inverse-consistent")
@@ -750,53 +752,83 @@ def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
 
 @dataclass
 class PermQuotient:
-    """A finite quotient acting by permutations of range(degree).
+    """A finite quotient: a label plus a complete coset table, acting on m
+    copies of the cosets (m = 1 unless `_power_quotient` built it).  `degree`,
+    m times the table's, needs no permutation.  Every permutation handed out
+    comes from `columns`, which builds the action on the points t*m + a on
+    first use, a generator sending (t, a) to (t.x, a + 1), and passes it
+    through `_validate_table` with the quotient's relators.
 
-    Every quotient built by `_power_quotient` (the `torsion:`/`coxeter:`
-    backends, `gt act`, `gt gd-check`, bijectivity) is the regular action of
-    Q on its own elements, point 0 being the identity, and its table passes
-    `_validate_table`.  A subgroup H of a regular group acts freely, so
-    |H| = |H.0|: `order` and `subgroup_order` are one orbit of the point 0,
-    never a listing of the group.  The points are the pairs
-    (Hq, psi(q)) of H = <g1> and a residue mod m (see the module docstring),
-    whose count m [Q : H] `power_quotient_order` gives without this table.
+    A power quotient acts regularly on its own elements, point 0 being the
+    identity.  A subgroup H of a regular group acts freely, so |H| = |H.0|:
+    `order` and `subgroup_order` are one orbit of the point 0, never a
+    listing of the group.
     """
 
     label: str
-    presentation: Presentation
-    gen_perms: dict[str, tuple[int, ...]]
-    degree: int
+    table: CosetTable
+    m: int = 1
     exact = False  # a verification backend that gives evidence, not proof
+
+    @property
+    def presentation(self) -> Presentation:
+        return self.table.presentation
+
+    @property
+    def degree(self) -> int:
+        return self.m * self.table.degree
+
+    @cached_property
+    def columns(self) -> list[tuple[int, ...]]:
+        """Column 2g moves the residue by +1 and column 2g + 1 by -1; slices of
+        one tuple of points, so every entry shares its int object."""
+        m, n, quot = self.m, self.degree, self.presentation
+        points = tuple(range(n))
+        columns = []
+        for c, col in enumerate(self.table.columns):
+            step = -1 if c & 1 else 1
+            residues = [_gather(points[(a + step) % m :: m], col) for a in range(m)]
+            columns.append(tuple(chain.from_iterable(zip(*residues))))
+        rel_cols = [[quot.letter_columns[x] for x in word_letters(r)] for r in quot.relators]
+        _validate_table(CosetTable(quot, (), columns, "complete", n), rel_cols, [])
+        return columns
+
+    @property
+    def gen_perms(self) -> dict[str, tuple[int, ...]]:
+        return dict(zip(self.presentation.generators, self.columns[::2]))
 
     def eval_word(self, w: Word) -> tuple[int, ...]:
         """The permutation alpha -> alpha . w.  A syllable g^e costs one
         composition for e = +-1 and O(log |e|) by repeated squaring."""
         perm = self.identity()
         for sym, exp in w:
-            g = (self.gen_perms if exp > 0 else self._inverse_perms).get(sym)
-            if g is None:
+            c = self.presentation.letter_columns.get((sym, 1 if exp > 0 else -1))
+            if c is None:
                 raise InputError(f"word uses {sym!r}, unknown in quotient {self.label}")
-            perm = _gather(_perm_power(g, abs(exp)), perm)
+            perm = _gather(_perm_power(self.columns[c], abs(exp)), perm)
         return perm
-
-    @cached_property
-    def _inverse_perms(self) -> dict[str, tuple[int, ...]]:
-        inverses = {}
-        for sym, g in self.gen_perms.items():
-            inv = [0] * self.degree
-            for i, v in enumerate(g):
-                inv[v] = i
-            inverses[sym] = tuple(inv)
-        return inverses
 
     def identity(self) -> tuple[int, ...]:
         return tuple(range(self.degree))
 
     def order(self) -> int:
-        return self.subgroup_order(list(self.gen_perms.values()))
+        return self.subgroup_order(self.columns[::2])
 
     def subgroup_order(self, perms: list[tuple[int, ...]]) -> int:
         return len(orbit(0, perms, lambda p, g: g[p]))
+
+
+def permutation_table(label: str, perms: dict[str, tuple[int, ...]]) -> CosetTable:
+    """The complete table of permutations of range(degree), one per generator
+    of a presentation with no relators: column 2g is the g-th permutation and
+    column 2g + 1 its inverse.  The action need not be regular."""
+    columns = []
+    for perm in perms.values():
+        inverse = [0] * len(perm)
+        for i, v in enumerate(perm):
+            inverse[v] = i
+        columns += [perm, tuple(inverse)]
+    return CosetTable(Presentation(label, tuple(perms), ()), (), columns, "complete", len(columns[0]))
 
 
 def _perm_power(g: tuple[int, ...], e: int) -> tuple[int, ...]:
@@ -811,11 +843,13 @@ def _perm_power(g: tuple[int, ...], e: int) -> tuple[int, ...]:
         g = _gather(g, g)
 
 
-def _power_enumeration(pres: Presentation, label: str, k: int, limit: int):
-    """Q = pres/(g^k for every generator g) as (Q's presentation, m, table
-    of H): H = <g1> and |H| = m = |k| when every relator of pres has exponent
-    sum 0 mod m (see the module docstring), else m = 1 and H is trivial.
-    `limit` caps the cosets defined and |Q| = m [Q : H]."""
+def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQuotient:
+    """pres/(g^k for every generator g), acting regularly on its elements.
+
+    The table is that of H = <g1> and |H| = m = |k| when every relator of pres
+    has exponent sum 0 mod m (see the module docstring), else m = 1 and H is
+    trivial.  `limit` caps the cosets defined and the degree m [Q : H].
+    """
     if k == 0:
         # g^0 is the empty relator: the quotient is pres itself, infinite here
         raise InputError(f"power quotient {label} needs an exponent k != 0")
@@ -827,39 +861,12 @@ def _power_enumeration(pres: Presentation, label: str, k: int, limit: int):
     table = todd_coxeter(quot, [single(pres.generators[0])] if m > 1 else [], limit)
     if table.status != "complete":
         raise BudgetExceededError(f"cannot build quotient {label}: enumeration incomplete")
-    n = m * table.index()
-    if n > limit:
+    q = PermQuotient(label, table, m)
+    if q.degree > limit:
         raise BudgetExceededError(
-            f"cannot build quotient {label}: {n} points exceed the coset budget {limit}"
+            f"cannot build quotient {label}: {q.degree} points exceed the coset budget {limit}"
         )
-    return quot, m, table
-
-
-def power_quotient_order(pres: Presentation, label: str, k: int, limit: int = DEFAULT_COSET_BUDGET) -> int:
-    """|pres/(g^k)| = m [Q : H] from the validated table of H, building no permutation of Q."""
-    _, m, table = _power_enumeration(pres, label, k, limit)
-    return m * table.index()
-
-
-def _power_quotient(pres: Presentation, label: str, k: int, limit: int) -> PermQuotient:
-    """pres/(g^k for every generator g), acting regularly on its elements.
-
-    Element q = (Hq, psi(q)) = (t, a) is point t*m + a, and a generator x
-    sends it to (t.x, a + 1).
-    """
-    quot, m, table = _power_enumeration(pres, label, k, limit)
-    n = m * table.index()
-    # slices of one tuple of points, so every entry shares its int object;
-    # column 2g moves the residue by +1 and column 2g + 1 by -1
-    points = tuple(range(n))
-    columns = []
-    for c, col in enumerate(table.columns):
-        step = -1 if c & 1 else 1
-        residues = [_gather(points[(a + step) % m :: m], col) for a in range(m)]
-        columns.append(tuple(chain.from_iterable(zip(*residues))))
-    regular = CosetTable(quot, (), columns, "complete", n)
-    _validate_table(regular, [[quot.letter_columns[x] for x in word_letters(r)] for r in quot.relators], [])
-    return PermQuotient(label, quot, regular.generator_permutations(), n)
+    return q
 
 
 def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:

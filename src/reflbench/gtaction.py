@@ -217,11 +217,7 @@ def check_gd_pair(m: int, lam: int, g: Word, limit: int = fpgroups.DEFAULT_COSET
         raise InputError("g does not lie in the kernel of the reflection quotient")
     # coset table of P: the torsion quotient's table reused for the braid presentation
     tq = fpgroups.torsion_quotient(pres, 2, limit)
-    columns = []
-    for name in pres.generators:
-        columns += [tq.gen_perms[name], tq.eval_word(single(name, -1))]
-    table = fpgroups.CosetTable(pres, (), columns, "complete", tq.degree)
-    data = schreier_data(table)
+    data = schreier_data(fpgroups.CosetTable(pres, (), tq.columns, "complete", tq.degree))
     vec = fpgroups.schreier_abelianized(data, g)
     if vec is None:
         raise InputError("g does not fix the base coset; not in the kernel")
@@ -266,30 +262,31 @@ def check_gd_pair(m: int, lam: int, g: Word, limit: int = fpgroups.DEFAULT_COSET
 # composition of induced maps on a finite backend
 
 
-def _element_words(quotient: fpgroups.PermQuotient) -> dict[tuple[int, ...], Word]:
-    """A defining word in the generators for every element of the finite quotient."""
+def _element_words(quotient: fpgroups.PermQuotient) -> dict[int, Word]:
+    """A defining word in the generators for every element of the regular
+    quotient, keyed by its point: the Schreier tree of point 0."""
     names = quotient.presentation.generators
-    perms = [quotient.gen_perms[name] for name in names]
-    edges = orbit(quotient.identity(), perms, lambda el, g: tuple(g[x] for x in el))
-    words: dict[tuple[int, ...], Word] = {}
-    for el, edge in edges.items():
-        words[el] = () if edge is None else word_mul(words[edge[0]], single(names[edge[1]]))
+    edges = orbit(0, quotient.columns[::2], lambda p, g: g[p])
+    words: dict[int, Word] = {}
+    for point, edge in edges.items():
+        words[point] = () if edge is None else word_mul(words[edge[0]], single(names[edge[1]]))
     return words
 
 
 def composed_action_agrees(quotient: fpgroups.PermQuotient, pair1: GTPair, pair2: GTPair) -> bool:
-    """Whether the maps induced on the finite quotient compose as functions:
+    """Whether the maps induced on the regular quotient compose as functions:
     applying the word-level composition of generator images agrees, on every
-    element, with applying the two induced endomorphisms in sequence."""
+    element (its image of the point 0), with applying the two induced
+    endomorphisms in sequence.  Every power quotient acts regularly."""
     n = len(quotient.presentation.generators) + 1
     img1 = drinfeld_images(n, pair1)
     img2 = drinfeld_images(n, pair2)
     words = _element_words(quotient)
 
     def endo(images):
-        return {el: quotient.eval_word(substitute(w, images)) for el, w in words.items()}
+        return {p: quotient.eval_word(substitute(w, images))[0] for p, w in words.items()}
 
     f1, f2 = endo(img1), endo(img2)
     composed_images = {g: substitute(w, img2) for g, w in img1.items()}
     f21 = endo(composed_images)
-    return all(f2[f1[el]] == f21[el] for el in f1)
+    return all(f2[f1[p]] == f21[p] for p in f1)

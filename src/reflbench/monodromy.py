@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import matgroup
 from .errors import InputError
-from .fpgroups import PermQuotient, Presentation, parse_word
+from .fpgroups import PermQuotient, parse_word, permutation_table
 from .matgroup import RGroup, RMatrix, then
 from .orbit import orbit
 
@@ -188,10 +188,8 @@ def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -
     try:
         group = matgroup.group_from_spec(data["group"], budget)
         names = tuple(f"g{i+1}" for i in range(len(group.generators)))
-        on_points = PermQuotient(
-            group.label, Presentation(group.label, names, ()),
-            dict(zip(names, group.generator_perms)), len(group.points),
-        )
+        perms = dict(zip(names, group.generator_perms))
+        on_points = PermQuotient(group.label, permutation_table(group.label, perms))
         x, y = (on_points.eval_word(parse_word(data[k], names)) for k in ("x", "y"))
         fiber = data.get("fiber", "regular")
         # no words give the trivial subgroup, the regular cover's

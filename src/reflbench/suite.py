@@ -29,7 +29,6 @@ from .fpgroups import (
     braid_presentation,
     coxeter_quotient,
     parse_word,
-    power_quotient_order,
     single,
     todd_coxeter,
     torsion_quotient,
@@ -262,13 +261,13 @@ def criterion_6_presentation_maps():
 def criterion_7_coxeter_quotients():
     details: dict = {}
     for n, k, order in ((3, 3, 24), (3, 4, 96), (4, 3, 648)):
-        got = power_quotient_order(braid_presentation(n), f"Br{n}/s^{k}", k)
+        got = coxeter_quotient(n, k).degree
         _check(details, f"br{n}_s{k}_order_{order}", got == order)
     for name, pres, order in (
         ("g12", fpgroups.g12_braid_presentation(), 48),
         ("g13", fpgroups.g13_braid_presentation(), 96),
     ):
-        got = power_quotient_order(pres, f"{pres.label}+torsion", 2)
+        got = torsion_quotient(pres, 2).degree
         _check(details, f"{name}_torsion_{order}", got == order)
     return CriterionResult(details)
 

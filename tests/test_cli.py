@@ -250,6 +250,10 @@ def test_table_backend_accepts_true_permutations(capsys, tmp_path):
     backend = _table_file(tmp_path, {g: list(p) for g, p in q.gen_perms.items()})
     code, out = run_cli(capsys, "present", "verify-map", "--map", "g12_conj", "--backend", backend)
     assert code == 0 and json.loads(out)["consistent"] is True
+    # empty perms are permutations of no points, so every relator holds
+    backend = _table_file(tmp_path, {g: [] for g in "stu"})
+    code, out = run_cli(capsys, "present", "verify-map", "--map", "g12_conj", "--backend", backend)
+    assert code == 0 and json.loads(out)["consistent"] is True
 
 
 @pytest.mark.parametrize(
@@ -415,7 +419,7 @@ def test_quotient_orders_build_no_regular_table(capsys, monkeypatch):
     def no_regular_table(*args):
         raise AssertionError("the regular permutation table was built")
 
-    monkeypatch.setattr(fpgroups, "_power_quotient", no_regular_table)
+    monkeypatch.setattr(fpgroups.PermQuotient, "columns", property(no_regular_table))
     for flags, payload in expected.items():
         code, out = run_cli(capsys, "present", "quotient", *flags)
         assert code == 0 and out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -458,6 +462,11 @@ def test_explicit_group_spec_still_builds(capsys, tmp_path):
         ["present", "quotient", "--coxeter", "3,3", "--torsion", "5"],
         ["present", "quotient", "--catalog", "G12", "--pres", "/nonexistent.json"],
         ["present", "tc", "--catalog", "Br3", "--pres", "/nonexistent.json"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", "torsion:2", "--catalog", "G13"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", "torsion:2", "--pres", "/none.json"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", "torsion:2", "--catalog", "G13",
+         "--pres", "/nonexistent.json"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", "torsion:2", "--map-file", "/none.json"],
     ],
     ids=[
         "global-flag-after-subcommand",
@@ -468,6 +477,10 @@ def test_explicit_group_spec_still_builds(capsys, tmp_path):
         "coxeter-with-torsion",
         "quotient-catalog-with-pres",
         "tc-catalog-with-pres",
+        "catalogued-map-with-catalog",
+        "catalogued-map-with-pres",
+        "catalogued-map-with-catalog-and-pres",
+        "catalogued-map-with-map-file",
     ],
 )
 def test_usage_error_is_input_error(capsys, argv):
@@ -483,6 +496,15 @@ def test_verify_map_file_with_catalog_and_pres_is_input_error(capsys, tmp_path):
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert json.loads(out) == {"error": "input", "message": "give --catalog or --pres, not both"}
+
+
+def test_uncatalogued_map_name_labels_a_map_file(capsys, tmp_path):
+    swap = tmp_path / "swap.json"
+    swap.write_text(json.dumps({"images": {"s1": "s2", "s2": "s1"}, "backend": "torsion:2"}))
+    argv = ["present", "verify-map", "--map", "swap", "--map-file", str(swap), "--catalog", "Br3"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["map"] == "swap"
 
 
 def test_help_exits_0(capsys):

@@ -27,7 +27,7 @@ from reflbench.fpgroups import (
     i26_transported_conjugation,
     is_in_derived_f2,
     parse_word,
-    power_quotient_order,
+    permutation_table,
     schreier_data,
     schreier_rewrite,
     single,
@@ -164,7 +164,7 @@ def test_cp_without_far_commutations_does_not_close():
 def quotient_from_table(label, table):
     """The regular quotient read straight off a table of the trivial subgroup."""
     assert table.status == "complete" and table.subgroup == ()
-    return PermQuotient(label, table.presentation, table.generator_permutations(), table.index())
+    return PermQuotient(label, table)
 
 
 def _permutation_isomorphic(q1, q2) -> bool:
@@ -225,25 +225,30 @@ def test_power_quotient_matches_trivial_subgroup_enumeration(build):
     assert _permutation_isomorphic(q, oracle)
 
 
-@pytest.mark.parametrize("pres, k", [case[1:3] for case in POWER_QUOTIENTS], ids=POWER_QUOTIENT_IDS)
-def test_power_quotient_order_matches_trivial_subgroup_enumeration(pres, k):
+@pytest.mark.parametrize("pres, k, build", [case[1:] for case in POWER_QUOTIENTS], ids=POWER_QUOTIENT_IDS)
+def test_power_quotient_order_matches_trivial_subgroup_enumeration(pres, k, build):
     pres = pres()
     powers = tuple(word_pow(single(g), k) for g in pres.generators)
     oracle = todd_coxeter(Presentation("Q", pres.generators, pres.relators + powers), [])
-    assert power_quotient_order(pres, "Q", k) == oracle.index() <= 20_000
+    q = build()
+    assert q.degree == oracle.index() <= 20_000
+    # the order is read off the subgroup table: no regular table was built
+    assert "columns" not in q.__dict__
 
 
 def test_permutation_isomorphism_check_rejects_a_wrong_generator():
     q = torsion_quotient(braid_presentation(3), 2)
     perms = {"s1": q.gen_perms["s1"], "s2": q.gen_perms["s1"]}
-    wrong = PermQuotient(q.label, q.presentation, perms, q.degree)
+    wrong = PermQuotient(q.label, permutation_table(q.label, perms))
     assert _permutation_isomorphic(q, q)
     assert not _permutation_isomorphic(q, wrong)
 
 
 def test_br5_s3_degree():
-    order = power_quotient_order(braid_presentation(5), "Br5/s^3", 3)
-    assert order == coxeter_quotient(5, 3).degree == 155_520
+    q = coxeter_quotient(5, 3)
+    assert q.degree == 155_520
+    assert "columns" not in q.__dict__
+    assert len(q.gen_perms["s1"]) == 155_520
 
 
 def test_unbalanced_relator_takes_the_trivial_subgroup():
@@ -251,8 +256,20 @@ def test_unbalanced_relator_takes_the_trivial_subgroup():
     pres = Presentation("P", ("a", "b"), (parse_word("a b^-2", ("a", "b")),))
     q = torsion_quotient(pres, 3)
     table = todd_coxeter(q.presentation, [])
-    assert q.degree == table.index() == power_quotient_order(pres, "P", 3) == 3
+    assert q.degree == table.index() == 3
+    assert "columns" not in q.__dict__
     assert q.gen_perms == table.generator_permutations()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_quotient_permutations_pass_the_closure_check_first(m):
+    # a 3-cycle breaks the relator a^2: the degree is read, no permutation is handed out
+    pres = Presentation("P", ("a",), (word_pow(single("a"), 2),))
+    q = PermQuotient("P", CosetTable(pres, (), [(1, 2, 0), (2, 0, 1)], "complete", 3), m)
+    assert q.degree == 3 * m
+    for read in (lambda: q.gen_perms, q.order, lambda: q.eval_word(single("a", -1))):
+        with pytest.raises(RuntimeError, match="relator"):
+            read()
 
 
 def test_verify_g12_conjugation():
@@ -343,7 +360,7 @@ def test_eval_word_powers_match_letter_by_letter_composition():
         points = list(range(40))
         rng.shuffle(points)
         perms[g] = tuple(points)
-    q = PermQuotient("random", Presentation("random", tuple(perms), ()), perms, 40)
+    q = PermQuotient("random", permutation_table("random", perms))
 
     def reference(w):
         perm = q.identity()
@@ -466,10 +483,7 @@ def test_integer_row_span_matches_full_reduction():
     for m in range(3, 32):
         pres = artin_i2_presentation(m)
         tq = torsion_quotient(pres, 2)
-        columns = []
-        for name in pres.generators:
-            columns += [tq.gen_perms[name], tq.eval_word(single(name, -1))]
-        data = schreier_data(CosetTable(pres, (), columns, "complete", tq.degree))
+        data = schreier_data(CosetTable(pres, (), tq.columns, "complete", tq.degree))
         relmat = subgroup_relator_matrix(data)
         kernel_words = ["a^2", "b^2", "[a^2,b^2]", "[a^2,b^-2]^2 b^4", f"(a b)^{m}"]
         vecs = [schreier_abelianized(data, parse_word(w, ("a", "b"))) for w in kernel_words]
@@ -533,10 +547,7 @@ def test_schreier_rewrite_and_abelianized_match_letterwise_rewrite():
     for m in (3, 4, 7):
         pres = artin_i2_presentation(m)
         tq = torsion_quotient(pres, 2)
-        columns = []
-        for name in pres.generators:
-            columns += [tq.gen_perms[name], tq.eval_word(single(name, -1))]
-        tables.append(CosetTable(pres, (), columns, "complete", tq.degree))
+        tables.append(CosetTable(pres, (), tq.columns, "complete", tq.degree))
     found = {"member": 0, "moved": 0}
     for table in tables:
         data = schreier_data(table)

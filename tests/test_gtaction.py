@@ -132,6 +132,9 @@ def test_composition_as_functions():
     q = coxeter_quotient(3, 3)
     assert composed_action_agrees(q, parse_pair(-1, ""), parse_pair(3, "[x,y]"))
     assert composed_action_agrees(q, parse_pair(3, "[x,y]"), parse_pair(-1, "[x,y]"))
+    # negative control: s_i -> s_i^2 breaks the braid relation in Br3/s^4, so
+    # applying it after s_i -> s_i^3 disagrees with the composed images
+    assert not composed_action_agrees(coxeter_quotient(3, 4), parse_pair(3, ""), parse_pair(2, ""))
 
 
 def _check_gd_pair_inline(m, lam, g):
@@ -146,13 +149,7 @@ def _check_gd_pair_inline(m, lam, g):
     if ctx.image_in_w(g) != ctx.one:
         raise InputError("g does not lie in the kernel of the reflection quotient")
     tq = fpgroups.torsion_quotient(pres, 2)
-    columns = []
-    for name in pres.generators:
-        inverse = [0] * tq.degree
-        for i, v in enumerate(tq.gen_perms[name]):
-            inverse[v] = i
-        columns += [tq.gen_perms[name], tuple(inverse)]
-    data = schreier_data(fpgroups.CosetTable(pres, (), columns, "complete", tq.degree))
+    data = schreier_data(fpgroups.CosetTable(pres, (), tq.columns, "complete", tq.degree))
     vec = fpgroups.schreier_abelianized(data, g)
     if vec is None:
         raise InputError("g does not fix the base coset; not in the kernel")
