@@ -9,8 +9,9 @@ permutation of the points: no matrix product runs.  gH -> Hg^-1 carries x
 on G/H to x^-1 on H\\G, which has the same cycle type, so the profiles are
 those of the left action (left translation for regular covers).
 Ramification profiles list, per branch point, the multiset of cycle lengths
-of the loop image acting on the fiber, and the genus comes from
-Riemann-Hurwitz: 2 - 2g = 2N - sum (length - 1).
+of the loop image acting on the fiber, and the genus of a connected
+(transitive) cover comes from Riemann-Hurwitz: 2 - 2g = 2N - sum (length - 1).
+A cover that is not connected has no one genus.
 """
 
 from __future__ import annotations
@@ -128,8 +129,12 @@ def order_based_profile(spec: CoverSpec) -> RamificationProfile:
     return RamificationProfile(degree=n, points=points, transitive=True)
 
 
-def riemann_hurwitz_genus(profile: RamificationProfile) -> int:
-    """g with 2 - 2g = 2*degree - total ramification; must be a nonnegative integer."""
+def riemann_hurwitz_genus(profile: RamificationProfile) -> int | None:
+    """g with 2 - 2g = 2*degree - total ramification; must be a nonnegative
+    integer.  None for a cover that is not connected: Riemann-Hurwitz counts
+    2 - 2g once per component, so the whole fiber has no one genus."""
+    if not profile.transitive:
+        return None
     chi = 2 * profile.degree - profile.total_ramification()
     if chi % 2:
         raise InputError("Euler characteristic 2N - sum(e-1) is odd; profile inconsistent")

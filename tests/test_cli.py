@@ -151,6 +151,32 @@ def test_profile_genus_roundtrip(capsys, tmp_path):
     assert json.loads(out2)["genus"] == json.loads(out)["genus"]
 
 
+DISCONNECTED_COVER = {
+    "group": {"kind": "monomial", "d": 2, "e": 1, "n": 3},
+    "fiber": {"subgroup": ["g1", "g3 g2^-1"]},
+    "x": "g1 g2",
+    "y": "g3^-1 g2 g2",
+}
+
+
+def test_disconnected_cover_has_no_genus(capsys, tmp_path):
+    # two unramified sheets: Riemann-Hurwitz over the whole fiber would read genus -1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(DISCONNECTED_COVER))
+    code, out = run_cli(capsys, "monodromy", "profile", "--spec", str(spec))
+    profile = json.loads(out)
+    assert code == 0 and profile["genus"] is None
+    assert profile["transitive"] is False and profile["degree"] == 2
+    path = tmp_path / "profile.json"
+    path.write_text(out)
+    code, out = run_cli(capsys, "monodromy", "genus", "--profile", str(path))
+    assert code == 0 and json.loads(out) == {"genus": None}
+    # the same profile claimed connected is inconsistent
+    path.write_text(json.dumps({**profile, "transitive": True}))
+    code, out = run_cli(capsys, "monodromy", "genus", "--profile", str(path))
+    assert code == 3 and "negative genus -1" in json.loads(out)["message"]
+
+
 def test_verify_map_cli(capsys):
     code, out = run_cli(
         capsys, "present", "verify-map", "--map", "g12_conj", "--backend", "torsion:2"
@@ -384,12 +410,26 @@ def test_verify_map_backend_honours_coset_budget(capsys):
 
 
 def test_quotient_budget_caps_the_quotient_degree(capsys):
-    # Br4/s^3 has 648 elements; its enumeration over <s1> defines 228 cosets
-    argv = ["present", "quotient", "--coxeter", "4,3"]
-    code, out = run_cli(capsys, "--budget-cosets", "647", *argv)
-    assert code == 2 and json.loads(out)["error"] == "budget_exceeded"
-    code, out = run_cli(capsys, "--budget-cosets", "648", *argv)
-    assert code == 0 and json.loads(out)["order"] == 648
+    # each table of the chain of parabolics has far fewer cosets than the order
+    for n, order in ((4, 648), (5, 155_520)):
+        argv = ["present", "quotient", "--coxeter", f"{n},3"]
+        code, out = run_cli(capsys, "--budget-cosets", str(order - 1), *argv)
+        assert code == 2 and json.loads(out) == {
+            "error": "budget_exceeded",
+            "message": f"cannot build quotient Br{n}/s^3: {order} points exceed the coset budget {order - 1}",
+        }
+        code, out = run_cli(capsys, "--budget-cosets", str(order), *argv)
+        assert code == 0 and json.loads(out)["order"] == order
+
+
+def test_quotient_over_the_budget_stops_before_counting(capsys):
+    # S_10 has 10 cosets of S_9, and 10 x 9! = 3,628,800 points exceed the
+    # budget, so the 362,880 elements of S_9 are never counted
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "present", "quotient", "--coxeter", "10,2")
+    elapsed = time.perf_counter() - start
+    assert code == 2 and "3628800 points exceed" in json.loads(out)["message"]
+    assert elapsed <= 2, f"present quotient --coxeter 10,2 took {elapsed:.2f} s to exit 2"
 
 
 def _cosets_workload_lists() -> dict:
@@ -433,12 +473,12 @@ def test_quotient_orders_build_no_regular_table(capsys, monkeypatch):
 
 
 def test_br5_s3_quotient_time_budget(capsys):
-    # time budget: 3 s for Br5/s^3 in-process, about 0.5 s on a 2-vCPU VM
+    # time budget: 0.5 s for Br5/s^3 in-process, about 0.03 s on a 2-vCPU VM
     start = time.perf_counter()
     code, out = run_cli(capsys, "present", "quotient", "--coxeter", "5,3")
     elapsed = time.perf_counter() - start
     assert code == 0 and json.loads(out)["order"] == 155_520
-    assert elapsed <= 3, f"present quotient --coxeter 5,3 took {elapsed:.2f} s, over its 3 s budget"
+    assert elapsed <= 0.5, f"present quotient --coxeter 5,3 took {elapsed:.2f} s, over its 0.5 s budget"
 
 
 def test_explicit_group_spec_still_builds(capsys, tmp_path):

@@ -40,6 +40,8 @@ from reflbench.fpgroups import (
     word_mul,
     word_pow,
     word_str,
+    _power_presentation,
+    _power_quotient,
 )
 
 
@@ -249,6 +251,54 @@ def test_br5_s3_degree():
     assert q.degree == 155_520
     assert "columns" not in q.__dict__
     assert len(q.gen_perms["s1"]) == 155_520
+
+
+COXETER_CASES = [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3), (3, -3)] + [(n, 2) for n in range(3, 7)]
+
+
+@pytest.mark.parametrize("n, k", COXETER_CASES, ids=[f"Br{n}/s^{k}" for n, k in COXETER_CASES])
+def test_coxeter_quotient_matches_the_cyclic_subgroup_construction(n, k):
+    # the chain of parabolics against one enumeration over <s1>
+    q = coxeter_quotient(n, k)
+    assert q.parabolic is not None and q.parabolic.label == f"Br{n - 1}/s^{k}"
+    assert _permutation_isomorphic(q, torsion_quotient(braid_presentation(n), k))
+
+
+def test_coxeter_quotients_of_order_two_are_symmetric_groups():
+    for n in range(2, 9):
+        assert coxeter_quotient(n, 2).degree == math.factorial(n)
+
+
+def test_parabolic_order_that_the_cosets_do_not_prove_raises():
+    # (s1 s2)^3 kills the center of P~ = Br3/s^3: the true order is 12, the index
+    # 1 and the count 1, so without the count the degree would read 24
+    br4 = braid_presentation(4)
+    extra = word_pow(parse_word("s1 s2", br4.generators), 3)
+    pres = Presentation("Br4+(s1s2)^3", br4.generators, br4.relators + (extra,))
+    quot = _power_presentation(pres, "Q", 3)
+    assert todd_coxeter(quot, []).index() == 12
+    with pytest.raises(RuntimeError, match="cannot prove"):
+        _power_quotient(quot, 3, 10_000, coxeter_quotient(3, 3))
+
+
+def test_parabolic_with_relators_outside_the_quotient_raises():
+    quot = _power_presentation(braid_presentation(4), "Br4/s^3", 3)
+    with pytest.raises(RuntimeError, match="not a quotient"):
+        _power_quotient(quot, 3, 10_000, coxeter_quotient(3, 4))
+    with pytest.raises(RuntimeError, match="not a quotient"):
+        _power_quotient(quot, 3, 10_000, torsion_quotient(g12_braid_presentation(), 2))
+
+
+def test_induced_table_needs_base_images_that_number_the_parabolic():
+    # s1 and s2 both as one 24-cycle: P's permutations of the cosets do not
+    # determine the parabolic's points, so no permutation is handed out
+    q = coxeter_quotient(4, 3)
+    cycle = tuple((i + 1) % 24 for i in range(24))
+    cyclic = PermQuotient("Z/24", permutation_table("Z/24", {"s1": cycle, "s2": cycle}))
+    fake = PermQuotient(q.label, q.table, 1, cyclic)
+    assert fake.degree == 648
+    with pytest.raises(RuntimeError, match="base images"):
+        fake.gen_perms
 
 
 def test_unbalanced_relator_takes_the_trivial_subgroup():
