@@ -37,15 +37,16 @@ a squeeze:
   infinite one runs out of coset budget first.
 
 Br5/s^3 is then a chain of tables of 1, 8, 27 and 240 cosets, and 155,520
-elements.  q = e u_t, with e in P_Q and u_t the Schreier-tree word of the
-coset t of q, numbers the elements.  `PermQuotient.columns` builds and
-validates the regular table on either numbering on first use, for the
-callers that need permutations.
+elements.  Only the torsion numbering q -> (Hq, psi(q)) over <g1> names the
+elements: `PermQuotient.columns` builds and validates the regular table on
+it on first use, for the callers that need permutations, and a quotient
+built on a parabolic enumerates itself over <g1> once more for that.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -773,24 +774,26 @@ def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
 @dataclass
 class PermQuotient:
     """A finite quotient: a label plus a complete coset table of a subgroup
-    whose order is known, so `degree`, the table's degree times that order,
-    needs no permutation.  The subgroup is cyclic of order m (m = 1 for a
-    table of the trivial subgroup or of any action on points), or the image
-    of the regular quotient `parabolic`, which acts faithfully on the cosets
-    (see the module docstring).
+    of order m (m = 1 for a table of the trivial subgroup or of any action
+    on points), so `degree`, m times the table's, needs no permutation.
 
     Every permutation handed out comes from `columns`, which builds the
-    action on first use and passes it through `_validate_table` with the
-    quotient's relators.  A power quotient acts regularly on its own
-    elements, point 0 being the identity.  A subgroup H of a regular group
-    acts freely, so |H| = |H.0|: `order` and `subgroup_order` are one orbit
-    of the point 0, never a listing of the group.
+    action on the points t*m + a on first use, a generator sending (t, a) to
+    (t.x, a + 1), and passes it through `_validate_table` with the
+    quotient's relators.  That numbering needs the subgroup <g1>; a table of
+    any other subgroup (a Coxeter quotient's parabolic) carries `regular`,
+    which builds the same quotient over <g1>, and `columns` are its.
+
+    A power quotient acts regularly on its own elements, point 0 being the
+    identity.  A subgroup H of a regular group acts freely, so |H| = |H.0|:
+    `order` and `subgroup_order` are one orbit of the point 0, never a
+    listing of the group.
     """
 
     label: str
     table: CosetTable
     m: int = 1
-    parabolic: PermQuotient | None = None
+    regular: Callable[[], PermQuotient] | None = None
     exact = False  # a verification backend that gives evidence, not proof
 
     @property
@@ -799,76 +802,26 @@ class PermQuotient:
 
     @property
     def degree(self) -> int:
-        return self.table.degree * (self.parabolic.degree if self.parabolic else self.m)
+        return self.m * self.table.degree
 
     @cached_property
     def columns(self) -> list[tuple[int, ...]]:
-        quot = self.presentation
-        columns = self._induced_columns() if self.parabolic else self._residue_columns()
-        rel_cols = [[quot.letter_columns[x] for x in word_letters(r)] for r in quot.relators]
-        _validate_table(CosetTable(quot, (), columns, "complete", self.degree), rel_cols, [])
-        return columns
-
-    def _residue_columns(self) -> list[tuple[int, ...]]:
-        """Point t*m + a is (coset t, residue a): column 2g moves the residue
-        by +1 and column 2g + 1 by -1.  Slices of one tuple of points, so
-        every entry shares its int object."""
-        m = self.m
-        points = tuple(range(self.degree))
+        """Column 2g moves the residue by +1 and column 2g + 1 by -1; slices of
+        one tuple of points, so every entry shares its int object."""
+        if self.regular is not None:
+            regular = self.regular()
+            if regular.degree != self.degree:
+                raise RuntimeError(f"{self.label} has {regular.degree} elements over <g1>, not {self.degree}")
+            return regular.columns
+        m, n, quot = self.m, self.degree, self.presentation
+        points = tuple(range(n))
         columns = []
         for c, col in enumerate(self.table.columns):
             step = -1 if c & 1 else 1
             residues = [_gather(points[(a + step) % m :: m], col) for a in range(m)]
             columns.append(tuple(chain.from_iterable(zip(*residues))))
-        return columns
-
-    def _induced_columns(self) -> list[tuple[int, ...]]:
-        """The regular action induced from the parabolic's.  Point t*h + j,
-        h = |P~|, is the element e_j u_t: e_j is the parabolic's point j (0
-        the identity) and u_t the Schreier-tree word of coset t.  A letter x
-        sends it to (t.x, R_s[j]), where s = u_t x u_(t.x)^-1 lies in P_Q and
-        R_s, right multiplication by s on the parabolic's points, is the
-        parabolic's `eval_word` of a word for s, once per s.
-
-        P_Q acts faithfully on the cosets, so s is known by its images of a
-        base: points that only the identity of P_Q fixes all of.  One
-        simultaneous BFS pairs each element's permutation of the cosets with
-        its parabolic point."""
-        table, par = self.table, self.parabolic
-        h, names = par.degree, par.presentation.generators
-        perms = [table.columns[table.column(name, 1)] for name in names]
-        pcols = par.columns[::2]
-        pairs = orbit(
-            (tuple(range(table.degree)), 0),
-            range(len(names)),
-            lambda pair, y: (_gather(perms[y], pair[0]), pcols[y][pair[1]]),
-        )
-        # the base, greedily: a point joins when it tells more elements apart
-        keys, base, told = [()] * len(pairs), [], 1
-        for b in range(table.degree):
-            if told == h:
-                break
-            longer = [key + (perm[b],) for key, (perm, _) in zip(keys, pairs)]
-            if len(set(longer)) > told:
-                keys, base, told = longer, base + [b], len(set(longer))
-        point_of = dict(zip(keys, (j for _, j in pairs)))
-        if len(pairs) != h or len(point_of) != h:
-            raise RuntimeError(f"{self.label}: the base images do not number the parabolic's points")
-        words = {j: w for (_, j), w in _tree_words(pairs, names).items()}
-        u = _tree_words(orbit(0, table.columns[::2], lambda t, col: col[t]), self.presentation.generators)
-        base_of = {t: [table.trace(b, w) for b in base] for t, w in u.items()}
-        undo = {t: word_inverse(w) for t, w in u.items()}
-        right: dict[int, tuple[int, ...]] = {}
-        points = tuple(range(self.degree))
-        columns = []
-        for col in table.columns:
-            out = []
-            for t, image in enumerate(col):
-                s = point_of[tuple(table.trace(col[b], undo[image]) for b in base_of[t])]
-                if s not in right:
-                    right[s] = par.eval_word(words[s])
-                out.extend(_gather(points[image * h : image * h + h], right[s]))
-            columns.append(tuple(out))
+        rel_cols = [[quot.letter_columns[x] for x in word_letters(r)] for r in quot.relators]
+        _validate_table(CosetTable(quot, (), columns, "complete", n), rel_cols, [])
         return columns
 
     @property
@@ -894,15 +847,6 @@ class PermQuotient:
 
     def subgroup_order(self, perms: list[tuple[int, ...]]) -> int:
         return len(orbit(0, perms, lambda p, g: g[p]))
-
-
-def _tree_words(edges: dict, names) -> dict:
-    """The word of each point of an `orbit` whose generators are the
-    permutations of the named generators, read along its tree edges."""
-    words: dict = {}
-    for point, edge in edges.items():
-        words[point] = () if edge is None else word_mul(words[edge[0]], single(names[edge[1]]))
-    return words
 
 
 def permutation_table(label: str, perms: dict[str, tuple[int, ...]]) -> CosetTable:
@@ -939,45 +883,52 @@ def _power_presentation(pres: Presentation, label: str, k: int) -> Presentation:
     return Presentation(label, pres.generators, rel)
 
 
-def _power_quotient(
-    quot: Presentation, k: int, limit: int, parabolic: PermQuotient | None = None
+def _complete_quotient(
+    quot: Presentation, subgroup: list[Word], m: int, limit: int, regular: Callable | None = None
 ) -> PermQuotient:
-    """quot = pres/(g^k), acting regularly on its elements.
-
-    Without a parabolic the table is that of H = <g1>, and |H| = m = |k| when
-    every relator of quot has exponent sum 0 mod m, else m = 1 and H is
-    trivial.  With one, the table is that of the subgroup its generators
-    generate, and the squeeze of the module docstring proves that subgroup's
-    order.  `limit` caps the cosets defined and the degree.
-    """
-    label = quot.label
-    m = abs(k)
-    if parabolic is not None:
-        pres = parabolic.presentation
-        if not (set(pres.generators) <= set(quot.generators) and set(pres.relators) <= set(quot.relators)):
-            raise RuntimeError(f"{parabolic.label} is not a quotient of a subgroup of {label}")
-        subgroup, m = [single(name) for name in pres.generators], 1
-    elif not quot.generators or any(exponent_sum(r) % m for r in quot.relators):
-        subgroup, m = [], 1
-    else:
-        subgroup = [single(quot.generators[0])]
+    """quot enumerated over a subgroup H of order m; `limit` caps the cosets
+    defined and the degree m [Q : H]."""
     table = todd_coxeter(quot, subgroup, limit)
     if table.status != "complete":
-        raise BudgetExceededError(f"cannot build quotient {label}: enumeration incomplete")
-    q = PermQuotient(label, table, m, parabolic)
+        raise BudgetExceededError(f"cannot build quotient {quot.label}: enumeration incomplete")
+    q = PermQuotient(quot.label, table, m, regular)
     if q.degree > limit:
         raise BudgetExceededError(
-            f"cannot build quotient {label}: {q.degree} points exceed the coset budget {limit}"
+            f"cannot build quotient {quot.label}: {q.degree} points exceed the coset budget {limit}"
         )
-    if parabolic is not None:
-        perms = [table.columns[table.column(name, 1)] for name in parabolic.presentation.generators]
-        act = lambda perm, y: _gather(y, perm)  # noqa: E731
-        try:
-            count = len(orbit(tuple(range(table.degree)), perms, act, parabolic.degree))
-        except BudgetExceededError:
-            count = None
-        if count != parabolic.degree:
-            raise RuntimeError(f"cannot prove |P| = {parabolic.degree} for {label} over {parabolic.label}")
+    return q
+
+
+def _power_quotient(quot: Presentation, k: int, limit: int) -> PermQuotient:
+    """quot = pres/(g^k), acting regularly on its elements.
+
+    The table is that of H = <g1> and |H| = m = |k| when every relator of
+    quot has exponent sum 0 mod m (see the module docstring), else m = 1 and
+    H is trivial.
+    """
+    m = abs(k)
+    if not quot.generators or any(exponent_sum(r) % m for r in quot.relators):
+        return _complete_quotient(quot, [], 1, limit)
+    return _complete_quotient(quot, [single(quot.generators[0])], m, limit)
+
+
+def _parabolic_quotient(quot: Presentation, k: int, parabolic: PermQuotient, limit: int) -> PermQuotient:
+    """quot = pres/(g^k) enumerated over the subgroup P that the parabolic's
+    generators generate, with |P| = |parabolic| proved by the squeeze of the
+    module docstring; its permutations come from the same quotient over <g1>."""
+    pres = parabolic.presentation
+    if not (set(pres.generators) <= set(quot.generators) and set(pres.relators) <= set(quot.relators)):
+        raise RuntimeError(f"{parabolic.label} is not a quotient of a subgroup of {quot.label}")
+    subgroup = [single(name) for name in pres.generators]
+    q = _complete_quotient(quot, subgroup, parabolic.degree, limit, lambda: _power_quotient(quot, k, limit))
+    perms = [q.table.columns[q.table.column(name, 1)] for name in pres.generators]
+    act = lambda perm, y: _gather(y, perm)  # noqa: E731
+    try:
+        count = len(orbit(tuple(range(q.table.degree)), perms, act, parabolic.degree))
+    except BudgetExceededError:
+        count = None
+    if count != parabolic.degree:
+        raise RuntimeError(f"cannot prove |P| = {parabolic.degree} for {quot.label} over {parabolic.label}")
     return q
 
 
@@ -991,7 +942,7 @@ def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQ
         parabolic = coxeter_quotient(n - 1, k, limit)
     except BudgetExceededError:
         raise BudgetExceededError(f"cannot build quotient {quot.label}: enumeration incomplete") from None
-    return _power_quotient(quot, k, limit, parabolic)
+    return _parabolic_quotient(quot, k, parabolic, limit)
 
 
 def torsion_quotient(pres: Presentation, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:

@@ -40,8 +40,8 @@ from reflbench.fpgroups import (
     word_mul,
     word_pow,
     word_str,
+    _parabolic_quotient,
     _power_presentation,
-    _power_quotient,
 )
 
 
@@ -258,10 +258,14 @@ COXETER_CASES = [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3), (3, -3)] + [(n, 2) for 
 
 @pytest.mark.parametrize("n, k", COXETER_CASES, ids=[f"Br{n}/s^{k}" for n, k in COXETER_CASES])
 def test_coxeter_quotient_matches_the_cyclic_subgroup_construction(n, k):
-    # the chain of parabolics against one enumeration over <s1>
+    # the order off the chain of parabolics against one enumeration over <s1>,
+    # which also numbers the elements of both
     q = coxeter_quotient(n, k)
-    assert q.parabolic is not None and q.parabolic.label == f"Br{n - 1}/s^{k}"
-    assert _permutation_isomorphic(q, torsion_quotient(braid_presentation(n), k))
+    oracle = torsion_quotient(braid_presentation(n), k)
+    assert q.table.subgroup == tuple(((f"s{i}", 1),) for i in range(1, n - 1))
+    assert q.m == coxeter_quotient(n - 1, k).degree
+    assert q.degree == oracle.degree
+    assert q.columns == oracle.columns
 
 
 def test_coxeter_quotients_of_order_two_are_symmetric_groups():
@@ -278,27 +282,23 @@ def test_parabolic_order_that_the_cosets_do_not_prove_raises():
     quot = _power_presentation(pres, "Q", 3)
     assert todd_coxeter(quot, []).index() == 12
     with pytest.raises(RuntimeError, match="cannot prove"):
-        _power_quotient(quot, 3, 10_000, coxeter_quotient(3, 3))
+        _parabolic_quotient(quot, 3, coxeter_quotient(3, 3), 10_000)
 
 
 def test_parabolic_with_relators_outside_the_quotient_raises():
     quot = _power_presentation(braid_presentation(4), "Br4/s^3", 3)
     with pytest.raises(RuntimeError, match="not a quotient"):
-        _power_quotient(quot, 3, 10_000, coxeter_quotient(3, 4))
+        _parabolic_quotient(quot, 3, coxeter_quotient(3, 4), 10_000)
     with pytest.raises(RuntimeError, match="not a quotient"):
-        _power_quotient(quot, 3, 10_000, torsion_quotient(g12_braid_presentation(), 2))
+        _parabolic_quotient(quot, 3, torsion_quotient(g12_braid_presentation(), 2), 10_000)
 
 
-def test_induced_table_needs_base_images_that_number_the_parabolic():
-    # s1 and s2 both as one 24-cycle: P's permutations of the cosets do not
-    # determine the parabolic's points, so no permutation is handed out
+def test_permutations_of_a_quotient_on_a_parabolic_need_the_same_order_over_g1():
+    # a table over the parabolic claiming the wrong subgroup order hands out no permutation
     q = coxeter_quotient(4, 3)
-    cycle = tuple((i + 1) % 24 for i in range(24))
-    cyclic = PermQuotient("Z/24", permutation_table("Z/24", {"s1": cycle, "s2": cycle}))
-    fake = PermQuotient(q.label, q.table, 1, cyclic)
-    assert fake.degree == 648
-    with pytest.raises(RuntimeError, match="base images"):
-        fake.gen_perms
+    wrong = PermQuotient(q.label, q.table, q.m - 1, q.regular)
+    with pytest.raises(RuntimeError, match="648 elements over <g1>"):
+        wrong.gen_perms
 
 
 def test_unbalanced_relator_takes_the_trivial_subgroup():
