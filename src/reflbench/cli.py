@@ -56,17 +56,27 @@ def _braid_n(n: int) -> int:
 MAX_DIHEDRAL_M = 400
 
 
+def _source(args, *flags: str) -> tuple[str, str]:
+    """The one flag of `flags` given, and its value; none or several is an input error."""
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    if not given:
+        *rest, last = (f"--{flag}" for flag in flags)
+        raise InputError(f"give {', '.join(rest)} or {last}")
+    if len(given) > 1:
+        raise InputError(f"give --{given[0]} or --{given[1]}, not both")
+    return given[0], getattr(args, given[0])
+
+
 def _load_group(args) -> matgroup.RGroup:
     budget = args.budget_elements
-    if args.catalog:
-        return matgroup.build_catalog_group(args.catalog, budget)
-    if args.monomial:
-        d, e, n = _ints(args.monomial, "d,e,n")
+    flag, value = _source(args, "catalog", "monomial", "spec")
+    if flag == "catalog":
+        return matgroup.build_catalog_group(value, budget)
+    if flag == "monomial":
+        d, e, n = _ints(value, "d,e,n")
         return matgroup.build_monomial_group(d, e, n, budget)
-    if args.spec:
-        with open(args.spec) as fh:
-            return matgroup.group_from_spec(json.load(fh), budget)
-    raise InputError("specify a group via --catalog, --monomial or --spec")
+    with open(value) as fh:
+        return matgroup.group_from_spec(json.load(fh), budget)
 
 
 def _group_args(p: argparse.ArgumentParser):
@@ -187,26 +197,20 @@ _PRESENTATIONS = {
 
 
 def _load_presentation(args) -> fpgroups.Presentation:
-    if args.catalog and args.pres:
-        raise InputError("give --catalog or --pres, not both")
-    if args.catalog:
-        key = args.catalog
-        if key in _PRESENTATIONS:
-            return _PRESENTATIONS[key]()
-        if key.startswith("CP"):
-            e, n = _ints(key[2:].strip("()"), "e,n")
-            return fpgroups.corran_picantin_presentation(e, _braid_n(n))
-        if key.startswith("ArtB"):
-            return fpgroups.artin_b_presentation(_braid_n(*_ints(key[4:], "n")))
-        if key.startswith("ArtD"):
-            return fpgroups.artin_d_presentation(_braid_n(*_ints(key[4:], "n")))
-        if key.startswith("Br"):
-            return fpgroups.braid_presentation(_braid_n(*_ints(key[2:], "n")))
-        raise InputError(f"unknown presentation {key!r}")
-    if args.pres:
-        with open(args.pres) as fh:
+    flag, key = _source(args, "catalog", "pres")
+    if flag == "pres":
+        with open(key) as fh:
             return fpgroups.presentation_from_json(json.load(fh))
-    raise InputError("specify --catalog or --pres")
+    if key in _PRESENTATIONS:
+        return _PRESENTATIONS[key]()
+    if key.startswith("CP"):
+        e, n = _ints(key[2:].strip("()"), "e,n")
+        return fpgroups.corran_picantin_presentation(e, _braid_n(n))
+    for prefix, build in (("ArtB", fpgroups.artin_b_presentation), ("ArtD", fpgroups.artin_d_presentation),
+                          ("Br", fpgroups.braid_presentation)):
+        if key.startswith(prefix):
+            return build(_braid_n(*_ints(key[len(prefix):], "n")))
+    raise InputError(f"unknown presentation {key!r}")
 
 
 def cmd_present_tc(args):
@@ -226,9 +230,9 @@ def cmd_present_tc(args):
 
 
 def cmd_present_quotient(args):
-    if args.coxeter:
-        if args.catalog or args.pres or args.torsion is not None:
-            raise InputError("--coxeter takes no --catalog, --pres or --torsion")
+    if _source(args, "coxeter", "catalog", "pres")[0] == "coxeter":
+        if args.torsion is not None:
+            raise InputError("--coxeter takes no --torsion")
         n, k = _ints(args.coxeter, "n,k")
         q = fpgroups.coxeter_quotient(_braid_n(n), k, args.budget_cosets)
     else:
@@ -258,7 +262,8 @@ def cmd_present_verify_map(args):
             data = json.load(fh)
         pres = _load_presentation(args)
         try:
-            alphabet = _target_alphabet(data, pres)
+            # target_generators serve the backends whose spec names the group
+            alphabet = tuple(data.get("target_generators") or pres.generators)
             images = {g: parse_word(w, alphabet) for g, w in data["images"].items()}
         except (AttributeError, KeyError, TypeError) as exc:
             raise InputError(f"malformed map file: {exc}") from exc
@@ -268,7 +273,7 @@ def cmd_present_verify_map(args):
         raise InputError("specify --map <name> or --map-file <json>")
     if not backend_spec:
         raise InputError("no backend given (flag --backend or map JSON 'backend' key)")
-    backend = _build_backend(backend_spec, hom, args.budget_cosets)
+    backend = _build_backend(backend_spec, hom.target, args.budget_cosets)
     verdict = fpgroups.verify_hom(hom, backend)
     payload = {
         "map": hom.label,
@@ -280,16 +285,11 @@ def cmd_present_verify_map(args):
     return (0 if verdict.consistent else 1), payload
 
 
-def _target_alphabet(data: dict, pres: fpgroups.Presentation):
-    target = data.get("target_generators")
-    return tuple(target) if target else pres.generators
-
-
-def _build_backend(spec: str, hom: fpgroups.GroupHom, budget_cosets: int):
+def _build_backend(spec: str, target: fpgroups.Presentation | None, budget_cosets: int):
+    """The backend a spec names; `torsion:k` is the torsion quotient of `target`."""
     if spec.startswith("torsion:"):
         (k,) = _ints(spec.split(":", 1)[1], "k")
-        target_pres = _infer_target_presentation(hom)
-        return fpgroups.torsion_quotient(target_pres, k, budget_cosets)
+        return fpgroups.torsion_quotient(target, k, budget_cosets)
     if spec.startswith("coxeter:"):
         n, k = _ints(spec.split(":", 1)[1], "n,k")
         return fpgroups.coxeter_quotient(_braid_n(n), k, budget_cosets)
@@ -324,17 +324,6 @@ def _table_quotient(label: str, data) -> fpgroups.PermQuotient:
         if any(type(x) is not int for x in perm) or set(perm) != set(range(degree)):
             raise InputError(f"{label}: perm of {g!r} is not a permutation of range({degree})")
     return fpgroups.PermQuotient(label, fpgroups.permutation_table(label, perms))
-
-
-def _infer_target_presentation(hom: fpgroups.GroupHom) -> fpgroups.Presentation:
-    target_syms = {sym for w in hom.images.values() for sym, _ in w}
-    if target_syms <= set(hom.source.generators):
-        return hom.source
-    for builder in (fpgroups.g12_braid_presentation, fpgroups.g13_braid_presentation):
-        pres = builder()
-        if target_syms <= set(pres.generators):
-            return pres
-    raise InputError("cannot infer the map's target presentation; use --pres")
 
 
 def _garside_context(text: str):
@@ -389,8 +378,9 @@ def cmd_gt_act(args):
     pair = gtaction.parse_pair(args.lam, args.f or "")
     if not args.backend.startswith("coxeter:"):
         raise InputError("gt act expects --backend coxeter:n,k")
-    n, k = _ints(args.backend.split(":", 1)[1], "n,k")
-    q = fpgroups.coxeter_quotient(_braid_n(n), k, args.budget_cosets)
+    q = _build_backend(args.backend, None, args.budget_cosets)
+    if args.n is not None and args.n != len(q.presentation.generators) + 1:
+        raise InputError(f"--n {args.n} is not the n of --backend {args.backend}")
     rep = gtaction.act_on_quotient(q, pair)
     payload = {
         "backend": rep.backend,
@@ -425,13 +415,11 @@ def cmd_gt_gd_check(args):
 
 
 def cmd_monodromy_profile(args):
-    if args.catalog:
+    if _source(args, "catalog", "spec")[0] == "catalog":
         spec = monodromy.braid_loop_images(args.catalog)
-    elif args.spec:
+    else:
         with open(args.spec) as fh:
             spec = monodromy.cover_from_spec(json.load(fh), args.budget_elements)
-    else:
-        raise InputError("monodromy profile needs --catalog or --spec")
     prof = monodromy.monodromy_profile(spec)
     payload = monodromy.profile_to_json(prof)
     payload["genus"] = monodromy.riemann_hurwitz_genus(prof)
@@ -533,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gt = sub.add_parser("gt").add_subparsers(dest="sub", required=True)
     p = gt.add_parser("act")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, help="the n of the backend, checked when given")
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--f", default="")
     p.add_argument("--backend", required=True)

@@ -15,15 +15,17 @@ A power quotient Q = pres/(g^k) is enumerated over a subgroup whose order
 is proved, so that |Q| is the index times that order and no table of the
 elements is needed for it (`present quotient`, criterion 7).
 
-A torsion quotient, and Br2/s^k, is enumerated over the cyclic subgroup
-H = <g1> when psi, every generator to 1 in Z/m with m = |k|, is a
+A torsion quotient, and Br_n/s^k for n <= 3, is enumerated over the cyclic
+subgroup H = <g1> when psi, every generator to 1 in Z/m with m = |k|, is a
 homomorphism (every relator's exponent sum is 0 mod m).  Then |H| = m:
 g1^k = 1 bounds it above, and psi(g1) = 1 generates Z/m, which bounds it
 below.  q -> (Hq, psi(q)) numbers the elements.
 
-Br_n/s^k for n >= 3 is enumerated over the parabolic P = <s1, ..., s(n-2)>,
-built on P~ = Br_(n-1)/s^k (itself built the same way), and |P| is proved by
-a squeeze:
+Br_n/s^k is finite iff 1/n + 1/|k| > 1/2 (Coxeter, 1957); `coxeter_quotient`
+refuses every other case before any enumeration.  For n = 3 the parabolic
+<s1> is <g1>; for n >= 4 the quotient is enumerated over P = <s1, ...,
+s(n-2)>, built on P~ = Br_(n-1)/s^k (itself built the same way), and |P| is
+proved by a squeeze:
 
 - upper bound: every relator of P~ is literally a relator of Q (checked), so
   the image P_Q of P in Q is a quotient of P~;
@@ -33,10 +35,9 @@ a squeeze:
   stopping past |P~|;
 - if the count is |P~|, then |P_Q| = |P~|, |Q| = N |P~|, and P_Q acts
   faithfully on Q/P.  Otherwise the order is not proved and the build
-  raises RuntimeError.  The squeeze closes on every finite Br_n/s^k, and an
-  infinite one runs out of coset budget first.
+  raises RuntimeError.  The squeeze closes on every finite Br_n/s^k.
 
-Br5/s^3 is then a chain of tables of 1, 8, 27 and 240 cosets, and 155,520
+Br5/s^3 is then a chain of tables of 8, 27 and 240 cosets, and 155,520
 elements.  Only the torsion numbering q -> (Hq, psi(q)) over <g1> names the
 elements: `PermQuotient.columns` builds and validates the regular table on
 it on first use, for the callers that need permutations, and a quotient
@@ -289,6 +290,8 @@ class Presentation:
 
     def __post_init__(self):
         declared = set(self.generators)
+        if len(declared) != len(self.generators):
+            raise InputError(f"presentation {self.label} names a generator twice")
         for r in self.relators:
             for sym, _ in r:
                 if sym not in declared:
@@ -446,6 +449,11 @@ class GroupHom:
     label: str
     source: Presentation
     images: dict[str, Word]
+    target: Presentation | None = None  # the group of the images; None: the source
+
+    def __post_init__(self):
+        if self.target is None:
+            object.__setattr__(self, "target", self.source)
 
     def apply(self, w: Word) -> Word:
         return substitute(w, self.images)
@@ -497,6 +505,7 @@ def i26_to_g13_iso() -> GroupHom:
             "a": word_mul(single("g3"), single("g1"), single("g2"), single("g3")),
             "b": single("g3", -1),
         },
+        g13_braid_presentation(),
     )
 
 
@@ -537,7 +546,7 @@ def artin_b_embedding(n: int) -> GroupHom:
     images: dict[str, Word] = {"t": single("s1", 2)}
     for i in range(2, n + 1):
         images[f"s{i}"] = single(f"s{i}")
-    return GroupHom(f"ArtB{n}->Br{n+1}", p, images)
+    return GroupHom(f"ArtB{n}->Br{n+1}", p, images, braid_presentation(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -933,10 +942,12 @@ def _parabolic_quotient(quot: Presentation, k: int, parabolic: PermQuotient, lim
 
 
 def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:
-    """Br_n/(s_i^k), acting regularly on its elements; for n >= 3 enumerated
-    over the parabolic <s1, ..., s(n-2)>, on Br_(n-1)/(s_i^k)."""
+    """Br_n/(s_i^k) if finite (see the module docstring), acting regularly on its
+    elements; for n >= 4 enumerated over <s1, ..., s(n-2)>, on Br_(n-1)/(s_i^k)."""
     quot = _power_presentation(braid_presentation(n), f"Br{n}/s^{k}", k)
-    if n == 2:
+    if 2 * (n + abs(k)) <= n * abs(k):
+        raise BudgetExceededError(f"cannot build quotient {quot.label}: infinite, as 1/{n} + 1/{abs(k)} <= 1/2 (Coxeter)")
+    if n <= 3:
         return _power_quotient(quot, k, limit)
     try:
         parabolic = coxeter_quotient(n - 1, k, limit)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -545,6 +546,107 @@ def test_uncatalogued_map_name_labels_a_map_file(capsys, tmp_path):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["map"] == "swap"
+
+
+def test_map_file_runs_on_its_source(capsys, tmp_path):
+    # images in <s, t> are not words of Br3, the group --catalog names, so
+    # torsion:2 refuses them; B(G12)+torsion is never guessed from the letters
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"images": {"s1": "s", "s2": "t"}, "target_generators": ["s", "t"]}))
+    argv = ["present", "verify-map", "--map-file", str(path), "--catalog", "Br3", "--backend"]
+    code, out = run_cli(capsys, *argv, "torsion:2")
+    assert code == 3
+    assert json.loads(out) == {"error": "input", "message": "word uses 's', unknown in quotient Br3+torsion"}
+    # target_generators is the alphabet of a backend whose spec names the group
+    path.write_text(json.dumps({"images": {"s1": "a", "s2": "b"}, "target_generators": ["a", "b"]}))
+    code, out = run_cli(capsys, *argv, "garside:I2(3)")
+    assert code == 0 and json.loads(out)["exact_proof"] is True
+    code, out = run_cli(capsys, *argv, "torsion:2")
+    assert code == 3 and json.loads(out)["error"] == "input"
+
+
+GROUP_COMMANDS = [["group", "info"], ["invariants", "compute"], ["arrangement", "supersolvable"],
+                  ["arrangement", "discriminant"]]
+TWO_SOURCES = [(c, "G4", other) for c in GROUP_COMMANDS for other in ("monomial", "spec")]
+TWO_SOURCES += [(["monodromy", "profile"], "G4_paper", "spec")]
+
+
+@pytest.mark.parametrize(
+    "command, catalog, other", TWO_SOURCES, ids=[f"{' '.join(c)}-{o}" for c, _, o in TWO_SOURCES]
+)
+def test_two_source_flags_are_an_input_error(capsys, tmp_path, command, catalog, other):
+    # the catalogued group no longer takes precedence over the other flag
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "catalog", "name": "G4"}))
+    value = "2,1,3" if other == "monomial" else str(spec)
+    code, out = run_cli(capsys, *command, "--catalog", catalog, f"--{other}", value)
+    assert code == 3
+    assert json.loads(out) == {"error": "input", "message": f"give --catalog or --{other}, not both"}
+
+
+def test_gt_act_n_must_be_the_backend_n(capsys):
+    argv = ["gt", "act", "--lambda", "-1", "--backend", "coxeter:3,3"]
+    code, out = run_cli(capsys, "gt", "act", "--n", "7", *argv[2:])
+    assert code == 3
+    assert json.loads(out) == {"error": "input", "message": "--n 7 is not the n of --backend coxeter:3,3"}
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["backend"] == "Br3/s^3"
+    assert run_cli(capsys, "gt", "act", "--n", "3", *argv[2:]) == (code, out)
+
+
+def test_duplicate_generator_names_are_an_input_error(capsys, tmp_path):
+    # the second "a" used to take over the letter's columns, leaving the first
+    # a free generator, and the enumeration ran to the whole coset budget
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"generators": ["a", "a"], "relators": ["a^2"]}))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "present", "tc", "--pres", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert json.loads(out) == {"error": "input", "message": "presentation anonymous names a generator twice"}
+    assert elapsed <= 0.1, f"present tc on a duplicate generator took {elapsed:.2f} s to exit 3"
+
+
+INFINITE_COXETER = [(3, 6), (4, 4), (6, 3), (3, -6)]
+
+
+@pytest.mark.parametrize("n, k", INFINITE_COXETER, ids=[f"Br{n}/s^{k}" for n, k in INFINITE_COXETER])
+def test_infinite_coxeter_quotients_exit_2_at_once(capsys, n, k):
+    message = f"cannot build quotient Br{n}/s^{k}: infinite, as 1/{n} + 1/{abs(k)} <= 1/2 (Coxeter)"
+    for argv in (
+        ["present", "quotient", "--coxeter", f"{n},{k}"],
+        ["gt", "act", "--lambda", "1", "--backend", f"coxeter:{n},{k}"],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", f"coxeter:{n},{k}"],
+    ):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert json.loads(out) == {"error": "budget_exceeded", "message": message}
+        assert elapsed <= 0.1, f"{' '.join(argv)} took {elapsed:.2f} s to exit 2"
+
+
+def _readme_examples() -> list[str]:
+    """The command lines of the README's CLI block, but `paper-suite`:
+    test_acceptance.py runs it, and it exits 1 on criterion 4's defect."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command-line interface", 1)[1].split("```\n")[1]
+    return [line for line in block.splitlines() if line != "reflbench paper-suite"]
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_example_runs_as_written(capsys, line):
+    assert subprocess.run(["bash", "-n", "-c", line], capture_output=True).returncode == 0, line
+    argv = shlex.split(line)
+    assert argv[0] == "reflbench"
+    code, _ = run_cli(capsys, *argv[1:])
+    assert code == 0, line
+
+
+def test_invariants_compute_past_the_molien_cap_exits_2(capsys):
+    code, out = run_cli(capsys, "invariants", "compute", "--monomial", "2,1,5")
+    assert code == 2
+    assert json.loads(out) == {"error": "budget_exceeded", "message": "Molien extraction limited to dim <= 4"}
 
 
 def test_help_exits_0(capsys):

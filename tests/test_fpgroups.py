@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from reflbench import fpgroups
 from reflbench.errors import BudgetExceededError, InputError
 from reflbench.orbit import orbit
 from reflbench.fpgroups import (
@@ -271,6 +272,51 @@ def test_coxeter_quotient_matches_the_cyclic_subgroup_construction(n, k):
 def test_coxeter_quotients_of_order_two_are_symmetric_groups():
     for n in range(2, 9):
         assert coxeter_quotient(n, 2).degree == math.factorial(n)
+
+
+FINITE_COXETER_ORDERS = {(3, 3): 24, (3, 4): 96, (3, 5): 600, (4, 3): 648, (5, 3): 155_520}
+
+
+def test_coxeter_quotients_on_the_finite_side_of_the_criterion_keep_their_orders():
+    # 1/n + 1/|k| > 1/2: the five exceptional cases, then (2, k), (n, 2), (n, +-1)
+    for (n, k), order in FINITE_COXETER_ORDERS.items():
+        assert coxeter_quotient(n, k).degree == coxeter_quotient(n, -k).degree == order
+    for k in range(1, 13):
+        assert coxeter_quotient(2, k).degree == coxeter_quotient(2, -k).degree == k
+    for n in range(3, 9):
+        assert coxeter_quotient(n, -2).degree == math.factorial(n)
+        assert coxeter_quotient(n, 1).degree == coxeter_quotient(n, -1).degree == 1
+
+
+@pytest.mark.parametrize("n, k", [(3, 6), (4, 4), (6, 3), (3, -6)])
+def test_coxeter_quotients_past_the_criterion_are_refused(n, k):
+    with pytest.raises(BudgetExceededError, match=r"infinite, as .* <= 1/2 \(Coxeter\)"):
+        coxeter_quotient(n, k)
+    # the oracle: the enumeration over <s1> does not close within 20,000 cosets
+    quot = _power_presentation(braid_presentation(n), "Q", k)
+    assert todd_coxeter(quot, [single("s1")], 20_000).status == "budget_exceeded"
+
+
+def test_br3_quotients_are_one_enumeration_over_s1(monkeypatch):
+    # for n = 3 the parabolic <s1> is <g1>: one table serves the order and the permutations
+    calls = []
+    enumerate_cosets = fpgroups.todd_coxeter
+    monkeypatch.setattr(fpgroups, "todd_coxeter", lambda *a: calls.append(a[1]) or enumerate_cosets(*a))
+    q = coxeter_quotient(3, 4)
+    assert q.order() == q.degree == 96
+    assert calls == [[single("s1")]]
+
+
+def test_presentation_rejects_a_generator_named_twice():
+    with pytest.raises(InputError, match="names a generator twice"):
+        Presentation("P", ("a", "b", "a"), ())
+
+
+def test_a_map_carries_its_target():
+    assert i26_to_g13_iso().target == g13_braid_presentation()
+    assert artin_b_embedding(3).target == braid_presentation(4)
+    hom = g12_conjugation()
+    assert hom.target is hom.source
 
 
 def test_parabolic_order_that_the_cosets_do_not_prove_raises():
