@@ -94,19 +94,14 @@ def _close(forms, idx_set: frozenset[int]) -> tuple[frozenset[int], int]:
     """
     if not idx_set:
         return frozenset(), 0
-    reduced, pivots = linalg.rref([list(forms[i]) for i in sorted(idx_set)])
-    kernel = [
-        [(c, -row[f]) for c, row in zip(pivots, reduced) if row[f]] + [(f, cyclo.ONE)]
-        for f in range(len(reduced[0]))
-        if f not in pivots
-    ]
+    kernel = linalg.kernel([list(forms[i]) for i in sorted(idx_set)])
     members = frozenset(
         j
         for j, form in enumerate(forms)
         if j in idx_set
         or not any(sum((form[c] * x for c, x in vec if form[c]), cyclo.ZERO) for vec in kernel)
     )
-    return members, len(reduced)
+    return members, len(forms[0]) - len(kernel)
 
 
 @dataclass

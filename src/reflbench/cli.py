@@ -268,6 +268,8 @@ def cmd_present_verify_map(args):
         except (AttributeError, KeyError, TypeError) as exc:
             raise InputError(f"malformed map file: {exc}") from exc
         hom = fpgroups.GroupHom(args.map or "user-map", pres, images)
+        if backend_spec and data.get("backend"):
+            raise InputError("give --backend or the map file's 'backend', not both")
         backend_spec = backend_spec or data.get("backend")
     else:
         raise InputError("specify --map <name> or --map-file <json>")

@@ -139,21 +139,16 @@ def act_on_quotient(quotient: fpgroups.PermQuotient, pair: GTPair) -> ActionRepo
 def stabilizes_bn_subgroup(n: int, pair: GTPair, limit: int = fpgroups.DEFAULT_COSET_BUDGET):
     """Membership verdicts: do Drinfeld images of <s1^2, s2..sn> stay in it?
 
-    Uses the coset table of the index-(n+1) subgroup of Br_(n+1): a word
-    lies in the subgroup iff it fixes coset 0.
+    The subgroup is the image of `fpgroups.artin_b_embedding(n)`, of index
+    n+1 in Br_(n+1): a word lies in it iff it fixes coset 0 of its table.
     """
-    pres = braid_presentation(n + 1)
-    sub = [word_pow(single("s1"), 2)] + [single(f"s{i}") for i in range(2, n + 1)]
-    table = todd_coxeter(pres, sub, limit)
+    emb = fpgroups.artin_b_embedding(n)
+    sub = list(emb.images.values())
+    table = todd_coxeter(emb.target, sub, limit)
     if table.status != "complete":
         raise BudgetExceededError("subgroup membership needs a complete coset table")
     images = drinfeld_images(n + 1, pair)
-    verdicts: dict[str, bool] = {}
-    # t = s1^2 maps to s1^(2 lambda)
-    t_image = word_pow(images["s1"], 2)
-    verdicts["s1^2"] = table.trace(0, t_image) == 0
-    for i in range(2, n + 1):
-        verdicts[f"s{i}"] = table.trace(0, images[f"s{i}"]) == 0
+    verdicts = {word_str(w): table.trace(0, substitute(w, images)) == 0 for w in sub}
     return {"index": table.index(), "verdicts": verdicts, "all_in": all(verdicts.values())}
 
 

@@ -3,6 +3,9 @@ graded invariant spaces, fundamental invariants, and the catalogued printed
 polynomials (the 2x2 models' basic invariants and the rank-2 order-48 group's
 alpha/beta pair used by the model-free discriminant checks).
 
+A graded invariant space is the common kernel of p -> p o g - p over the
+generators; only `reynolds` and the Molien class scan walk the whole group.
+
 Molien degrees are extracted by expanding (1/|G|) * sum 1/det(1 - t g) far
 enough to peel off factors 1/(1 - t^d), smallest d first; the truncation
 order #reflections + dim + 2 always suffices since sum(d_i) = #reflections + dim.
@@ -156,25 +159,23 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def invariant_space(group: RGroup, degree: int) -> list[MPoly]:
-    """Basis of the degree-d invariants: Reynolds images + exact rank reduction."""
+    """Basis of the degree-d invariants: the common kernel of p -> p o g - p
+    over the generators, in reduced echelon form over the monomials, monic.
+
+    Each generator's block of equations joins the rows reduced so far, so at
+    most two blocks are alive at once.  A space has one reduced basis, so it
+    does not depend on the generators or on how the kernel was found."""
     nvars = group.dim
     monos = _monomials(nvars, degree)
     if len(monos) > DEFAULT_MONOMIAL_BUDGET:
         raise BudgetExceededError(f"{len(monos)} monomials exceed budget {DEFAULT_MONOMIAL_BUDGET}")
-    images = []
-    for exps in monos:
-        r = reynolds(group, MPoly(nvars, {exps: 1}))
-        if not r.is_zero():
-            images.append(r)
-    if not images:
-        return []
-    rows = [[p.terms.get(e, cyclo.ZERO) for e in monos] for p in images]
-    reduced, _ = linalg.rref(rows)
-    basis = []
-    for row in reduced:
-        p = MPoly(nvars, {e: c for e, c in zip(monos, row) if c})
-        basis.append(p.monic())
-    return basis
+    rows: list[list] = []
+    for g in group.generators:
+        moved = [act_matrix(m, g) - m for m in (MPoly(nvars, {e: 1}) for e in monos)]
+        rows = linalg.rref(rows)[0] + [[p.terms.get(e, cyclo.ZERO) for p in moved] for e in monos]
+    kernel = [dict(vec) for vec in linalg.kernel(rows)]
+    reduced, _ = linalg.rref([[vec.get(j, cyclo.ZERO) for j in range(len(monos))] for vec in kernel])
+    return [MPoly(nvars, {e: c for e, c in zip(monos, row) if c}).monic() for row in reduced]
 
 
 @dataclass(frozen=True)

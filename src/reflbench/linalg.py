@@ -34,6 +34,19 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     return mat[:r], pivots
 
 
+def kernel(rows: list[list]) -> list[list[tuple]]:
+    """A null-space basis of a nonempty matrix, read off the pivots of its rref:
+    per free column f, the sparse vector of (column, entry) pairs that is 1 at f
+    and minus column f of the reduced rows at the pivot columns."""
+    reduced, pivots = rref(rows)
+    one = rows[0][0] ** 0
+    return [
+        [(c, -row[f]) for c, row in zip(pivots, reduced) if row[f]] + [(f, one)]
+        for f in range(len(rows[0]))
+        if f not in pivots
+    ]
+
+
 def rank(rows: list[list]) -> int:
     return len(rref(rows)[0])
 

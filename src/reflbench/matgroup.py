@@ -170,7 +170,7 @@ class RGroup:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.generators[0].dim
 
     def order(self) -> int:
         return len(self.elements)

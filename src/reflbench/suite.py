@@ -275,9 +275,8 @@ def criterion_7_coxeter_quotients():
 def criterion_8_artin_b_embedding():
     details: dict = {}
     for n in range(2, 5):
-        pres = braid_presentation(n + 1)
-        sub = [word_pow(single("s1"), 2)] + [single(f"s{i}") for i in range(2, n + 1)]
-        table = todd_coxeter(pres, sub)
+        emb = fpgroups.artin_b_embedding(n)
+        table = todd_coxeter(emb.target, list(emb.images.values()))
         _check(details, f"index_in_br{n+1}_is_{n+1}", table.index() == n + 1)
     pairs = [parse_pair(1, ""), parse_pair(-1, ""), parse_pair(3, "[x,y]"), parse_pair(-1, "[x^2,y]")]
     t = True

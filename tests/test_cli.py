@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -563,6 +564,37 @@ def test_map_file_runs_on_its_source(capsys, tmp_path):
     assert code == 0 and json.loads(out)["exact_proof"] is True
     code, out = run_cli(capsys, *argv, "torsion:2")
     assert code == 3 and json.loads(out)["error"] == "input"
+
+
+# sha256 of the stdout of `invariants compute`, taken from the per-element
+# Reynolds implementation; the answers are pinned byte for byte
+INVARIANTS_COMPUTE_DIGESTS = {
+    "--catalog G4": "fb061fa933f04668ea025c708399cea55c0bdc68f74d00bfd50120068991a86a",
+    "--catalog S3_paper": "58bf479fd87f5fed94990e5033cce783fa0564768deb44361ca6c4dc1b824e97",
+    "--monomial 2,2,3": "262b283c082b0b2b77d4b9823aa68d351c729813fc8b9f1e268ef039c46c44ea",
+    "--monomial 3,3,3": "a176191cf07c3a89c1dca974325ca78ffffdf1251c0c3fc51bcb1cc244b02c41",
+    "--monomial 2,2,4": "056fb1deed9e7b357e76c1b2929dc6e3d5fffb84e30c02f0ad6a348ca9a0b597",
+    "--monomial 3,1,3": "04626c3fe595226a2cae3054adf825573c2335ef3649ddb18a18e8fe48816592",
+}
+
+
+@pytest.mark.parametrize("source", sorted(INVARIANTS_COMPUTE_DIGESTS))
+def test_invariants_compute_stdout_is_pinned(capsys, source):
+    code, out = run_cli(capsys, "invariants", "compute", *source.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_COMPUTE_DIGESTS[source]
+
+
+def test_map_file_backend_and_backend_flag_is_input_error(capsys, tmp_path):
+    # the file's own backend is never overridden in silence by the flag
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"images": {"s1": "s2", "s2": "s1"}, "backend": "torsion:2"}))
+    argv = ["present", "verify-map", "--map-file", str(path), "--catalog", "Br3"]
+    code, out = run_cli(capsys, *argv, "--backend", "coxeter:3,4")
+    assert code == 3
+    assert json.loads(out) == {"error": "input", "message": "give --backend or the map file's 'backend', not both"}
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["consistent"] is True
 
 
 GROUP_COMMANDS = [["group", "info"], ["invariants", "compute"], ["arrangement", "supersolvable"],

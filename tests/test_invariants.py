@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from reflbench import cyclo, linalg
 from reflbench.arrangement import Arrangement, arrangement_of, discriminant_poly
 from reflbench.invariants import (
     MolienError,
+    _monomials,
     act_matrix,
     catalog_invariant_pair,
     fundamental_invariants,
@@ -16,7 +18,7 @@ from reflbench.invariants import (
     molien_series,
     reynolds,
 )
-from reflbench.matgroup import build_catalog_group, build_monomial_group, reflections
+from reflbench.matgroup import build_catalog_group, build_monomial_group, hyperplanes, reflections
 from reflbench.mpoly import (
     MPoly,
     jacobian,
@@ -87,6 +89,58 @@ def test_invariant_space_dimensions():
     assert len(invariant_space(g4, 0)) == 1
     g1, _ = catalog_invariant_pair("G4")
     ok, _ = proportional(invariant_space(g4, 4)[0], g1)
+    assert ok
+
+
+def _reynolds_invariant_space(group, degree):
+    """The earlier invariant_space: the Reynolds image of every degree-d
+    monomial, a sum over all of the group, then the same rref and monic."""
+    monos = _monomials(group.dim, degree)
+    images = [reynolds(group, MPoly(group.dim, {e: 1})) for e in monos]
+    rows = [[p.terms.get(e, cyclo.ZERO) for e in monos] for p in images if not p.is_zero()]
+    reduced, _ = linalg.rref(rows)
+    return [MPoly(group.dim, {e: c for e, c in zip(monos, row) if c}).monic() for row in reduced]
+
+
+def _group(g):
+    return build_catalog_group(g) if isinstance(g, str) else build_monomial_group(*g)
+
+
+def _group_id(g):
+    return g if isinstance(g, str) else "G(%d,%d,%d)" % g
+
+
+@pytest.mark.parametrize("group", ["G4", "S3_paper", (3, 3, 3), (8, 8, 2)], ids=_group_id)
+def test_invariant_space_equals_reynolds_oracle(group):
+    # the kernel over the generators and the Reynolds images over every
+    # element span one space, and its reduced basis is unique
+    g = _group(group)
+    for d in range(max(molien_degrees(g)) + 1):
+        assert invariant_space(g, d) == _reynolds_invariant_space(g, d), d
+
+
+def test_invariant_space_reads_no_elements(monkeypatch):
+    from reflbench.matgroup import RGroup
+
+    g = build_monomial_group(2, 2, 3)
+    space = invariant_space(g, 4)
+    walked = property(lambda self: pytest.fail("invariant_space walked the group"))
+    monkeypatch.setattr(RGroup, "elements", walked, raising=False)
+    assert invariant_space(g, 4) == space
+
+
+@pytest.mark.parametrize(
+    "group", ["G4", "S3_paper", (3, 1, 3), (4, 2, 3), (2, 2, 4), (3, 3, 3)], ids=_group_id
+)
+def test_jacobian_is_steinberg_product(group):
+    # Steinberg: the Jacobian of basic invariants is, up to a scalar, the
+    # product of alpha_H^(e_H - 1) over the reflecting hyperplanes
+    g = _group(group)
+    jac = jacobian(list(fundamental_invariants(g).generators))
+    product = MPoly.constant(g.dim, 1)
+    for form, e in hyperplanes(g):
+        product = product * MPoly.linear_form(form) ** (e - 1)
+    ok, _ = proportional(jac, product)
     assert ok
 
 

@@ -37,3 +37,17 @@ def test_rref_over_cyclotomic_numbers_keeps_the_field():
     d = z * z - 1
     assert linalg.invert(m) == [[z / d, -one / d], [-one / d, z / d]]
     assert linalg.det(m) == d
+
+
+def test_kernel_is_read_off_the_pivots():
+    rows = [[F(2), F(4), F(-2)], [F(1), F(3), F(1, 2)], [F(3), F(7), F(-3, 2)]]
+    # rref = [[1, 0, -4], [0, 1, 3/2]]: one free column, 2
+    assert linalg.kernel(rows) == [[(0, F(4)), (1, F(-3, 2)), (2, F(1))]]
+    assert all(type(x) is Fraction for vec in linalg.kernel(rows) for _, x in vec)
+    # an all-zero system has the whole space as its kernel
+    zero = cyclo.ZERO
+    assert linalg.kernel([[zero, zero]]) == [[(0, cyclo.ONE)], [(1, cyclo.ONE)]]
+    z = cyclo.root_of_unity(3)
+    (vec,) = linalg.kernel([[z, cyclo.ONE], [z * z, z]])
+    assert vec == [(0, -z * z), (1, cyclo.ONE)]
+    assert linalg.kernel([[F(1), F(0)], [F(0), F(5)]]) == []
