@@ -8,6 +8,7 @@ byte-identical JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,14 +17,6 @@ from . import cyclo, fpgroups, garside, gtaction, invariants, matgroup, monodrom
 from .errors import BudgetExceededError, InputError
 from .fpgroups import parse_word
 from .garside import parse_type
-
-
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
 
 
 def _ints(text: str, names: str) -> tuple[int, ...]:
@@ -454,7 +447,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the CLI, built at its first call and shared
+    by every later `main` call in the process.  `parse_args` keeps no state
+    between calls, but two things are frozen at that first build:
+    - the handlers bound by `set_defaults(fn=cmd_...)`: replacing a `cmd_*`
+      function of this module afterwards does not reach the parser;
+    - the global budget defaults, read from `fpgroups.DEFAULT_COSET_BUDGET`
+      and `matgroup.DEFAULT_ELEMENT_BUDGET`."""
     top = _Parser(prog="reflbench")
     top.add_argument("--json", help="also write the JSON payload to this path")
     top.add_argument("--budget-cosets", type=int, default=fpgroups.DEFAULT_COSET_BUDGET)
@@ -560,18 +561,28 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
         code, payload = args.fn(args)
     except BudgetExceededError as exc:
-        _emit({"error": "budget_exceeded", "message": str(exc)}, args)
-        return 2
+        code, payload = 2, {"error": "budget_exceeded", "message": str(exc)}
     except (InputError, OSError, json.JSONDecodeError) as exc:
-        _emit({"error": "input", "message": str(exc)}, args)
-        return 3
-    _emit(payload, args)
+        code, payload = 3, {"error": "input", "message": str(exc)}
+    text = _dumps(payload)
+    if getattr(args, "json", None):
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            # an unwritable --json file is an input error, whatever the answer
+            code, text = 3, _dumps({"error": "input", "message": f"--json: {exc}"})
+    print(text)
     return code
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from operator import mul
 
 from . import cyclo, linalg, matgroup
 from .cyclo import CycNum
@@ -171,7 +173,16 @@ def invariant_space(group: RGroup, degree: int) -> list[MPoly]:
         raise BudgetExceededError(f"{len(monos)} monomials exceed budget {DEFAULT_MONOMIAL_BUDGET}")
     rows: list[list] = []
     for g in group.generators:
-        moved = [act_matrix(m, g) - m for m in (MPoly(nvars, {e: 1}) for e in monos)]
+        # z^e o g is the product of the powers (g z)_i^e_i; each generator's
+        # linear forms are raised once, for every monomial of the degree
+        one, powers = MPoly.constant(nvars, 1), []
+        for row in g.rows:
+            form, pw = MPoly.linear_form(row), [one]
+            for _ in range(degree):
+                pw.append(pw[-1] * form)
+            powers.append(pw)
+        images = [reduce(mul, (pw[k] for pw, k in zip(powers, e) if k), one) for e in monos]
+        moved = [p - MPoly(nvars, {e: 1}) for p, e in zip(images, monos)]
         rows = linalg.rref(rows)[0] + [[p.terms.get(e, cyclo.ZERO) for p in moved] for e in monos]
     kernel = [dict(vec) for vec in linalg.kernel(rows)]
     reduced, _ = linalg.rref([[vec.get(j, cyclo.ZERO) for j in range(len(monos))] for vec in kernel])

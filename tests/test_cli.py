@@ -230,6 +230,49 @@ def test_json_flag_writes_file(capsys, tmp_path):
     assert json.loads(out_file.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("source", ["G4", "NOPE"])
+def test_unwritable_json_file_is_an_input_error(capsys, tmp_path, source):
+    # the answer (exit 0) and the error payload (exit 3) alike: one input-error
+    # document on stdout, no traceback
+    path = tmp_path / "missing" / "out.json"
+    code, out = run_cli(capsys, "--json", str(path), "group", "info", "--catalog", source)
+    data = json.loads(out)
+    assert code == 3 and data["error"] == "input" and str(path) in data["message"]
+    assert not path.parent.exists()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    sequence = [
+        (0, ["group", "info", "--catalog", "G4"]),
+        (1, ["garside", "equal", "--type", "A2", "--u", "s1", "--v", "s2"]),
+        (2, ["invariants", "compute", "--monomial", "2,1,5"]),
+        (3, ["no-such-command"]),
+        (3, ["garside", "delta", "--type", "A2", "--seed", "3"]),  # a global flag after the subcommand
+        (3, ["present", "quotient", "--coxeter", "3"]),
+        ("help", ["--help"]),
+    ]
+    passes = []
+    for _ in range(2):
+        outputs = []
+        for expected, argv in sequence:
+            if expected == "help":
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 0
+            else:
+                assert main(argv) == expected, argv
+            outputs.append(capsys.readouterr().out)
+        passes.append(outputs)
+    assert passes[0] == passes[1]
+    # a --json path given once is not written by the next call
+    first = tmp_path / "first.json"
+    assert main(["--json", str(first), "garside", "delta", "--type", "A2"]) == 0
+    first.unlink()
+    assert main(["garside", "delta", "--type", "A2"]) == 0
+    assert not first.exists()
+
+
 def test_paper_suite_stdout_deterministic(capsys):
     code1, out1 = run_cli(capsys, "paper-suite", "--criteria", "3,11")
     code2 = main(["paper-suite", "--criteria", "3,11"])
