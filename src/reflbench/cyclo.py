@@ -39,7 +39,7 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 
@@ -100,33 +100,33 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
+def factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime factorisation ((p, e), ...) of n >= 1, p increasing."""
+    if n < 1:
+        raise ValueError(f"no prime factorisation of {n}")
     out = []
     m, p = n, 2
     while p * p <= m:
         if m % p == 0:
-            out.append(p)
+            e = 0
             while m % p == 0:
                 m //= p
+                e += 1
+            out.append((p, e))
         p += 1
     if m > 1:
-        out.append(m)
+        out.append((m, 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    return prod((p - 1) * p ** (e - 1) for p, e in factorization(n))
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    return tuple(p for p, _ in factorization(n))
 
 
 @lru_cache(maxsize=None)
@@ -641,21 +641,11 @@ def sqrt_rational(q) -> CycNum:
     q = Fraction(q)
     if q == 0:
         return ZERO
-    n = abs(q.numerator) * q.denominator
     root = rational(Fraction(1, q.denominator))
-    m, p = n, 2
-    while p * p <= m:
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            root = root * rational(p ** (e // 2))
-            if e % 2:
-                root = root * _sqrt_prime(p)
-        p += 1
-    if m > 1:
-        root = root * _sqrt_prime(m)
+    for p, e in factorization(abs(q.numerator) * q.denominator):
+        root = root * rational(p ** (e // 2))
+        if e % 2:
+            root = root * _sqrt_prime(p)
     if q < 0:
         root = root * root_of_unity(4, 1)
     assert root * root == rational(q)

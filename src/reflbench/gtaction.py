@@ -54,9 +54,6 @@ class GTPair:
             )
         return None
 
-    def f_at(self, u: Word, v: Word) -> Word:
-        return substitute(self.f, {"x": u, "y": v})
-
 
 def parse_pair(lam: int, f_text: str) -> GTPair:
     return GTPair(lam, fpgroups.parse_word(f_text, ("x", "y")) if f_text else ())
@@ -83,14 +80,18 @@ def drinfeld_formula(n: int, lam: int, f: Word) -> dict[str, Word]:
     outside the derived subgroup, where they need not define an automorphism."""
     if n < 2:
         raise InputError("need n >= 2 strands")
-    images = {"s1": word_pow(single("s1"), lam)}
+    return _gt_images(n, lam, f, y_word, ("s1",))
+
+
+def _gt_images(n: int, lam: int, f: Word, partner, fixed: tuple[str, ...]) -> dict[str, Word]:
+    """s -> s^lambda for s in `fixed`, and s_i -> f(s_i^2, p) s_i^lambda f(p, s_i^2)
+    for 2 <= i < n, with p = partner(i)."""
+    images = {s: word_pow(single(s), lam) for s in fixed}
     for i in range(2, n):
-        si2 = word_pow(single(f"s{i}"), 2)
-        yi = y_word(i)
+        si, p = single(f"s{i}"), partner(i)
+        si2 = word_pow(si, 2)
         images[f"s{i}"] = word_mul(
-            substitute(f, {"x": si2, "y": yi}),
-            word_pow(single(f"s{i}"), lam),
-            substitute(f, {"x": yi, "y": si2}),
+            substitute(f, {"x": si2, "y": p}), word_pow(si, lam), substitute(f, {"x": p, "y": si2})
         )
     return images
 
@@ -160,17 +161,7 @@ def matsumoto_d_images(n: int, pair: GTPair) -> dict[str, Word]:
     """s1 -> s1^lambda, s1p -> s1p^lambda, s_i -> f(s_i^2, eta_i) s_i^lambda f(eta_i, s_i^2)."""
     if n < 3:
         raise InputError("type D formulas need rank >= 3")
-    images = {
-        "s1": word_pow(single("s1"), pair.lam),
-        "s1p": word_pow(single("s1p"), pair.lam),
-    }
-    for i in range(2, n):
-        si2 = word_pow(single(f"s{i}"), 2)
-        eta = eta_word(i)
-        images[f"s{i}"] = word_mul(
-            pair.f_at(si2, eta), word_pow(single(f"s{i}"), pair.lam), pair.f_at(eta, si2)
-        )
-    return images
+    return _gt_images(n, pair.lam, pair.f, eta_word, ("s1", "s1p"))
 
 
 def matsumoto_commutation_report(n: int, pair: GTPair):

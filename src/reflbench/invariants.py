@@ -16,15 +16,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
-from operator import mul
 
 from . import cyclo, linalg, matgroup
 from .cyclo import CycNum
 from .errors import BudgetExceededError
 from .matgroup import RGroup, RMatrix
-from .mpoly import MPoly, jacobian, proportional
+from .mpoly import MPoly, jacobian, monomial_images, proportional
 
 MAX_MOLIEN_DIM = 4
 DEFAULT_MONOMIAL_BUDGET = 5000
@@ -171,22 +169,16 @@ def invariant_space(group: RGroup, degree: int) -> list[MPoly]:
     monos = _monomials(nvars, degree)
     if len(monos) > DEFAULT_MONOMIAL_BUDGET:
         raise BudgetExceededError(f"{len(monos)} monomials exceed budget {DEFAULT_MONOMIAL_BUDGET}")
+    # column j is monos[~j]: `linalg.kernel` returns, per free column f, a
+    # vector that is 1 at f, with its other nonzeros only at pivot columns
+    # < f, so the reversed list is already the reduced echelon basis over
+    # monos, with leading coefficient 1, and needs no second rref
     rows: list[list] = []
     for g in group.generators:
-        # z^e o g is the product of the powers (g z)_i^e_i; each generator's
-        # linear forms are raised once, for every monomial of the degree
-        one, powers = MPoly.constant(nvars, 1), []
-        for row in g.rows:
-            form, pw = MPoly.linear_form(row), [one]
-            for _ in range(degree):
-                pw.append(pw[-1] * form)
-            powers.append(pw)
-        images = [reduce(mul, (pw[k] for pw, k in zip(powers, e) if k), one) for e in monos]
+        images = monomial_images(monos, [MPoly.linear_form(row) for row in g.rows])
         moved = [p - MPoly(nvars, {e: 1}) for p, e in zip(images, monos)]
-        rows = linalg.rref(rows)[0] + [[p.terms.get(e, cyclo.ZERO) for p in moved] for e in monos]
-    kernel = [dict(vec) for vec in linalg.kernel(rows)]
-    reduced, _ = linalg.rref([[vec.get(j, cyclo.ZERO) for j in range(len(monos))] for vec in kernel])
-    return [MPoly(nvars, {e: c for e, c in zip(monos, row) if c}).monic() for row in reduced]
+        rows = linalg.rref(rows)[0] + [[p.terms.get(e, cyclo.ZERO) for p in reversed(moved)] for e in monos]
+    return [MPoly(nvars, {monos[~j]: c for j, c in vec}) for vec in reversed(linalg.kernel(rows))]
 
 
 @dataclass(frozen=True)
@@ -210,18 +202,19 @@ def fundamental_invariants(group: RGroup) -> InvariantBasis:
     for d in sorted(set(degrees)):
         count = degrees.count(d)
         space = invariant_space(group, d)
-        # span of degree-d products of already chosen invariants
-        products = _algebra_slice(chosen, d, nvars)
+        # reduced span of degree-d products of already chosen invariants; a
+        # candidate is new iff it makes the reduced span grow
         monos = _monomials(nvars, d)
-        oldrows = [[p.terms.get(e, cyclo.ZERO) for e in monos] for p in products]
+        products = _algebra_slice(chosen, d, nvars)
+        span, _ = linalg.rref([[p.terms.get(e, cyclo.ZERO) for e in monos] for p in products])
         picked = 0
         for cand in space:
             if picked == count:
                 break
-            row = [cand.terms.get(e, cyclo.ZERO) for e in monos]
-            if linalg.rank(oldrows + [row]) > linalg.rank(oldrows):
+            grown, _ = linalg.rref(span + [[cand.terms.get(e, cyclo.ZERO) for e in monos]])
+            if len(grown) > len(span):
                 chosen.append(cand)
-                oldrows.append(row)
+                span = grown
                 picked += 1
         if picked != count:
             raise MolienError(f"could not find {count} new invariants in degree {d}")
@@ -252,8 +245,10 @@ def _algebra_slice(gens: list[MPoly], degree: int, nvars: int) -> list[MPoly]:
             walk(i + 1, power, deg + k * gd)
             k += 1
 
+    # walk appends only at exactly `degree`, and a product of nonzero
+    # polynomials is nonzero, so every product has that total degree
     walk(0, MPoly.constant(nvars, 1), 0)
-    return [p for p in out if p.total_degree() == degree]
+    return out
 
 
 # ---------------------------------------------------------------------------

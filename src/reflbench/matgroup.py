@@ -600,7 +600,7 @@ def field_of_definition(group: RGroup) -> FieldOfDefinition:
     fix_big = set(fixing(big))
     units_big = [k for k in range(1, big + 1) if gcd(k, big) == 1]
     conductor = big
-    for f in sorted(_divisors(big)):
+    for f in _divisors(big):
         if f % 4 == 2:
             continue  # Q(zeta_f) = Q(zeta_(f/2)); never a minimal conductor
         # K lies in Q(zeta_f) iff the kernel of (Z/big)^x -> (Z/f)^x fixes K
@@ -613,12 +613,9 @@ def field_of_definition(group: RGroup) -> FieldOfDefinition:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    for k in range(1, int(n**0.5) + 1):
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
+    out = [1]
+    for p, e in cyclo.factorization(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

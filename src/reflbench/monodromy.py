@@ -174,15 +174,22 @@ def profile_to_json(p: RamificationProfile) -> dict:
 
 
 def profile_from_json(data: dict) -> RamificationProfile:
-    """The inverse of `profile_to_json` ("transitive" defaults to true); raises InputError."""
+    """The inverse of `profile_to_json` ("transitive" defaults to true); raises
+    InputError unless the cycles at every point partition the degree."""
     try:
-        return RamificationProfile(
-            degree=int(data["degree"]),
-            points={k: {int(ln): int(ct) for ln, ct in v} for k, v in data["points"].items()},
-            transitive=bool(data.get("transitive", True)),
-        )
+        degree = int(data["degree"])
+        points = {k: [(int(ln), int(ct)) for ln, ct in v] for k, v in data["points"].items()}
+        transitive = bool(data.get("transitive", True))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed ramification profile: {exc}") from exc
+    if degree < 1:
+        raise InputError(f"ramification profile of degree {degree} < 1")
+    for k, cycles in points.items():
+        if any(ln < 1 or ct < 1 for ln, ct in cycles) or len({ln for ln, _ in cycles}) < len(cycles):
+            raise InputError(f"point {k}: cycle lengths and counts must be >= 1, each length once")
+        if sum(ln * ct for ln, ct in cycles) != degree:
+            raise InputError(f"point {k}: the cycles do not partition the degree {degree}")
+    return RamificationProfile(degree, {k: dict(cycles) for k, cycles in points.items()}, transitive)
 
 
 def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -> CoverSpec:

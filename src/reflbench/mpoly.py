@@ -212,32 +212,36 @@ class MPoly:
             raise ValueError("substitution arity mismatch")
         if not substitution:
             return self
-        m = substitution[0].nvars
-        if any(s.nvars != m for s in substitution):
-            raise ValueError("substitution polynomials have mixed arities")
-        powers: list[dict[int, MPoly]] = [dict() for _ in range(self.nvars)]
-
-        def power(i: int, k: int) -> MPoly:
-            cache = powers[i]
-            if k not in cache:
-                if k == 0:
-                    cache[k] = MPoly.constant(m, 1)
-                else:
-                    cache[k] = power(i, k - 1) * substitution[i]
-            return cache[k]
-
-        result = MPoly.zero(m)
-        for exps, c in self.terms.items():
-            part = MPoly.constant(m, c)
-            for i, e in enumerate(exps):
-                if e:
-                    part = part * power(i, e)
-            result = result + part
+        result = MPoly.zero(substitution[0].nvars)
+        for image, c in zip(monomial_images(list(self.terms), substitution), self.terms.values()):
+            result = result + image.scale(c)
         return result
 
 
 # ---------------------------------------------------------------------------
 # free-standing operations
+
+
+def monomial_images(monos: list[tuple[int, ...]], substitution: list[MPoly]) -> list[MPoly]:
+    """The image of each monomial z^e in monos under z_i -> substitution[i]:
+    each substituted polynomial is raised to each power once, for all monos."""
+    m = substitution[0].nvars
+    if any(s.nvars != m for s in substitution):
+        raise ValueError("substitution polynomials have mixed arities")
+    one, powers = MPoly.constant(m, 1), []
+    for i, s in enumerate(substitution):
+        pw = [one]
+        for _ in range(max((e[i] for e in monos), default=0)):
+            pw.append(pw[-1] * s)
+        powers.append(pw)
+    images = []
+    for e in monos:
+        image = one
+        for pw, k in zip(powers, e):
+            if k:
+                image = image * pw[k]
+        images.append(image)
+    return images
 
 
 def jacobian(ps: list[MPoly]) -> MPoly:

@@ -402,10 +402,14 @@ def test_group_spec_order_over_cap_is_input_error(capsys, tmp_path):
     [
         (["monodromy", "genus", "--profile"], {"points": {}}),
         (["monodromy", "genus", "--profile"], {"degree": 3, "points": {"0": [[2]]}}),
+        # profiles that no cover has, which printed a genus with exit 0
+        (["monodromy", "genus", "--profile"], {"degree": 1, "points": {"0": [[3, 2]]}}),
+        (["monodromy", "genus", "--profile"], {"degree": 0, "points": {}}),
         (["present", "verify-map", "--catalog", "G12", "--map-file"], {}),
         (["group", "info", "--spec"], None),  # the path is a directory
     ],
-    ids=["profile-no-degree", "profile-short-cycle", "map-no-images", "spec-is-directory"],
+    ids=["profile-no-degree", "profile-short-cycle", "profile-cycles-exceed-degree", "profile-degree-zero",
+         "map-no-images", "spec-is-directory"],
 )
 def test_malformed_input_file_is_input_error(capsys, tmp_path, command, content):
     path = tmp_path
@@ -610,7 +614,8 @@ def test_map_file_runs_on_its_source(capsys, tmp_path):
 
 
 # sha256 of the stdout of `invariants compute`, taken from the per-element
-# Reynolds implementation; the answers are pinned byte for byte
+# Reynolds implementation (G(1,1,3) from the generator kernel that replaced
+# it); the answers are pinned byte for byte
 INVARIANTS_COMPUTE_DIGESTS = {
     "--catalog G4": "fb061fa933f04668ea025c708399cea55c0bdc68f74d00bfd50120068991a86a",
     "--catalog S3_paper": "58bf479fd87f5fed94990e5033cce783fa0564768deb44361ca6c4dc1b824e97",
@@ -618,6 +623,7 @@ INVARIANTS_COMPUTE_DIGESTS = {
     "--monomial 3,3,3": "a176191cf07c3a89c1dca974325ca78ffffdf1251c0c3fc51bcb1cc244b02c41",
     "--monomial 2,2,4": "056fb1deed9e7b357e76c1b2929dc6e3d5fffb84e30c02f0ad6a348ca9a0b597",
     "--monomial 3,1,3": "04626c3fe595226a2cae3054adf825573c2335ef3649ddb18a18e8fe48816592",
+    "--monomial 1,1,3": "9b50b645bdc097420f1cb52daf81b315f0022f50c131c9909b2eae758e67feec",
 }
 
 
@@ -626,6 +632,23 @@ def test_invariants_compute_stdout_is_pinned(capsys, source):
     code, out = run_cli(capsys, "invariants", "compute", *source.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_COMPUTE_DIGESTS[source]
+
+
+# sha256 of the stdout of `group info` on groups whose trace orders have an
+# lcm with several prime factors, so `field_of_definition` walks its divisors
+GROUP_INFO_DIGESTS = {
+    "12,12,2": "08bc4ea13dacae546e373b9784a0ec50d1b7bdb1e062a025b642c0a8e3b82d16",
+    "15,15,2": "4de2372599d9419735585c43a8b02f2d1ddc2f18944e2d74c66d443999b3841e",
+    "24,24,2": "f1b182e091c28fc610c0399bcee943eb508620cc814ad60599e998cf418aae4c",
+    "10,5,2": "3b6b8bae38c9427c7351c3a000497fd927fd53c4a2563b7e9e13d7239e98b970",
+}
+
+
+@pytest.mark.parametrize("monomial", sorted(GROUP_INFO_DIGESTS))
+def test_group_info_stdout_is_pinned(capsys, monomial):
+    code, out = run_cli(capsys, "group", "info", "--monomial", monomial)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_INFO_DIGESTS[monomial]
 
 
 def test_map_file_backend_and_backend_flag_is_input_error(capsys, tmp_path):

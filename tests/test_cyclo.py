@@ -168,6 +168,24 @@ def test_sqrt_rational():
         assert r * r == rational(q)
 
 
+def test_factorization_and_euler_phi_match_brute_force():
+    limit = 3000
+    is_prime = [False, False] + [True] * (limit - 1)
+    for p in range(2, limit + 1):
+        for k in range(2 * p, limit + 1, p):
+            is_prime[k] = False
+    for n in range(1, limit + 1):
+        pairs = cyclo.factorization(n)
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes)) and all(is_prime[p] for p in primes), n
+        assert all(e >= 1 and n % p**e == 0 and n % p ** (e + 1) for p, e in pairs), n
+        assert [p for p in range(2, n + 1) if is_prime[p] and n % p == 0] == primes, n
+        assert cyclo._prime_factors(n) == tuple(primes)
+        assert cyclo.euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
+    with pytest.raises(ValueError):
+        cyclo.factorization(0)
+
+
 # ---------------------------------------------------------------------------
 # Differential test against the earlier order-minimisation path: every value
 # reduced by long division, and every descent Q(zeta_n) -> Q(zeta_(n/p)) one

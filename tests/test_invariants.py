@@ -110,10 +110,13 @@ def _group_id(g):
     return g if isinstance(g, str) else "G(%d,%d,%d)" % g
 
 
-@pytest.mark.parametrize("group", ["G4", "S3_paper", (3, 3, 3), (8, 8, 2)], ids=_group_id)
+@pytest.mark.parametrize(
+    "group", ["G4", "S3_paper", (3, 3, 3), (8, 8, 2), (1, 1, 1), (2, 1, 1), (1, 1, 3)], ids=_group_id
+)
 def test_invariant_space_equals_reynolds_oracle(group):
     # the kernel over the generators and the Reynolds images over every
-    # element span one space, and its reduced basis is unique
+    # element span one space, and its reduced basis is unique; G(1,1,1) is
+    # trivial, so its block is zero and every monomial is a free column
     g = _group(group)
     for d in range(max(molien_degrees(g)) + 1):
         assert invariant_space(g, d) == _reynolds_invariant_space(g, d), d

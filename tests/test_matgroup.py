@@ -115,6 +115,11 @@ def test_field_of_definition_weyl_and_cyclotomic():
     assert field_of_definition(build_monomial_group(4, 4, 2)).conductor == 1
 
 
+def test_divisors_match_brute_force():
+    for n in range(1, 3001):
+        assert matgroup._divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
 def test_field_of_definition_traces_live_in_reported_field():
     for g in (build_catalog_group("G4"), build_monomial_group(8, 8, 2)):
         fod = field_of_definition(g)

@@ -262,6 +262,17 @@ def test_profile_json_round_trip():
     prof = monodromy_profile(braid_loop_images("G4_paper"))
     assert profile_from_json(profile_to_json(prof)) == prof
     bad_profiles = [{"points": {}}, {"degree": 3, "points": {"0": [[2]]}}, {"degree": 3, "points": []}, []]
+    # profiles that no cover has: a degree < 1, a length or count < 1, a
+    # repeated length, or cycles at some point that do not partition the degree
+    bad_profiles += [
+        {"degree": 0, "points": {}},
+        {"degree": -2, "points": {"0": [[1, -2]]}},
+        {"degree": 1, "points": {"0": [[3, 2]]}},
+        {"degree": 3, "points": {"0": [[0, 1], [3, 1]]}},
+        {"degree": 3, "points": {"0": [[3, 0], [1, 3]]}},
+        {"degree": 4, "points": {"0": [[2, 1], [2, 1]]}},
+        {"degree": 4, "points": {"0": [[2, 2]], "1": [[3, 1]]}},
+    ]
     for bad in bad_profiles:
         with pytest.raises(InputError):
             profile_from_json(bad)

@@ -29,6 +29,55 @@ def test_compose_arity_mismatch():
         (Z1 + Z2).compose([Z1])
 
 
+def _compose_oracle(p: MPoly, substitution: list[MPoly]) -> MPoly:
+    """The earlier `MPoly.compose`: a power table of its own, and each term
+    expanded as its coefficient times the powers of its variables' images."""
+    if len(substitution) != p.nvars:
+        raise ValueError("substitution arity mismatch")
+    if not substitution:
+        return p
+    m = substitution[0].nvars
+    if any(s.nvars != m for s in substitution):
+        raise ValueError("substitution polynomials have mixed arities")
+    powers: list[dict[int, MPoly]] = [dict() for _ in range(p.nvars)]
+
+    def power(i: int, k: int) -> MPoly:
+        cache = powers[i]
+        if k not in cache:
+            cache[k] = MPoly.constant(m, 1) if k == 0 else power(i, k - 1) * substitution[i]
+        return cache[k]
+
+    result = MPoly.zero(m)
+    for exps, c in p.terms.items():
+        part = MPoly.constant(m, c)
+        for i, e in enumerate(exps):
+            if e:
+                part = part * power(i, e)
+        result = result + part
+    return result
+
+
+def _random_poly(rng: random.Random, nvars: int, nterms: int, degree: int) -> MPoly:
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)), cyclo.root_of_unity(3, 1), cyclo.root_of_unity(4, 3)]
+    return MPoly(
+        nvars,
+        {tuple(rng.randint(0, degree) for _ in range(nvars)): rng.choice(coeffs) for _ in range(nterms)},
+    )
+
+
+def test_compose_matches_the_earlier_expansion():
+    rng = random.Random(23)
+    for _ in range(40):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        p = _random_poly(rng, n, rng.randint(0, 6), 4)
+        substitution = [_random_poly(rng, m, rng.randint(0, 3), 2) for _ in range(n)]
+        assert p.compose(substitution) == _compose_oracle(p, substitution)
+    with pytest.raises(ValueError, match="mixed arities"):
+        (Z1 + Z2).compose([Z1, MPoly.variable(3, 0)])
+    constant = MPoly.constant(0, 5)
+    assert constant.compose([]) == _compose_oracle(constant, []) == constant
+
+
 def test_jacobian_of_coordinates():
     assert jacobian([Z1, Z2]) == MPoly.constant(2, 1)
 
