@@ -651,6 +651,38 @@ def test_group_info_stdout_is_pinned(capsys, monomial):
     assert hashlib.sha256(out.encode()).hexdigest() == GROUP_INFO_DIGESTS[monomial]
 
 
+# sha256 over the exit codes and stdouts of `gt gd-check --m m` for every
+# lambda and g below, taken when the kernel test still went through Schreier
+# rewriting and an integer Hermite reduction; the words include pure braids
+# outside the derived subgroup of P (a^2 and (a b)^m = Delta^2) and a word
+# outside P (a b)
+GD_CHECK_LAMBDAS = (-3, -1, 0, 1, 2, 3, 5)
+GD_CHECK_GS = ("", "[a^2,b^2]", "[b^2,a^-2]", "[a^2, b a^2 b^-1]", "a^2", "a b", "(a b)^{m}")
+GD_CHECK_DIGESTS = {
+    3: "41547e7a62856781b98054ff83051cf8f87cf710503d13fc591f4801ca6a897c",
+    4: "73333f91fb35b4efb19fe4b3b945e88c3236fd35b1714b997beff53193496921",
+    5: "b2619660683d09cfa8f775b72794647ea7995f4c40cd0e0d8d3936dd42d6c8cb",
+    6: "27cf2e2416813b4cca48853beb6d64ddc2cdaaf0fc6291a07c96b0e8542e4d56",
+    7: "7b35054e21716b33d39a37bb3bc66036e66e15be8749f34e42acab43cb950297",
+    8: "8fee9e16cbdffe750336bf37349c936574f33c115a26b8088a2be50903a60bba",
+    9: "d8bb486065559ebab69a6af6c1919b6e59287d938214dd6bda8a7bc217fb31d5",
+    10: "bb066c75f8cda49c4da676e53c516ce11fefd0cf2f7e13a941819af1050cf156",
+    11: "b184ebccb41962df67e6c64f0058ee58d90745776b27b32d2a3b347d70e74217",
+    12: "519d0984f43ae5c71a360bc714fb9c087eaca20a48498019e0eb2621ba8d0848",
+    40: "48c29f2cabcf5cf852e32b52b62d766c9670f51af9e161556cb602316c531346",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GD_CHECK_DIGESTS))
+def test_gd_check_stdout_is_pinned(capsys, m):
+    digest = hashlib.sha256()
+    for lam in GD_CHECK_LAMBDAS:
+        for g in GD_CHECK_GS:
+            code, out = run_cli(capsys, "gt", "gd-check", "--m", str(m), "--lambda", str(lam), "--g", g.format(m=m))
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == GD_CHECK_DIGESTS[m]
+
+
 def test_map_file_backend_and_backend_flag_is_input_error(capsys, tmp_path):
     # the file's own backend is never overridden in silence by the flag
     path = tmp_path / "swap.json"
