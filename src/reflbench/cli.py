@@ -43,10 +43,12 @@ def _braid_n(n: int) -> int:
     return n
 
 
-# The largest m of `gt gd-check --m`: the kernel test reduces a relator matrix
-# of 2m rows and 2m + 1 columns, so its cost grows about as m^3
-# (m = 400 takes a few seconds).
-MAX_DIHEDRAL_M = 400
+# The largest m (|lambda| + 2|g| + 1) of `gt gd-check`: the Garside words it
+# normalises (the images of Delta and Delta^2, and Delta^(2 lambda)) grow as
+# that product, and their normal forms cost about linearly in it.  At the
+# bound the slowest inputs found (m = 40,000 with lambda = 1) take about 2 s
+# on a 2-core x86 VM.
+MAX_GD_CHECK_LETTERS = 80_000
 
 
 def _source(args, *flags: str) -> tuple[str, str]:
@@ -369,8 +371,16 @@ def _garside_word(ctx, text: str):
     return parse_word(text, ctx.gen_list, garside.MAX_LETTERS, extra)
 
 
+def _gt_pair(args) -> gtaction.GTPair:
+    """The pair of --lambda and --f.  s^lambda is a word of |lambda| letters,
+    so |lambda| has the cap of every word."""
+    if abs(args.lam) > fpgroups.MAX_WORD_LETTERS:
+        raise InputError(f"|lambda| = {abs(args.lam)} exceeds the limit of {fpgroups.MAX_WORD_LETTERS}")
+    return gtaction.parse_pair(args.lam, args.f or "")
+
+
 def cmd_gt_act(args):
-    pair = gtaction.parse_pair(args.lam, args.f or "")
+    pair = _gt_pair(args)
     if not args.backend.startswith("coxeter:"):
         raise InputError("gt act expects --backend coxeter:n,k")
     q = _build_backend(args.backend, None, args.budget_cosets)
@@ -389,23 +399,27 @@ def cmd_gt_act(args):
 
 
 def cmd_gt_images(args):
-    pair = gtaction.parse_pair(args.lam, args.f or "")
+    pair = _gt_pair(args)
     images = gtaction.drinfeld_images(_braid_n(args.n), pair)
     return 0, {g: fpgroups.word_str(w) for g, w in images.items()}
 
 
 def cmd_gt_stabilize(args):
-    pair = gtaction.parse_pair(args.lam, args.f or "")
+    pair = _gt_pair(args)
     _braid_n(args.n + 1)  # the subgroup lives in Br_(n+1)
     out = gtaction.stabilizes_bn_subgroup(args.n, pair, args.budget_cosets)
     return (0 if out["all_in"] else 1), out
 
 
 def cmd_gt_gd_check(args):
-    if args.m > MAX_DIHEDRAL_M:
-        raise InputError(f"gd-check on I2({args.m}) exceeds the limit m <= {MAX_DIHEDRAL_M}")
     g = parse_word(args.g, ("a", "b")) if args.g else ()
-    report = gtaction.check_gd_pair(args.m, args.lam, g, args.budget_cosets)
+    letters = args.m * (abs(args.lam) + 2 * fpgroups.word_length(g) + 1)
+    if letters > MAX_GD_CHECK_LETTERS:
+        raise InputError(
+            f"gd-check on I2({args.m}) with m (|lambda| + 2|g| + 1) = {letters} exceeds the limit of "
+            f"{MAX_GD_CHECK_LETTERS}"
+        )
+    report = gtaction.check_gd_pair(args.m, args.lam, g)
     return (0 if report["all_exact_conditions"] else 1), report
 
 

@@ -1037,91 +1037,21 @@ def schreier_data(table: CosetTable) -> SchreierData:
 def schreier_rewrite(data: SchreierData, w: Word, start: int = 0):
     """Rewrite w over the Schreier generators; None when w moves coset `start`.
 
-    With start = 0 this is subgroup membership plus the standard rewriting.
+    With start = 0 this is subgroup membership plus the standard rewriting:
+    each letter that is not a tree edge gives one Schreier generator.
     """
-    letters = _schreier_letters(data, w, start)
-    if letters is None:
-        return None
-    return free_reduce((data.names[h], step) for h, step in letters)
-
-
-def _schreier_letters(data: SchreierData, w: Word, start: int):
-    """(Schreier generator number, +-1) for each letter of w that is not a
-    tree edge, or None when w moves coset `start`."""
     table = data.table
     index = data.schreier_index
-    letters: list[tuple[int, int]] = []
+    letters = []
     alpha = start
     for sym, step in word_letters(w):
         col = table.column(sym, step)
         beta = table.columns[col][alpha]
         h = index.get((alpha, col) if step > 0 else (beta, col ^ 1))
         if h is not None:
-            letters.append((h, step))
+            letters.append((data.names[h], step))
         alpha = beta
-    return letters if alpha == start else None
-
-
-def schreier_abelianized(data: SchreierData, w: Word, start: int = 0):
-    """Exponent vector of the rewritten word over the Schreier generators:
-    free reduction keeps exponent sums, so the letters are summed as read."""
-    letters = _schreier_letters(data, w, start)
-    if letters is None:
-        return None
-    vec = [0] * len(data.names)
-    for h, step in letters:
-        vec[h] += step
-    return vec
-
-
-def subgroup_relator_matrix(data: SchreierData) -> list[list[int]]:
-    """Abelianized Reidemeister relators of the subgroup: one row per
-    (coset, relator of the ambient presentation)."""
-    rows = []
-    for alpha in range(data.table.index()):
-        for r in data.table.presentation.relators:
-            vec = schreier_abelianized(data, r, start=alpha)
-            if vec is None:
-                raise RuntimeError("relator does not fix a coset; table inconsistent")
-            rows.append(vec)
-    return rows
-
-
-def in_integer_row_span(rows: list[list[int]], vec: list[int]) -> bool:
-    """Exact membership of vec in the Z-span of rows (Hermite reduction).
-
-    Column by column, the rows nonzero there are reduced against the one of
-    smallest |entry| until one is left; that row clears the column of vec, or
-    its entry does not divide vec's and vec lies outside the span.  Every row
-    still in play is zero left of the column, so only the columns from it on
-    are updated, and a row that the reduction clears moves on to the next.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    work = list(vec)
-    ncols = len(vec)
-    for col in range(ncols):
-        active = [r for r in mat if r[col]]
-        mat = [r for r in mat if not r[col]]
-        while len(active) > 1:
-            piv = min(active, key=lambda r: abs(r[col]))
-            kept = [piv]
-            for r in active:
-                if r is not piv:
-                    q = r[col] // piv[col]
-                    for i in range(col, ncols):
-                        r[i] -= q * piv[i]
-                    (kept if r[col] else mat).append(r)
-            active = kept
-        if active:
-            piv = active[0]
-            q, rem = divmod(work[col], piv[col])
-            if rem:
-                return False
-            for i in range(col, ncols):
-                work[i] -= q * piv[i]
-        elif work[col]:
-            return False
-    return True
+    return free_reduce(letters) if alpha == start else None
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,27 @@ class GarsideContext:
             w = self.model.mul(w, g if step > 0 else self.model.inv(g))
         return w
 
+    def reflection_counts(self, u: Word) -> dict:
+        """Signed crossings of the word with each reflecting hyperplane, keyed
+        by the reflection of W: a letter s^+-1 read after a prefix with image
+        p crosses the wall of p s p^-1, and counts +-1 there.
+
+        On a pure braid (image 1) each count is twice its linking number with
+        that hyperplane.  H_1 of the hyperplane complement is free abelian on
+        the hyperplanes (Brieskorn, Sem. Bourbaki 401, 1971; Orlik and Terao,
+        *Arrangements of Hyperplanes*, 1992, ch. 5), so a word of the pure
+        braid group P lies in [P, P] iff every count is 0.
+        """
+        m = self.model
+        counts: dict = {}
+        p = self.one
+        for sym, step in word_letters(u):
+            s = self.gens[sym]
+            r = m.mul(m.mul(p, s), m.inv(p))
+            counts[r] = counts.get(r, 0) + step
+            p = m.mul(p, s)
+        return counts
+
     def conjugation_by_delta(self) -> dict[str, str | None]:
         """Generator images of g -> Delta g Delta^-1, named when again generators."""
         out: dict[str, str | None] = {}

@@ -178,7 +178,7 @@ def profile_from_json(data: dict) -> RamificationProfile:
     InputError unless the cycles at every point partition the degree."""
     try:
         degree = int(data["degree"])
-        points = {k: [(int(ln), int(ct)) for ln, ct in v] for k, v in data["points"].items()}
+        points = {k: _cycles(k, v) for k, v in data["points"].items()}
         transitive = bool(data.get("transitive", True))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed ramification profile: {exc}") from exc
@@ -190,6 +190,14 @@ def profile_from_json(data: dict) -> RamificationProfile:
         if sum(ln * ct for ln, ct in cycles) != degree:
             raise InputError(f"point {k}: the cycles do not partition the degree {degree}")
     return RamificationProfile(degree, {k: dict(cycles) for k, cycles in points.items()}, transitive)
+
+
+def _cycles(point: str, entries) -> list[tuple[int, int]]:
+    """A point's [[length, count], ...] as pairs of ints; a string or a dict
+    would otherwise be unpacked character by character or key by key."""
+    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
+        raise InputError(f"point {point}: cycles must be a list of [length, count] pairs")
+    return [(int(ln), int(ct)) for ln, ct in entries]
 
 
 def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -> CoverSpec:

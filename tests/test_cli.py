@@ -179,6 +179,16 @@ def test_disconnected_cover_has_no_genus(capsys, tmp_path):
     assert code == 3 and "negative genus -1" in json.loads(out)["message"]
 
 
+def test_genus_of_a_point_that_is_no_list_of_pairs_is_an_input_error(capsys, tmp_path):
+    # its keys used to be read character by character: genus 0, exit 0
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"degree": 6, "points": {"0": {"61": 1}, "1": {"61": 1}, "inf": {"16": 1}}}))
+    code, out = run_cli(capsys, "monodromy", "genus", "--profile", str(path))
+    assert code == 3
+    message = "malformed ramification profile: point 0: cycles must be a list of [length, count] pairs"
+    assert json.loads(out) == {"error": "input", "message": message}
+
+
 def test_verify_map_cli(capsys):
     code, out = run_cli(
         capsys, "present", "verify-map", "--map", "g12_conj", "--backend", "torsion:2"
@@ -848,8 +858,8 @@ def test_garside_inputs_at_the_caps_run(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["gt", "stabilize", "--n", "3", "--lambda", "1"], ["gt", "gd-check", "--m", "6", "--lambda", "1"]],
-    ids=["stabilize", "gd-check"],
+    [["gt", "stabilize", "--n", "3", "--lambda", "1"], ["gt", "act", "--lambda", "1", "--backend", "coxeter:3,3"]],
+    ids=["stabilize", "act"],
 )
 def test_gt_commands_honour_coset_budget(capsys, argv):
     code, out = run_cli(capsys, "--budget-cosets", "3", *argv)
@@ -859,7 +869,14 @@ def test_gt_commands_honour_coset_budget(capsys, argv):
     assert code == 0
 
 
+def test_gd_check_builds_no_coset_table(capsys):
+    # every W-level question is decided on the Coxeter model of I2(m)
+    argv = ["gt", "gd-check", "--m", "6", "--lambda", "1", "--g", "[a^2,b^2]"]
+    assert run_cli(capsys, "--budget-cosets", "3", *argv) == run_cli(capsys, *argv)
+
+
 LETTERS_PAST_CAP = f"(x y)^{fpgroups.MAX_WORD_LETTERS // 2 + 1}"
+LAMBDA_PAST_CAP = fpgroups.MAX_WORD_LETTERS + 1
 STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
 
 
@@ -875,7 +892,10 @@ STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
         ["present", "tc", "--catalog", f"ArtD{STRANDS_PAST_CAP}"],
         ["present", "quotient", "--coxeter", f"{STRANDS_PAST_CAP},3"],
         ["gt", "act", "--lambda", "1", "--backend", f"coxeter:{STRANDS_PAST_CAP},3"],
-        ["gt", "gd-check", "--m", str(cli.MAX_DIHEDRAL_M + 1), "--lambda", "1"],
+        ["gt", "gd-check", "--m", str(cli.MAX_GD_CHECK_LETTERS // 2 + 1), "--lambda", "1"],
+        ["gt", "act", "--lambda", str(-LAMBDA_PAST_CAP), "--backend", "coxeter:3,3"],
+        ["gt", "images", "--n", "4", "--lambda", str(LAMBDA_PAST_CAP)],
+        ["gt", "stabilize", "--n", "3", "--lambda", str(LAMBDA_PAST_CAP)],
     ],
     ids=[
         "images-letters",
@@ -888,6 +908,9 @@ STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
         "coxeter-strands",
         "act-strands",
         "gd-check-m",
+        "act-lambda",
+        "images-lambda",
+        "stabilize-lambda",
     ],
 )
 def test_inputs_past_the_word_and_strand_caps_are_input_errors(capsys, argv):
@@ -905,6 +928,16 @@ def test_inputs_at_the_word_and_strand_caps_run(capsys):
     code, out = run_cli(capsys, "gt", "stabilize", "--n", str(n), "--lambda", "1", "--f", "[x,y]")
     assert code == 0
     assert json.loads(out)["index"] == n + 1
+    lam = str(-fpgroups.MAX_WORD_LETTERS)
+    code, out = run_cli(capsys, "gt", "act", "--lambda", lam, "--backend", "coxeter:3,3")
+    assert code == 0 and json.loads(out)["well_defined"] is True
+    code, out = run_cli(capsys, "gt", "images", "--n", "4", "--lambda", lam)
+    assert code == 0 and json.loads(out)["s1"] == f"s1^{lam}"
+    code, out = run_cli(capsys, "gt", "stabilize", "--n", "3", "--lambda", lam)
+    assert code == 0 and json.loads(out)["index"] == 4
+    # m (|lambda| + 2|g| + 1) at the bound
+    code, out = run_cli(capsys, "gt", "gd-check", "--m", str(cli.MAX_GD_CHECK_LETTERS), "--lambda", "0")
+    assert code == 0 and json.loads(out)["m"] == cli.MAX_GD_CHECK_LETTERS
 
 
 def test_cli_contract_holds_for_fuzzed_argv():

@@ -1,13 +1,27 @@
+import random
+
 import pytest
 
 from reflbench.errors import InputError
 from reflbench.fpgroups import (
+    CosetTable,
+    alternating_word,
+    artin_b_presentation,
+    artin_i2_presentation,
+    braid_presentation,
     coxeter_quotient,
     parse_word,
+    schreier_data,
+    schreier_rewrite,
     single,
+    substitute,
+    torsion_quotient,
+    word_inverse,
     word_mul,
     word_pow,
+    word_str,
 )
+from reflbench.garside import CoxeterType, context, parse_type
 from reflbench.gtaction import (
     GTPair,
     act_on_quotient,
@@ -137,31 +151,83 @@ def test_composition_as_functions():
     assert not composed_action_agrees(coxeter_quotient(3, 4), parse_pair(3, ""), parse_pair(2, ""))
 
 
+def _schreier_abelianized_by_names(data, w, start=0):
+    """The exponent vector of w rewritten over the Schreier generators, each
+    symbol's column found by name; None when w moves coset `start`."""
+    rewritten = schreier_rewrite(data, w, start)
+    if rewritten is None:
+        return None
+    vec = [0] * len(data.names)
+    for sym, exp in rewritten:
+        vec[data.names.index(sym)] += exp
+    return vec
+
+
+def _row_span_by_full_reduction(rows, vec):
+    """Whether vec lies in the integer row span of rows, by a Hermite
+    reduction in which every gcd step updates whole rows and re-sorts the
+    rows nonzero in the column."""
+    mat = [list(r) for r in rows if any(r)]
+    work = list(vec)
+    ncols = len(vec)
+    col = 0
+    while col < ncols and mat:
+        if not [r for r in mat if r[col]]:
+            col += 1
+            continue
+        while True:
+            nonzero = sorted((r for r in mat if r[col]), key=lambda r: abs(r[col]))
+            if len(nonzero) <= 1:
+                break
+            a, b = nonzero[0], nonzero[1]
+            q = b[col] // a[col]
+            for i in range(ncols):
+                b[i] -= q * a[i]
+            mat = [r for r in mat if any(r)]
+        piv = [r for r in mat if r[col]][0]
+        if work[col] % piv[col] == 0:
+            q = work[col] // piv[col]
+            for i in range(ncols):
+                work[i] -= q * piv[i]
+        mat = [r for r in mat if r is not piv and any(r)]
+        col += 1
+    return all(v == 0 for v in work)
+
+
+def _derived_kernel_oracle(pres):
+    """w -> whether w lies in [P, P], for P the kernel of pres -> W, W its
+    torsion quotient, by Reidemeister-Schreier: rewrite w over the Schreier
+    generators of P on W's coset table, then test its exponent vector against
+    the abelianized relators of P (each ambient relator read at each coset)."""
+    tq = torsion_quotient(pres, 2)
+    data = schreier_data(CosetTable(pres, (), tq.columns, "complete", tq.degree))
+    rows = [_schreier_abelianized_by_names(data, r, alpha) for alpha in range(tq.degree) for r in pres.relators]
+
+    def in_derived_subgroup(w):
+        vec = _schreier_abelianized_by_names(data, w)
+        assert vec is not None, "the word is not in the kernel"
+        return _row_span_by_full_reduction(rows, vec)
+
+    return in_derived_subgroup
+
+
 def _check_gd_pair_inline(m, lam, g):
     """The report as computed before `check_gd_pair` went through
-    `verify_hom` and `hom_bijective_on`: inline relator and order checks."""
-    from reflbench import fpgroups
-    from reflbench.garside import CoxeterType, context
-    from reflbench.fpgroups import schreier_data, substitute, word_inverse, word_str
-
+    `verify_hom` and the Coxeter model: inline relator checks, and the kernel
+    and W read off the coset table of W."""
     ctx = context(CoxeterType("I2", m))
-    pres = fpgroups.artin_i2_presentation(m)
+    pres = artin_i2_presentation(m)
     if ctx.image_in_w(g) != ctx.one:
         raise InputError("g does not lie in the kernel of the reflection quotient")
-    tq = fpgroups.torsion_quotient(pres, 2)
-    data = schreier_data(fpgroups.CosetTable(pres, (), tq.columns, "complete", tq.degree))
-    vec = fpgroups.schreier_abelianized(data, g)
-    if vec is None:
-        raise InputError("g does not fix the base coset; not in the kernel")
-    if not fpgroups.in_integer_row_span(fpgroups.subgroup_relator_matrix(data), vec):
-        raise InputError("g is not in the derived subgroup of the kernel")
+    if not _derived_kernel_oracle(pres)(g):
+        raise InputError("g is not in the derived subgroup of the kernel (abelianized class nonzero)")
     a, b = single("a"), single("b")
     images = {"a": word_pow(a, lam), "b": word_mul(word_inverse(g), word_pow(b, lam), g)}
 
     def apply(w):
         return substitute(w, images)
 
-    delta = fpgroups.alternating_word("a", "b", m)
+    delta = alternating_word("a", "b", m)
     report = {"m": m, "lambda": lam, "g": word_str(g)}
     report["cond2_images"] = {k: word_str(v) for k, v in images.items()}
     target3 = word_mul(word_pow(delta, lam), g) if m % 2 else word_pow(delta, lam)
@@ -170,6 +236,7 @@ def _check_gd_pair_inline(m, lam, g):
     relator_ok = all(ctx.equal(apply(r), ()) for r in pres.relators)
     report["relator_preserved_exact"] = relator_ok
     if relator_ok:
+        tq = torsion_quotient(pres, 2)
         img_perms = [tq.eval_word(apply(single(name))) for name in pres.generators]
         report["cond1_bijective_on_W"] = tq.subgroup_order(img_perms) == tq.order()
     else:
@@ -181,19 +248,65 @@ def _check_gd_pair_inline(m, lam, g):
 
 
 def test_gd_pair_report_matches_inline_checks():
-    gs = ["", "[a^2,b^2]", "[b^2,a^-2]", "[a^2, b a^2 b^-1]"]
-    seen = {"relator": set(), "bijective": set()}
+    # a^2, a^2 b^2 and (a b)^m = Delta^2 are pure braids outside [P, P]
+    gs = ["", "[a^2,b^2]", "[b^2,a^-2]", "[a^2, b a^2 b^-1]", "a^2", "a^2 b^2", "(a b)^{m}"]
+    seen = {"relator": set(), "bijective": set(), "refused": 0}
     for m in range(3, 13):
         for lam in (-3, -1, 1, 2, 3, 5):
             for text in gs:
-                g = parse_word(text, ("a", "b"))
-                rep, expected = check_gd_pair(m, lam, g), _check_gd_pair_inline(m, lam, g)
+                g = parse_word(text.format(m=m), ("a", "b"))
+                try:
+                    expected = _check_gd_pair_inline(m, lam, g)
+                except InputError as exc:
+                    with pytest.raises(InputError) as got:
+                        check_gd_pair(m, lam, g)
+                    assert str(got.value) == str(exc), (m, lam, text)
+                    seen["refused"] += 1
+                    continue
+                rep = check_gd_pair(m, lam, g)
                 assert rep == expected, (m, lam, text)
                 # the JSON report prints bools as bools: True == 1 is not enough
                 assert [type(v) for v in rep.values()] == [type(v) for v in expected.values()]
                 seen["relator"].add(rep["relator_preserved_exact"])
                 seen["bijective"].add(rep["cond1_bijective_on_W"])
-    assert seen == {"relator": {True, False}, "bijective": {True, False}}
+    assert seen == {"relator": {True, False}, "bijective": {True, False}, "refused": 3 * 10 * 6}
+
+
+def _random_pure_word(rng, ctx, letters):
+    """A random word of the pure braid group: random letters, then a word
+    back to 1 in W."""
+    w = tuple((rng.choice(ctx.gen_list), rng.choice((-1, 1))) for _ in range(letters))
+    return word_mul(w, word_inverse(ctx.word_of_simple(ctx.image_in_w(w))))
+
+
+REFLECTION_COUNT_TYPES = [(f"I2({m})", artin_i2_presentation, m) for m in range(3, 17)]
+REFLECTION_COUNT_TYPES += [("A3", braid_presentation, 4), ("B3", artin_b_presentation, 3)]
+
+
+@pytest.mark.parametrize(
+    "name, presentation, n", REFLECTION_COUNT_TYPES, ids=[name for name, _, _ in REFLECTION_COUNT_TYPES]
+)
+def test_reflection_counts_decide_the_derived_subgroup_of_p(name, presentation, n):
+    """Zero reflection counts and the Schreier-plus-Hermite oracle agree on
+    pure braids: random ones, commutators of them, and x p x^-1 p^-1 with x
+    any braid, which lies in [P, P] only when x fixes p's counts."""
+    ctx = context(parse_type(name))
+    in_derived_subgroup = _derived_kernel_oracle(presentation(n))
+    rng = random.Random(f"reflection counts {name}")
+    seen = {True: 0, False: 0}
+    for _ in range(50):
+        p = _random_pure_word(rng, ctx, rng.randint(1, 6))
+        x = (
+            _random_pure_word(rng, ctx, rng.randint(1, 6))
+            if rng.random() < 0.3
+            else tuple((rng.choice(ctx.gen_list), rng.choice((-1, 1))) for _ in range(rng.randint(0, 4)))
+        )
+        w = rng.choice((p, word_mul(x, p, word_inverse(x), word_inverse(p))))
+        assert ctx.image_in_w(w) == ctx.one
+        expected = in_derived_subgroup(w)
+        assert (not any(ctx.reflection_counts(w).values())) == expected, (name, word_str(w))
+        seen[expected] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _act_on_quotient_inline(quotient, pair):

@@ -273,6 +273,12 @@ def test_profile_json_round_trip():
         {"degree": 4, "points": {"0": [[2, 1], [2, 1]]}},
         {"degree": 4, "points": {"0": [[2, 2]], "1": [[3, 1]]}},
     ]
+    # a point that is not a list of [length, count] pairs, whose keys or
+    # characters would otherwise be read as lengths and counts
+    bad_profiles += [
+        {"degree": 6, "points": {"0": {"61": 1}, "1": {"61": 1}, "inf": {"16": 1}}},
+        {"degree": 2, "points": {"0": ["12"]}},
+    ]
     for bad in bad_profiles:
         with pytest.raises(InputError):
             profile_from_json(bad)
