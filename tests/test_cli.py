@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -691,6 +692,92 @@ def test_gd_check_stdout_is_pinned(capsys, m):
             code, out = run_cli(capsys, "gt", "gd-check", "--m", str(m), "--lambda", str(lam), "--g", g.format(m=m))
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == GD_CHECK_DIGESTS[m]
+
+
+# sha256 over the exit codes and stdouts of `garside nf|equal|delta` on seeded
+# words of each type, taken while every letter still had its own sweep; the
+# words include runs that reach w0 (Delta then letters, Delta^2, Delta then
+# inverse letters), relator-inserted copies and words one letter longer
+GARSIDE_TYPES = [f"A{n}" for n in range(3, 11)] + [f"B{n}" for n in range(2, 11)]
+GARSIDE_TYPES += [f"D{n}" for n in range(4, 11)] + [f"I2({m})" for m in range(3, 13)]
+GARSIDE_DIGESTS = {
+    "A3": "0a05ebb58c474f044a70273b1014efa1c58f342ce62c6493eb4aa617452c9413",
+    "A4": "566c093e705d711e2e246dff3d7c735eb84df2eeafcaec7bd8819d88799b098f",
+    "A5": "4ed2be02caba6482b5db3ba7f232ee555e58ae7346aedad6fb55aafd7fb2a84b",
+    "A6": "e61272e94b8b3bfe13e8f5c9bd35dd388de46a6dd2c7c6950e6a8ebd7f05b8ce",
+    "A7": "d0292bd6762539ef083f66e53154d07f684527312ac883d5992c9ff46465bcef",
+    "A8": "4456a6504013a2223cf51cdfde6216ea2879a04004b7a6c44e9309cbe6d1bcf5",
+    "A9": "cc63796253c02164febea68a10b47d07aa42623c5db0ed145b9d2564f228fa71",
+    "A10": "56b0f6839bc9af58984bcfdfe5d7b101cef1b28f2a923c0c36088f8034d09d59",
+    "B2": "d3cca1f897f2108cbf8e8f135258441204e647506b81c1db1dc10a2a0c5fc33c",
+    "B3": "e5e457d32b94f7581af7a4cbf5f2d1ef96c3bbf213862e00c36744e392f91dc3",
+    "B4": "a6dc6c80dfdf1837069100dcde8a8f711ff511ba681dfc337d6a66be98568baf",
+    "B5": "71e6f54bb44a41080931acbb372aaa878fa040fa7b963a1bbd141e97397ce290",
+    "B6": "120a8c05585c08abfd78a82bbd1c531aa06aaef7d22838176ce739e65c6b2674",
+    "B7": "34479022d8f6515a79a9bee14d74dd40b54b78c45cf51f4195d079ec2fb6c306",
+    "B8": "60722e67555f96ecf3795bcbd036d32a2734b5ed9500c12254cf2d2833dd96f5",
+    "B9": "68d000b4b0a5f66bd079e0af798116af588f07796fe68467dac2641c42261c90",
+    "B10": "3974ebf084778c2fd9b8e986912769874299dfa527913d474f9d21146b41c39f",
+    "D4": "a03a76b965d9f577029c308c2061f4e6f80598204326acc5aee9962e71dc0de5",
+    "D5": "2d7d106e6ad1cd14dd9b48b4e3c43f03fdb8c2558973a05835894a6d250b0609",
+    "D6": "33c025691f1f5cf76e8ae69423151039c16b3deeb363c9ba9a43d264ff4fd1d4",
+    "D7": "456eb7d860b7789e8e25c0608477e29721509500aa94a0e2ccc4f7141bdc4b9b",
+    "D8": "51abb4f3df64f85bf5afa63be17e94500080400f547b002256ead9ebb4dbcc49",
+    "D9": "86b3bc8d9576588381a126fedf77cb1507552f9bde3835f8021dae861cde02c2",
+    "D10": "0cb837c31d56224b9b68fdc18d060d1f3c19dac9e16848c22d4fea79b1f1e861",
+    "I2(3)": "9ff6ee1e1f80ab32bb570bb75762a525483852f5d9b40d62eb417faddd01b123",
+    "I2(4)": "520ab9c2c6fef7d475e054097b6994f257b8ff13a0c628c0c747bcb8246bbdfc",
+    "I2(5)": "eab14afa5cc726536ecec1aad0d90f4d1d19a9162bb91743fc12d696c7270f7b",
+    "I2(6)": "38085ed754c9db5d857c11297d3d79686897edcea6686fc6d32fc411597c8012",
+    "I2(7)": "e5a358a5f27607d4d31b3003d993c4a335296944554c2dbee10d7bc8406ddef2",
+    "I2(8)": "cedab4cea759fb7b8779e9f1435ec3f1ee3b686ba2de367a90d13a8e32056d2b",
+    "I2(9)": "bf658ab2142fbb2834f867e01c786497d71e4c54e03a5eb27f5ba4c230103a16",
+    "I2(10)": "59420ae7c4e950031f5204de8ac41745c4e01c14679ff6e4b25b4038c2285cea",
+    "I2(11)": "460507fba4779486d1a92288f3be5de8756be27a5b52d7798d160f960160b008",
+    "I2(12)": "f7a4f85f712e3fcd936df64aa36e42a7bcce688db227edeb8b3b556caeb82448",
+}
+
+
+def _garside_presentation(t):
+    if t.family == "A":
+        return fpgroups.braid_presentation(t.rank + 1)
+    if t.family == "B":
+        return fpgroups.artin_b_presentation(t.rank)
+    if t.family == "D":
+        return fpgroups.artin_d_presentation(t.rank)
+    return fpgroups.artin_i2_presentation(t.rank)
+
+
+def _garside_argvs(name):
+    rng = random.Random(f"garside-cli:{name}")
+    ctx = garside.context(garside.parse_type(name))
+    gens, relators = ctx.gen_list, _garside_presentation(ctx.type).relators
+    delta = ctx.delta_word()
+
+    def word(length, signs):
+        return tuple((rng.choice(gens), rng.choice(signs)) for _ in range(length))
+
+    words = [word(12, (1,)), word(60, (1,)), word(40, (1, -1)), word(120, (1, -1)), word(30, (-1,))]
+    words += [delta + word(20, (1,)), delta + delta, delta + word(20, (-1,)), word(20, (-1,)) + delta]
+    argvs = [["garside", "nf", "--type", name, "--word", fpgroups.word_str(w)] for w in words]
+    for u in words[1:4]:
+        pos = rng.randrange(len(u) + 1)
+        v = u[:pos] + rng.choice(relators) + u[pos:]
+        extra = u + word(1, (1, -1))
+        for other in (u, v, extra):
+            text_u, text_v = fpgroups.word_str(u), fpgroups.word_str(other)
+            argvs.append(["garside", "equal", "--type", name, "--u", text_u, "--v", text_v])
+    argvs.append(["garside", "delta", "--type", name])
+    return argvs
+
+
+@pytest.mark.parametrize("name", GARSIDE_TYPES)
+def test_garside_stdout_is_pinned(capsys, name):
+    digest = hashlib.sha256()
+    for argv in _garside_argvs(name):
+        code, out = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert (name, digest.hexdigest()) == (name, GARSIDE_DIGESTS.get(name))
 
 
 def test_map_file_backend_and_backend_flag_is_input_error(capsys, tmp_path):
