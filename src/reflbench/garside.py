@@ -9,13 +9,14 @@ word problem.
 W is realized concretely per family: permutations for A, signed permutations
 for B and D (type D generators named s1, s1p, s2, ...), and
 rotation/reflection pairs for I2(m) (generators a, b).  Descents are read off
-an element's entries in O(n).  Each letter costs one right-to-left sweep
-(Epstein et al., *Word Processing in Groups*, ch. 9; Charney, Math. Ann.
-292, 1992).
+an element's entries, one in O(1).  A word is read in runs of letters whose
+product is a simple, and each run costs one right-to-left sweep (Epstein et
+al., *Word Processing in Groups*, ch. 9; Charney, Math. Ann. 292, 1992).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,8 @@ from .fpgroups import Word, single, word_letters, word_mul
 # Bounds on the input of the garside commands (exit 3 beyond them; library
 # callers are not bounded).  A word of L letters in rank n can cost about
 # L^2 n^3 steps, as every letter may re-weight every factor: at these bounds
-# the slowest words found take about 3 s.  Criterion 5 works in D9.
+# the slowest words found, such as (s3 s9^-1)^100 in B10, take up to 1.5 s.
+# Criterion 5 works in D9.
 MAX_RANK = 10  # the rank of types A, B and D
 MAX_LETTERS = 200  # letters of a word, and m of I2(m), whose Delta has m letters
 
@@ -40,7 +42,8 @@ def _lowest(mask: int) -> int:
 # A permutation w is a tuple (w(0),...,w(n-1)); signed permutations map
 # 1..n to +-1..+-n stored as (w(1),...,w(n)); composition is (u*v)(i) = u(v(i)).
 # Every model has rmul(w, i) = w * (generator i), which acts on positions,
-# and right_descents(w), the bitmask of the generators i with l(w * i) < l(w).
+# right_descents(w), the bitmask of the generators i with l(w * i) < l(w),
+# and descent(w, i), its bit i.
 
 
 class _PermModel:
@@ -55,6 +58,9 @@ class _PermModel:
 
     def rmul(self, w, i: int):
         return w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+
+    def descent(self, w, i: int) -> bool:
+        return w[i] > w[i + 1]
 
     def right_descents(self, w) -> int:
         mask = 0
@@ -104,6 +110,11 @@ class _SignedModel:
             return (w[1], w[0]) + w[2:]
         return (-w[1], -w[0]) + w[2:]
 
+    def descent(self, w, i: int) -> bool:
+        if i >= self.first_swap:
+            return w[i - 1] > w[i]
+        return (w[0] > w[1] if i == 0 else w[0] + w[1] < 0) if self.even else w[0] < 0
+
     def right_descents(self, w) -> int:
         if self.even:
             mask = (w[0] > w[1]) | (w[0] + w[1] < 0) << 1
@@ -143,6 +154,9 @@ class _DihedralModel:
 
     def rmul(self, w, i: int):
         return self.mul(w, (i, 1))
+
+    def descent(self, w, i: int) -> bool:
+        return self.right_descents(w) >> i & 1 == 1
 
     def right_descents(self, w) -> int:
         k, e = w
@@ -194,15 +208,13 @@ class CoxeterType:
 
 
 def parse_type(text: str) -> CoxeterType:
-    text = text.strip()
-    dihedral = text.upper().startswith("I2")
-    digits = "".join(ch for ch in text[2:] if ch.isdigit()) if dihedral else text[1:]
+    """`A|B|D<rank>` or `I2(<m>)` in ASCII digits, the letters in either case."""
+    match = re.fullmatch(r"([ABD])([0-9]+)|I2\(([0-9]+)\)", text.strip(), re.IGNORECASE | re.ASCII)
     try:
-        rank = int(digits)
-    except ValueError as exc:
-        kind = "dihedral type" if dihedral else "Coxeter type"
-        raise InputError(f"cannot parse {kind} from {text!r}") from exc
-    return CoxeterType("I2" if dihedral else text[:1].upper(), rank)
+        rank = int(match[2] or match[3])
+    except (TypeError, ValueError):  # no match, or more digits than int() reads
+        raise InputError(f"cannot parse Coxeter type from {text!r}") from None
+    return CoxeterType(match[1].upper() if match[1] else "I2", rank)
 
 
 @lru_cache(maxsize=None)
@@ -243,9 +255,12 @@ class GarsideContext:
         self.w0 = m.longest()  # an involution: the one element with every right descent
         if m.right_descents(self.w0) != (1 << len(self.gen_list)) - 1:
             raise RuntimeError("longest element is not maximal; model broken")
+        # each generator's neighbours in the Coxeter graph: those it does not commute with
+        gens = list(self.gens.values())
+        self.neighbours = [[j for j, h in enumerate(gens) if m.mul(g, h) != m.mul(h, g)] for g in gens]
         # letter s in the frame tau^p (see normal_form): the index of
         # tau^p(s), and the simples tau^p(s) and tau^p(Delta s^-1) = tau^p(w0 s)
-        index = {g: i for i, g in enumerate(self.gens.values())}
+        index = {g: i for i, g in enumerate(gens)}
         self._frame = {}
         for name, g in self.gens.items():
             for p, h in ((0, g), (1, self.tau(g))):
@@ -278,16 +293,26 @@ class GarsideContext:
         Moves the letters of L(b) \\ R(a) from b to a until there are none.
         The left-weighted pair is unique, so the order of the moves does not
         matter.  b is kept inverted: L(b) = R(b^-1), and s b = (b^-1 s)^-1,
-        so every move acts on positions.
+        so every move acts on positions.  A move by s_i flips bit i of both
+        masks; a bit j with s_j s_i = s_i s_j stays, as <s_i, s_j> = Z/2 x Z/2,
+        so only i's neighbours are read again.  A pair that is already
+        left-weighted comes back as the same two objects.
         """
         m = self.model
         bi = m.inv(b)
-        moves = m.right_descents(bi) & ~m.right_descents(a)
+        ra, rb = m.right_descents(a), m.right_descents(bi)
+        moves = rb & ~ra
+        if not moves:
+            return a, b
         while moves:
             i = _lowest(moves)
             a = m.rmul(a, i)
             bi = m.rmul(bi, i)
-            moves = m.right_descents(bi) & ~m.right_descents(a)
+            ra, rb = ra | 1 << i, rb & ~(1 << i)
+            for j in self.neighbours[i]:
+                ra = ra & ~(1 << j) | m.descent(a, j) << j
+                rb = rb & ~(1 << j) | m.descent(bi, j) << j
+            moves = rb & ~ra
         return a, m.inv(bi)
 
     def _push(self, factors: list, c) -> int:
@@ -303,7 +328,7 @@ class GarsideContext:
             if i == 0:
                 return 0
             a, b = self._local(factors[i - 1], factors[i])
-            if a == factors[i - 1]:
+            if a is factors[i - 1]:
                 return 0
             factors[i - 1] = a
             if b == self.one:
@@ -330,36 +355,44 @@ class GarsideContext:
         return self._nf(d, odd, factors)
 
     def normal_form(self, w: Word) -> GarsideNF:
-        """The normal form of a word, one letter at a time.
+        """The normal form of a word, one run of letters at a time.
 
-        The running value is Delta^d tau^odd(F) with F left-weighted, so a
-        simple c enters F as tau^odd(c).  A letter s^-1 = Delta^-1 (w0 s)
-        twists the frame, as F Delta^-1 = Delta^-1 tau(F); but when
-        s' = tau^odd(s) is a right descent of F's last factor f, it just
-        shortens f to f s'.
+        The running value is Delta^d tau^odd(F p), F left-weighted and p the
+        pending simple, so a letter s acts as s' = tau^odd(s): s extends p if
+        s' is not in R(p), s^-1 shortens p if s' is in R(p), and any other
+        letter first pushes p onto F.  Then s starts the next p; s^-1 only
+        shortens F's last factor f to f s' if s' is in R(f), and else twists
+        the frame (s^-1 = Delta^-1 (w0 s), F Delta^-1 = Delta^-1 tau(F)) and
+        starts the next p with w0 s'.
         """
-        m = self.model
-        d, odd, factors = 0, 0, []
+        m, one = self.model, self.one
+        d, odd, factors, p = 0, 0, [], one
         for sym, step in word_letters(w):
             if (odd, sym) not in self._frame:
                 raise InputError(f"generator {sym!r} is not in type {self.type}")
-            j, c, _ = self._frame[odd, sym]
-            if step < 0:
-                if factors and m.right_descents(factors[-1]) >> j & 1:
-                    f = m.rmul(factors[-1], j)
-                    if f == self.one:
-                        factors.pop()
-                    else:
-                        factors[-1] = f
-                    continue
-                d -= 1
-                odd ^= 1
-                c = self._frame[odd, sym][2]
-                if c == self.one:  # rank 1, where s = w0
-                    continue
-            gained = self._push(factors, c)
-            d += gained
-            odd ^= gained
+            j = self._frame[odd, sym][0]
+            if m.descent(p, j) == (step < 0):
+                p = m.rmul(p, j)
+                continue
+            if p != one:
+                gained = self._push(factors, p)
+                d, odd = d + gained, odd ^ gained
+            j, p, _ = self._frame[odd, sym]
+            if step > 0:
+                continue
+            if factors and m.descent(factors[-1], j):
+                f = m.rmul(factors[-1], j)
+                if f == one:
+                    factors.pop()
+                else:
+                    factors[-1] = f
+                p = one
+            else:
+                d, odd = d - 1, odd ^ 1
+                p = self._frame[odd, sym][2]  # 1 in rank 1, where s = w0
+        if p != one:
+            gained = self._push(factors, p)
+            d, odd = d + gained, odd ^ gained
         return self._nf(d, odd, factors)
 
     def identity(self) -> GarsideNF:
@@ -381,10 +414,13 @@ class GarsideContext:
         return self.normal_form(u) == self.normal_form(v)
 
     def commutes(self, u: Word, v: Word) -> bool:
-        return self.equal(word_mul(u, v), word_mul(v, u))
+        x, y = self.normal_form(u), self.normal_form(v)
+        return self.nf_mul(x, y) == self.nf_mul(y, x)
 
     def is_central(self, u: Word) -> bool:
-        return all(self.commutes(u, single(name)) for name in self.gen_list)
+        x = self.normal_form(u)
+        gens = (self.normal_form(single(name)) for name in self.gen_list)
+        return all(self.nf_mul(x, y) == self.nf_mul(y, x) for y in gens)
 
     def delta_word(self) -> Word:
         """A fixed reduced expression for Delta (smallest-generator-first)."""

@@ -46,7 +46,7 @@ def test_parse_type():
     # the caps bound only the garside commands (tests/test_cli.py)
     assert parse_type(f"D{MAX_RANK + 1}") == CoxeterType("D", MAX_RANK + 1)
     assert parse_type(f"I2({MAX_LETTERS + 1})") == CoxeterType("I2", MAX_LETTERS + 1)
-    for text in ("", "A", "I2()", "I2(" + "9" * 5000 + ")"):
+    for text in ("", "A", "I2()", "I2(" + "9" * 5000 + ")", "I2(3)5", "I2x7", "I2(6", "i2(1)(2)"):
         with pytest.raises(InputError):
             parse_type(text)
 
@@ -177,6 +177,49 @@ def test_length_formulas_against_bfs_oracle():
         assert max(dist.values()) == _length(ctx, ctx.w0)
 
 
+def _bfs_elements(ctx):
+    dist = {ctx.one: 0}
+    frontier = [ctx.one]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in ctx.gens.values():
+                u = ctx.model.mul(w, g)
+                if u not in dist:
+                    dist[u] = dist[w] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+# the Coxeter graphs, written out by hand: the pairs of generators that do
+# not commute
+DYNKIN_EDGES = {
+    "A3": [("s1", "s2"), ("s2", "s3")],
+    "B3": [("t", "s2"), ("s2", "s3")],
+    "D2": [],
+    "D4": [("s1", "s2"), ("s1p", "s2"), ("s2", "s3")],
+    "D5": [("s1", "s2"), ("s1p", "s2"), ("s2", "s3"), ("s3", "s4")],
+    "I2(6)": [("a", "b")],
+    "I2(7)": [("a", "b")],
+}
+
+
+def test_descent_bits_and_neighbours_match_the_dynkin_diagram():
+    for tname, edges in DYNKIN_EDGES.items():
+        ctx = context(parse_type(tname))
+        m, rank = ctx.model, len(ctx.gen_list)
+        for w in _bfs_elements(ctx):
+            mask = m.right_descents(w)
+            assert [bool(m.descent(w, i)) for i in range(rank)] == [bool(mask >> i & 1) for i in range(rank)]
+        index = {name: i for i, name in enumerate(ctx.gen_list)}
+        expected = [[] for _ in range(rank)]
+        for x, y in edges:
+            expected[index[x]].append(index[y])
+            expected[index[y]].append(index[x])
+        assert [sorted(n) for n in ctx.neighbours] == [sorted(n) for n in expected], tname
+
+
 def test_normal_form_canonicity_random():
     rng = random.Random(99)
     for tname, pres in TYPE_PRESENTATIONS.items():
@@ -275,6 +318,28 @@ def _oracle_inverse(ctx, x):
     return _oracle_nf_mul(ctx, inv, GarsideNF(ctx.type, -x.delta_power, ()))
 
 
+def _run_boundary_words(ctx, rng):
+    """Words whose runs of letters end at w0, shorten, or are long in I2(m)."""
+
+    def letters(n, sign):
+        return tuple((rng.choice(ctx.gen_list), sign) for _ in range(n))
+
+    delta = ctx.delta_word()
+    words = [delta + letters(5, 1), delta + delta, delta + letters(5, -1), letters(5, -1) + delta]
+    words += [word_inverse(delta) + letters(5, 1), letters(3, 1) + delta + letters(3, -1)]
+    for _ in range(3):
+        run = letters(rng.randint(2, 6), 1)
+        words.append(run + word_inverse(run[rng.randrange(len(run)) :]) + letters(3, 1))
+        words.append(run + letters(4, -1))
+    if ctx.type.family == "I2":
+        m = ctx.type.rank
+        for first, second in (("a", "b"), ("b", "a")):
+            for n in (m - 1, m, m + 1):
+                alt = tuple(((first, second)[i % 2], 1) for i in range(n))
+                words += [alt, alt + letters(2, -1), alt + word_inverse(alt[1:])]
+    return words
+
+
 def test_normal_forms_match_fixpoint_oracle():
     rng = random.Random(2026)
     cases = [
@@ -283,17 +348,49 @@ def test_normal_forms_match_fixpoint_oracle():
     ]
     for tname, max_len in cases:
         ctx = context(parse_type(tname))
+        inputs = []
         for signs in ((1,), (-1,), (1, -1)):
             for _ in range(4):
                 length = rng.randint(1, max_len)
                 u = tuple((rng.choice(ctx.gen_list), rng.choice(signs)) for _ in range(length))
                 v = tuple((rng.choice(ctx.gen_list), rng.choice(signs)) for _ in range(5))
-                nf = ctx.normal_form(u)
-                assert nf == _oracle_normal_form(ctx, u), (tname, u)
-                assert ctx.nf_inverse(nf) == _oracle_inverse(ctx, nf), (tname, u)
-                nv = ctx.normal_form(v)
-                assert ctx.nf_mul(nf, nv) == _oracle_nf_mul(ctx, nf, nv), (tname, u, v)
-                assert ctx.nf_mul(nv, nf) == _oracle_nf_mul(ctx, nv, nf), (tname, u, v)
+                inputs.append((u, v))
+        runs = random.Random(f"runs:{tname}")
+        for u in _run_boundary_words(ctx, runs):
+            inputs.append((u, tuple((runs.choice(ctx.gen_list), runs.choice((1, -1))) for _ in range(5))))
+        for u, v in inputs:
+            nf = ctx.normal_form(u)
+            assert nf == _oracle_normal_form(ctx, u), (tname, u)
+            assert ctx.nf_inverse(nf) == _oracle_inverse(ctx, nf), (tname, u)
+            nv = ctx.normal_form(v)
+            assert ctx.nf_mul(nf, nv) == _oracle_nf_mul(ctx, nf, nv), (tname, u, v)
+            assert ctx.nf_mul(nv, nf) == _oracle_nf_mul(ctx, nv, nf), (tname, u, v)
+
+
+def test_commutes_and_is_central_match_word_equality():
+    # commutation on normal forms against equality of the words uv and vu,
+    # and centrality against commuting with each generator
+    rng = random.Random(404)
+    verdicts = set()
+    for tname in ("A1", "A3", "B3", "D4", "D5", "I2(5)", "I2(6)"):
+        ctx = context(parse_type(tname))
+        delta = ctx.delta_word()
+        words = [
+            tuple((rng.choice(ctx.gen_list), rng.choice((1, -1))) for _ in range(rng.randint(1, 8)))
+            for _ in range(6)
+        ]
+        words += [word_pow(words[0], 2), word_pow(words[1], -3), delta, word_pow(delta, 2)]
+        words += [word_mul(word_pow(delta, 2), words[2]), word_mul(word_inverse(delta), words[3], delta)]
+        gens = [single(name) for name in ctx.gen_list]
+        for u in words:
+            for v in words + gens:
+                expected = ctx.equal(word_mul(u, v), word_mul(v, u))
+                assert ctx.commutes(u, v) == expected, (tname, u, v)
+                verdicts.add(("commutes", expected))
+            central = all(ctx.equal(word_mul(u, g), word_mul(g, u)) for g in gens)
+            assert ctx.is_central(u) == central, (tname, u)
+            verdicts.add(("central", central))
+    assert len(verdicts) == 4
 
 
 def test_normal_form_factors_are_left_greedy():
