@@ -451,6 +451,17 @@ def cmd_paper_suite(args):
 # ---------------------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    """The value of a budget flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a budget must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors (exit 3 with a
     JSON payload), not argparse's own exit 2, which here means "budget
@@ -472,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
       and `matgroup.DEFAULT_ELEMENT_BUDGET`."""
     top = _Parser(prog="reflbench")
     top.add_argument("--json", help="also write the JSON payload to this path")
-    top.add_argument("--budget-cosets", type=int, default=fpgroups.DEFAULT_COSET_BUDGET)
-    top.add_argument("--budget-elements", type=int, default=matgroup.DEFAULT_ELEMENT_BUDGET)
+    top.add_argument("--budget-cosets", type=_budget, default=fpgroups.DEFAULT_COSET_BUDGET)
+    top.add_argument("--budget-elements", type=_budget, default=matgroup.DEFAULT_ELEMENT_BUDGET)
     top.add_argument("--seed", type=int, default=20240901)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -31,11 +31,13 @@ proved by a squeeze:
   the image P_Q of P in Q is a quotient of P~;
 - lower bound: the complete, validated table of Q over P is a true action
   of Q, so the permutations of P's generators on its N cosets generate a
-  quotient of P_Q; `orbit` counts that group from the identity tuple,
-  stopping past |P~|;
-- if the count is |P~|, then |P_Q| = |P~|, |Q| = N |P~|, and P_Q acts
+  quotient G of P_Q.  The orbit of the tuple of the first s cosets has at
+  most |G| points, and at s = N exactly |G|; `orbit` counts it for s = 1,
+  2, 4, ..., N, stopping past |P~|, until it reaches |P~|;
+- if a count is |P~|, then |P_Q| = |P~|, |Q| = N |P~|, and P_Q acts
   faithfully on Q/P.  Otherwise the order is not proved and the build
-  raises RuntimeError.  The squeeze closes on every finite Br_n/s^k.
+  raises RuntimeError.  The squeeze closes on every finite Br_n/s^k
+  (Br5/s^3 at s = 8 of N = 240).
 
 Br5/s^3 is then a chain of tables of 8, 27 and 240 cosets, and 155,520
 elements.  Only the torsion numbering q -> (Hq, psi(q)) over <g1> names the
@@ -595,6 +597,11 @@ def todd_coxeter(
     The working table is one list per column, T[col][coset]; each word is
     resolved once to the column lists it reads forwards (fw) and backwards
     (bw), so a scan step is one lookup.  Live cosets are the roots of p.
+    The scans and definitions run inline in one loop: the subgroup words
+    are scanned at coset 0 ahead of its relators, and a relator's forward
+    walk that stops short resumes where it stopped.  The columns grow in
+    blocks, doubling up to `limit` entries, so a definition is an append to
+    p and two stores, and the budget is tested only when a block runs out.
     """
     ncols = 2 * len(pres.generators)
     columns_of = pres.letter_columns
@@ -620,15 +627,14 @@ def todd_coxeter(
             p[k], k = root, p[k]
         return root
 
-    def define(alpha: int, fwd: list, back: list) -> None:
-        beta = len(p)
-        if beta >= limit:
+    def grow(size: int) -> int:
+        """Extend every column by min(size, limit - size) entries."""
+        if size >= limit:
             raise BudgetExceededError(f"coset budget {limit} exceeded")
+        block = [None] * min(size, limit - size)
         for col in T:
-            col.append(None)
-        p.append(beta)
-        fwd[alpha] = beta
-        back[beta] = alpha
+            col += block
+        return size + len(block)
 
     queue: deque[int] = deque()
 
@@ -660,54 +666,63 @@ def todd_coxeter(
                         fwd[mu] = nu
                         back[nu] = mu
 
-    def scan_and_fill(alpha: int, fw: list, bw: list):
-        f, i = alpha, 0
-        b, j = alpha, len(fw) - 1
-        while True:
-            while i <= j and fw[i][f] is not None:
-                f = fw[i][f]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and bw[j][b] is not None:
-                b = bw[j][b]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                fw[i][f] = b
-                bw[i][b] = f
-                return
-            define(f, fw[i], bw[i])
-
     rels = [lists(cols) for cols in rel_cols]
+    words = [lists(cols) for cols in sub_cols] + rels
+    size = 1  # the length of every column
     try:
-        for cols in sub_cols:
-            scan_and_fill(0, *lists(cols))
         alpha = 0
         while alpha < len(p):
             if p[alpha] == alpha:
-                for fw, bw in rels:
-                    # fast path: a relator that already closes at alpha
-                    f = alpha
-                    for col in fw:
-                        f = col[f]
-                        if f is None:
+                for fw, bw in words:
+                    f, i = alpha, 0
+                    for col in fw:  # fast path: a word that already closes at alpha
+                        beta = col[f]
+                        if beta is None:
                             break
+                        f = beta
+                        i += 1
                     else:
                         if f == alpha:
                             continue
-                    scan_and_fill(alpha, fw, bw)
+                    # resume at (f, i); a full pass (i past the end) meets b = alpha at once
+                    b, j = alpha, len(fw) - 1
+                    while True:
+                        while j >= i and bw[j][b] is not None:
+                            b = bw[j][b]
+                            j -= 1
+                        if j < i:
+                            coincidence(f, b)
+                            break
+                        if j == i:
+                            fw[i][f] = b
+                            bw[i][b] = f
+                            break
+                        beta = len(p)
+                        if beta == size:
+                            size = grow(size)
+                        p.append(beta)
+                        fw[i][f] = beta
+                        bw[i][beta] = f
+                        while i <= j and fw[i][f] is not None:
+                            f = fw[i][f]
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                coincidence(f, b)
+                            break
                     if p[alpha] != alpha:
                         break
                 else:
                     for fwd, back in pairs:
                         if fwd[alpha] is None:
-                            define(alpha, fwd, back)
+                            beta = len(p)
+                            if beta == size:
+                                size = grow(size)
+                            p.append(beta)
+                            fwd[alpha] = beta
+                            back[beta] = alpha
             alpha += 1
+            words = rels
     except BudgetExceededError:
         return CosetTable(pres, tuple(subgroup_words), [], "budget_exceeded", 0)
 
@@ -888,6 +903,9 @@ def _power_presentation(pres: Presentation, label: str, k: int) -> Presentation:
     if k == 0:
         # g^0 is the empty relator: the quotient is pres itself, infinite here
         raise InputError(f"power quotient {label} needs an exponent k != 0")
+    if abs(k) > MAX_WORD_LETTERS:
+        # the relator g^k is a word of |k| letters
+        raise InputError(f"power quotient {label} needs |k| <= {MAX_WORD_LETTERS}, got {k}")
     rel = pres.relators + tuple(word_pow(single(name), k) for name in pres.generators)
     return Presentation(label, pres.generators, rel)
 
@@ -931,14 +949,19 @@ def _parabolic_quotient(quot: Presentation, k: int, parabolic: PermQuotient, lim
     subgroup = [single(name) for name in pres.generators]
     q = _complete_quotient(quot, subgroup, parabolic.degree, limit, lambda: _power_quotient(quot, k, limit))
     perms = [q.table.columns[q.table.column(name, 1)] for name in pres.generators]
-    act = lambda perm, y: _gather(y, perm)  # noqa: E731
-    try:
-        count = len(orbit(tuple(range(q.table.degree)), perms, act, parabolic.degree))
-    except BudgetExceededError:
-        count = None
-    if count != parabolic.degree:
-        raise RuntimeError(f"cannot prove |P| = {parabolic.degree} for {quot.label} over {parabolic.label}")
-    return q
+    act = lambda images, g: _gather(g, images)  # noqa: E731
+    n, s = q.table.degree, 1
+    while True:
+        try:
+            count = len(orbit(tuple(range(min(s, n))), perms, act, parabolic.degree))
+        except BudgetExceededError:
+            break
+        if count == parabolic.degree:
+            return q
+        if s >= n:
+            break
+        s *= 2
+    raise RuntimeError(f"cannot prove |P| = {parabolic.degree} for {quot.label} over {parabolic.label}")
 
 
 def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:

@@ -131,6 +131,26 @@ def test_exit_code_budget(capsys):
     assert json.loads(out)["status"] == "budget_exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--budget-cosets", "-5", "present", "tc", "--catalog", "Br3", "--subgroup", "s1,s2"], "a budget must be at least 1, got -5"),
+        (["--budget-cosets", "0", "present", "quotient", "--coxeter", "3,3"], "a budget must be at least 1, got 0"),
+        (["--budget-cosets", "x", "present", "quotient", "--coxeter", "3,3"], "invalid int value: 'x'"),
+        (["--budget-elements", "-3", "group", "info", "--monomial", "2,1,2"], "a budget must be at least 1, got -3"),
+        (["--budget-elements", "0", "group", "info", "--monomial", "2,1,2"], "a budget must be at least 1, got 0"),
+        (["--budget-elements", "1.5", "group", "info", "--monomial", "2,1,2"], "invalid int value: '1.5'"),
+    ],
+    ids=["cosets-negative", "cosets-zero", "cosets-not-int", "elements-negative", "elements-zero", "elements-not-int"],
+)
+def test_budget_flags_take_integers_of_at_least_one(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out) == {"error": "input", "message": f"reflbench: argument {argv[0]}: {message}"}
+    argv[1] = "1"
+    assert run_cli(capsys, *argv)[0] in (0, 2)
+
+
 def test_exit_code_falsified(capsys):
     # two words that are not equal -> exit 1 (property violated)
     code, _ = run_cli(capsys, "garside", "equal", "--type", "A3", "--u", "s1 s2", "--v", "s2 s1")
@@ -983,6 +1003,13 @@ STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
         ["gt", "act", "--lambda", str(-LAMBDA_PAST_CAP), "--backend", "coxeter:3,3"],
         ["gt", "images", "--n", "4", "--lambda", str(LAMBDA_PAST_CAP)],
         ["gt", "stabilize", "--n", "3", "--lambda", str(LAMBDA_PAST_CAP)],
+        # a power relator g^k has |k| letters
+        ["present", "quotient", "--coxeter", f"2,{LAMBDA_PAST_CAP}"],
+        ["present", "quotient", "--coxeter", f"2,{-LAMBDA_PAST_CAP}"],
+        ["present", "quotient", "--catalog", "G12", "--torsion", str(LAMBDA_PAST_CAP)],
+        ["present", "quotient", "--catalog", "G12", "--torsion", str(-LAMBDA_PAST_CAP)],
+        ["present", "verify-map", "--map", "g12_conj", "--backend", f"torsion:{LAMBDA_PAST_CAP}"],
+        ["gt", "act", "--lambda", "1", "--backend", f"coxeter:2,{-LAMBDA_PAST_CAP}"],
     ],
     ids=[
         "images-letters",
@@ -998,6 +1025,12 @@ STRANDS_PAST_CAP = cli.MAX_STRANDS + 1
         "act-lambda",
         "images-lambda",
         "stabilize-lambda",
+        "coxeter-power",
+        "coxeter-negative-power",
+        "torsion-power",
+        "torsion-negative-power",
+        "torsion-backend-power",
+        "coxeter-backend-power",
     ],
 )
 def test_inputs_past_the_word_and_strand_caps_are_input_errors(capsys, argv):
@@ -1022,6 +1055,9 @@ def test_inputs_at_the_word_and_strand_caps_run(capsys):
     assert code == 0 and json.loads(out)["s1"] == f"s1^{lam}"
     code, out = run_cli(capsys, "gt", "stabilize", "--n", "3", "--lambda", lam)
     assert code == 0 and json.loads(out)["index"] == 4
+    for k in (lam, str(fpgroups.MAX_WORD_LETTERS)):
+        code, out = run_cli(capsys, "present", "quotient", "--coxeter", f"2,{k}")
+        assert code == 0 and json.loads(out) == {"quotient": f"Br2/s^{k}", "order": fpgroups.MAX_WORD_LETTERS}
     # m (|lambda| + 2|g| + 1) at the bound
     code, out = run_cli(capsys, "gt", "gd-check", "--m", str(cli.MAX_GD_CHECK_LETTERS), "--lambda", "0")
     assert code == 0 and json.loads(out)["m"] == cli.MAX_GD_CHECK_LETTERS

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import deque
@@ -329,6 +330,50 @@ def test_parabolic_order_that_the_cosets_do_not_prove_raises():
     assert todd_coxeter(quot, []).index() == 12
     with pytest.raises(RuntimeError, match="cannot prove"):
         _parabolic_quotient(quot, 3, coxeter_quotient(3, 3), 10_000)
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (5, 2), (4, -2)])
+def test_parabolic_claiming_one_element_too_many_raises(n, k):
+    # no orbit of a tuple of cosets can reach |P~| + 1, not even at the full tuple
+    parabolic = coxeter_quotient(n - 1, k)
+    table = dataclasses.replace(parabolic.table, degree=parabolic.degree + 1)
+    claimed = PermQuotient(parabolic.label, table)
+    assert claimed.degree == parabolic.degree + 1
+    quot = _power_presentation(braid_presentation(n), f"Br{n}/s^{k}", k)
+    with pytest.raises(RuntimeError, match="cannot prove"):
+        _parabolic_quotient(quot, k, claimed, 1_000_000)
+
+
+BASE_COUNT_CASES = [(4, 3), (5, 3)] + [(n, k) for n in range(4, 9) for k in (2, -2, 1, -1)]
+
+
+@pytest.mark.parametrize("n, k", BASE_COUNT_CASES, ids=[f"Br{n}/s^{k}" for n, k in BASE_COUNT_CASES])
+def test_squeeze_on_a_base_matches_the_full_tuple_count(n, k):
+    # the squeeze stops at the first prefix of cosets whose orbit reaches |P~|;
+    # the orbit of the tuple of all N cosets is the order of <perms> itself
+    q = coxeter_quotient(n, k)
+    perms = [q.table.columns[q.table.column(f"s{i}", 1)] for i in range(1, n - 1)]
+    full = orbit(tuple(range(q.table.degree)), perms, lambda images, g: tuple(g[x] for x in images))
+    assert len(full) == q.m == coxeter_quotient(n - 1, k).degree
+
+
+@pytest.mark.parametrize("k", [10_001, -10_001])
+def test_power_exponents_past_the_word_cap_are_input_errors(k):
+    # the relator g^k has |k| letters: refused before it is built
+    assert abs(k) == fpgroups.MAX_WORD_LETTERS + 1
+    with pytest.raises(InputError, match=r"needs \|k\| <= 10000"):
+        coxeter_quotient(2, k)
+    with pytest.raises(InputError, match=r"needs \|k\| <= 10000"):
+        torsion_quotient(g12_braid_presentation(), k)
+    with pytest.raises(InputError, match=r"needs \|k\| <= 10000"):
+        _power_presentation(braid_presentation(5), "Q", k)
+
+
+def test_power_exponents_at_the_word_cap_are_accepted():
+    for k in (10_000, -10_000):
+        assert abs(k) == fpgroups.MAX_WORD_LETTERS
+        assert coxeter_quotient(2, k).degree == 10_000
+        assert torsion_quotient(braid_presentation(2), k).degree == 10_000
 
 
 def test_parabolic_with_relators_outside_the_quotient_raises():
@@ -805,12 +850,19 @@ def test_column_major_tables_match_row_major():
 
 
 def test_column_major_budget_exceeded_matches_row_major():
-    # Br4/s^4 is infinite: both enumerators stop at the same limits
-    pres = _with_powers(braid_presentation(4), 4, "Br4/s^4")
-    for limit in (1, 2, 50, 777):
-        assert _row_major_todd_coxeter(pres, [], limit)[0] == "budget_exceeded"
-        table = todd_coxeter(pres, [], limit)
-        assert (table.status, table.index(), table.columns) == ("budget_exceeded", 0, [])
+    # Br4/s^4 is infinite: both enumerators stop at the same limits.  So do
+    # CP(3,4) and CP(4,4) without far commutations, +torsion, over <t0>, at
+    # limits on both sides of the block boundaries the columns grow by
+    cases = [(_with_powers(braid_presentation(4), 4, "Br4/s^4"), [], (1, 2, 50, 777))]
+    for e in (3, 4):
+        pres = corran_picantin_presentation(e, 4, include_far_commutations=False)
+        pres = _with_powers(pres, 2, pres.label + "+torsion")
+        cases.append((pres, [single("t0")], (1, 2, 3, 1_023, 1_024, 1_025, 30_000)))
+    for pres, sub, limits in cases:
+        for limit in limits:
+            assert _row_major_todd_coxeter(pres, sub, limit)[0] == "budget_exceeded"
+            table = todd_coxeter(pres, sub, limit)
+            assert (table.status, table.index(), table.columns) == ("budget_exceeded", 0, [])
 
 
 def _br4_cube_table():
