@@ -512,20 +512,20 @@ def test_quotient_over_the_budget_stops_before_counting(capsys):
     assert elapsed <= 2, f"present quotient --coxeter 10,2 took {elapsed:.2f} s to exit 2"
 
 
-def _cosets_workload_lists() -> dict:
-    """COXETER, LARGE_COXETER and TORSION of the benchmark's `cosets`
-    workload, read from its source without importing it."""
+def _workload_lists(*names) -> dict:
+    """The named input lists of the benchmark's workloads, read from its
+    source without importing it."""
     source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     values = {}
     for node in ast.parse(source.read_text()).body:
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            if node.targets[0].id in ("COXETER", "LARGE_COXETER", "TORSION"):
+            if node.targets[0].id in names:
                 values[node.targets[0].id] = ast.literal_eval(node.value)
     return values
 
 
 def test_quotient_orders_build_no_regular_table(capsys, monkeypatch):
-    lists = _cosets_workload_lists()
+    lists = _workload_lists("COXETER", "LARGE_COXETER", "TORSION")
     expected = {}
     for n, k in lists["COXETER"] + [lists["LARGE_COXETER"], (3, -3)]:
         q = fpgroups.coxeter_quotient(n, k)
@@ -680,6 +680,56 @@ def test_group_info_stdout_is_pinned(capsys, monomial):
     code, out = run_cli(capsys, "group", "info", "--monomial", monomial)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GROUP_INFO_DIGESTS[monomial]
+
+
+# sha256 over the exit codes and stdouts of `arrangement discriminant` and
+# `arrangement supersolvable`, taken while Delta was still multiplied out one
+# hyperplane at a time; the groups are those of the `arrangements` workload
+# and six more of rank 3 to 5
+DISCRIMINANT_DIGESTS = {
+    "--catalog G4": "f7af335704a417a6aca0f774a65d380fb05ca65440d5745d6b78335c6a247f4b",
+    "--catalog S3_paper": "dbdea88eeb193e3f14436499a6faf3d61093b9c4a5760d11ecb2a679061f8b64",
+    "--monomial 2,1,2": "86eaa5c41e0de8298acedf4f55dce27c3c6fcaadd8acf20d6b6c2ea6eafedfcf",
+    "--monomial 3,1,2": "09b533425c3dbc69af721d1d6517d9a60355fec97821d877107de6039c93f86a",
+    "--monomial 3,3,2": "569aa481528ae6bfbbd1af47679e70ec99cc4a5f1db67302cac37bdcfb2a8e10",
+    "--monomial 4,1,2": "23b2a43c8dcbe919e84990e64ba8916810c65f778510edb7ea8e8fa2b6f2b09a",
+    "--monomial 4,4,2": "46e2b552e8c1752011e52a265523bca52173afacaf3e0ea85bf89df5f1a49b1a",
+    "--monomial 5,5,2": "0217d7dab414c28c681bea071427c1b3e4acd8bb8f5e7688077eef12e376d6e3",
+    "--monomial 6,6,2": "70eb50d129e73953c46a2db0df6353c7f71850b1944a9317cbbbfb2551c63014",
+    "--monomial 8,8,2": "1f3a639ef48715c7ad68460d1d1c4543611fada79383af90c43061a8ed76a8aa",
+    "--monomial 1,1,3": "b7f439544c3cc7cc1f99d04cabec6068d242f47538a7b45a1279fa54d5fd45b7",
+    "--monomial 2,1,3": "db0d176ee4f2a78be5683fcef424ef6a22bdc446ed62e2da9c8180df304edc22",
+    "--monomial 2,2,3": "764e49d2826a29aa371aa29950178572dcd7d521a44d2128e6b955e393bab59e",
+    "--monomial 3,1,3": "eac61d93fb37686c3d749c6088a2d8a33f5d3a9eb14a44b0c6430f59540b3b5e",
+    "--monomial 3,3,3": "6d7490076dd4334a5194a8ee5d2e44b219de947a953109f4bd64a5884059862f",
+    "--monomial 4,2,3": "a849fb52e674609a8492806d074646ef1f6b71932aefce6c3f557d59ead41aab",
+    "--monomial 4,4,3": "4ef38d61fa9306ded3d37064f2360ca7921446975a4d07126054d8fd8d5ef437",
+    "--monomial 6,3,3": "587b9b1908d1d2391aea374ef1067824fc6eb3d05f87761de770d22cc671a2a6",
+    "--monomial 1,1,4": "ef77eee7bf20497c61499f974d066ffa4601d1d4335be723d93247c93e811b4d",
+    "--monomial 2,1,4": "5384fc9389c65274f3cd9baa7802d8ce25fab4646a5261ef8c08d07ab69ce37b",
+    "--monomial 2,2,4": "ca5e0403d2550db4a4cdf0da8e086b9e142e6a757b253d411be521fb1d55c811",
+    "--monomial 3,3,4": "ede63b11267980d873b15caa416e94ed217303148052eb7a0152dc68682c07db",
+    "--monomial 2,2,5": "8b5168cd69547f2984ed534a8d88c653c53c593d38cd9a077a2d58e3f0e10b0f",
+}
+
+
+def test_discriminant_digests_cover_the_arrangements_workload():
+    lists = _workload_lists("SUPERSOLVABLE", "ORACLE_POOL", "LATTICE", "DISCRIMINANT")
+    groups = {g for values in lists.values() for g in values}
+    sources = {
+        f"--catalog {g}" if isinstance(g, str) else "--monomial " + ",".join(map(str, g))
+        for g in groups
+    }
+    assert sources <= set(DISCRIMINANT_DIGESTS)
+
+
+@pytest.mark.parametrize("source", list(DISCRIMINANT_DIGESTS))
+def test_discriminant_stdout_is_pinned(capsys, source):
+    digest = hashlib.sha256()
+    for command in ("discriminant", "supersolvable"):
+        code, out = run_cli(capsys, "arrangement", command, *source.split())
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == DISCRIMINANT_DIGESTS[source]
 
 
 # sha256 over the exit codes and stdouts of `gt gd-check --m m` for every
