@@ -26,6 +26,8 @@ from .cyclo import CycNum
 from .errors import BudgetExceededError, InputError
 from .mpoly import MPoly
 
+# the lattice's and the discriminant's budget; the slowest discriminants it
+# accepts took @@TIMES@@
 MAX_DIM = 6
 MAX_HYPERPLANES = 60
 
@@ -123,6 +125,13 @@ class FlatLattice:
         return next(f for f in self.flats if both <= f.hyperplane_set)
 
 
+def _check_budget(arr: Arrangement, what: str) -> None:
+    if arr.dim > MAX_DIM or len(arr.hyperplanes) > MAX_HYPERPLANES:
+        raise BudgetExceededError(
+            f"{what} budget is dim <= {MAX_DIM} and <= {MAX_HYPERPLANES} hyperplanes"
+        )
+
+
 def intersection_lattice(arr: Arrangement) -> FlatLattice:
     """All flats, breadth-first by rank from the whole space.
 
@@ -132,10 +141,7 @@ def intersection_lattice(arr: Arrangement) -> FlatLattice:
     lies in a cover found from that base is skipped: adding it gives the same
     cover, since one hyperplane raises the rank by at most one.
     """
-    if arr.dim > MAX_DIM or len(arr.hyperplanes) > MAX_HYPERPLANES:
-        raise BudgetExceededError(
-            f"lattice budget is dim <= {MAX_DIM} and <= {MAX_HYPERPLANES} hyperplanes"
-        )
+    _check_budget(arr, "lattice")
     forms = arr.hyperplanes
     found: dict[frozenset[int], tuple[int, frozenset[int]]] = {frozenset(): (0, frozenset())}
     frontier = [frozenset()]
@@ -241,10 +247,21 @@ def is_supersolvable_bruteforce(arr: Arrangement, max_hyperplanes: int = 14):
 
 
 def discriminant_poly(arr: Arrangement) -> MPoly:
-    """Delta = product over hyperplanes of alpha_H^(e_H), exact expansion."""
+    """Delta = product over hyperplanes of alpha_H^(e_H), exact expansion.
+
+    The forms are multiplied in blocks keyed by (|support|, support, e_H),
+    each block's product is raised to e_H, and the blocks meet in key order:
+    the d forms z_i - zeta^k z_j of a pair of G(de,e,n) give z_i^d - z_j^d
+    first, so the partial products stay small and mostly rational."""
+    _check_budget(arr, "discriminant")
     result = MPoly.constant(arr.dim, 1)
+    blocks: dict[tuple, MPoly] = {}
     for form, mult in zip(arr.hyperplanes, arr.multiplicities):
-        result = result * (MPoly.linear_form(form) ** mult)
+        support = tuple(i for i, c in enumerate(form) if c)
+        key = (len(support), support, mult)
+        blocks[key] = blocks.get(key, result) * MPoly.linear_form(form)
+    for key in sorted(blocks):
+        result = result * blocks[key] ** key[2]
     return result
 
 

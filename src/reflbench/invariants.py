@@ -13,6 +13,7 @@ order #reflections + dim + 2 always suffices since sum(d_i) = #reflections + dim
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,6 +159,12 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_monomial_budget(nvars: int, degree: int) -> None:
+    count = math.comb(degree + nvars - 1, nvars - 1)
+    if count > DEFAULT_MONOMIAL_BUDGET:
+        raise BudgetExceededError(f"{count} monomials exceed budget {DEFAULT_MONOMIAL_BUDGET}")
+
+
 def invariant_space(group: RGroup, degree: int) -> list[MPoly]:
     """Basis of the degree-d invariants: the common kernel of p -> p o g - p
     over the generators, in reduced echelon form over the monomials, monic.
@@ -166,9 +173,8 @@ def invariant_space(group: RGroup, degree: int) -> list[MPoly]:
     most two blocks are alive at once.  A space has one reduced basis, so it
     does not depend on the generators or on how the kernel was found."""
     nvars = group.dim
+    _check_monomial_budget(nvars, degree)
     monos = _monomials(nvars, degree)
-    if len(monos) > DEFAULT_MONOMIAL_BUDGET:
-        raise BudgetExceededError(f"{len(monos)} monomials exceed budget {DEFAULT_MONOMIAL_BUDGET}")
     # column j is monos[~j]: `linalg.kernel` returns, per free column f, a
     # vector that is 1 at f, with its other nonzeros only at pivot columns
     # < f, so the reversed list is already the reduced echelon basis over
@@ -198,6 +204,8 @@ def fundamental_invariants(group: RGroup) -> InvariantBasis:
     """
     degrees = molien_degrees(group)
     nvars = group.dim
+    for d in sorted(set(degrees)):  # every degree, before the first is solved
+        _check_monomial_budget(nvars, d)
     chosen: list[MPoly] = []
     for d in sorted(set(degrees)):
         count = degrees.count(d)

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from reflbench.arrangement import (
     is_modular,
     is_supersolvable,
     is_supersolvable_bruteforce,
+    normalize_form,
     to_json,
 )
 from reflbench.errors import BudgetExceededError, InputError
@@ -109,6 +112,78 @@ def test_discriminant_degrees():
     assert discriminant_poly(g4).total_degree() == 12
     single = Arrangement(dim=2, hyperplanes=((cyclo.ONE, cyclo.ZERO),), multiplicities=(2,))
     assert discriminant_poly(single) == MPoly.variable(2, 0) ** 2
+
+
+# every G(d,e,n) with n <= 4 whose arrangement the closed form covers
+CLOSED_FORM_GROUPS = [
+    (2, 1, 2), (3, 1, 2), (3, 3, 2), (4, 1, 2), (4, 2, 2), (4, 4, 2), (5, 5, 2), (6, 2, 2),
+    (6, 3, 2), (8, 8, 2), (1, 1, 3), (2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 3, 3), (4, 2, 3),
+    (4, 4, 3), (5, 1, 3), (6, 3, 3), (1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 3, 4),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("label", CLOSED_FORM_GROUPS, ids=str)
+def test_discriminant_matches_the_closed_form(label):
+    # the d forms z_i - zeta^k z_j multiply to z_i^d - z_j^d, each with e_H = 2,
+    # and for d/e >= 2 each coordinate hyperplane z_i has e_H = d/e
+    d, e, n = label
+    z = [MPoly.variable(n, i) for i in range(n)]
+    want = MPoly.constant(n, 1)
+    for i, j in itertools.combinations(range(n), 2):
+        want = want * (z[i] ** d - z[j] ** d) ** 2
+    if d // e >= 2:
+        for zi in z:
+            want = want * zi ** (d // e)
+    assert discriminant_poly(arrangement_of(build_monomial_group(d, e, n))) == want
+
+
+def _discriminant_one_by_one(arr):
+    """Reference: each alpha_H^(e_H) joins the product in the listed order."""
+    result = MPoly.constant(arr.dim, 1)
+    for form, mult in zip(arr.hyperplanes, arr.multiplicities):
+        result = result * MPoly.linear_form(form) ** mult
+    return result
+
+
+def _random_arrangement_json(rng):
+    """A random arrangement whose forms share few supports, with rational and
+    cyclotomic entries, unnormalized scales and mixed e_H."""
+    dim = rng.randint(2, 4)
+    entries = [cyclo.rational(q) for q in (1, -1, 2, Fraction(1, 3), Fraction(-5, 2))]
+    entries += [cyclo.root_of_unity(n, k) for n, k in ((3, 1), (4, 1), (5, 2), (8, 3), (6, 5))]
+    entries += [cyclo.root_of_unity(3, 1) + 2, cyclo.root_of_unity(12, 1) * Fraction(1, 2)]
+    supports = [
+        sorted(rng.sample(range(dim), rng.randint(1, dim))) for _ in range(rng.randint(1, 3))
+    ]
+    forms, seen = [], set()
+    for _ in range(rng.randint(1, 9 - dim)):
+        form = [cyclo.ZERO] * dim
+        for i in rng.choice(supports):
+            form[i] = rng.choice(entries)
+        scale = rng.choice(entries)
+        if normalize_form(form) not in seen:
+            seen.add(normalize_form(form))
+            forms.append([cyclo.to_json(scale * c) for c in form])
+    mult = [rng.choice((2, 2, 3, 4)) for _ in forms]
+    return {"dim": dim, "hyperplanes": forms, "mult": mult}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_discriminant_matches_the_one_by_one_product(seed):
+    arr = from_json(_random_arrangement_json(random.Random(f"discriminant:{seed}")))
+    assert discriminant_poly(arr) == _discriminant_one_by_one(arr)
+
+
+def test_discriminant_of_the_arrangements_groups_matches_the_one_by_one_product():
+    for label in BENCHMARK_GROUPS + [(8, 8, 2), (4, 1, 2), (4, 4, 3)]:
+        arr = _arrangement(label)
+        assert discriminant_poly(arr) == _discriminant_one_by_one(arr), label
+
+
+def test_discriminant_dimension_budget():
+    arr = arrangement_of(build_monomial_group(1, 1, 7))
+    with pytest.raises(BudgetExceededError, match="discriminant budget is dim <= 6"):
+        discriminant_poly(arr)
 
 
 def test_discriminant_invariant_up_to_scalar():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import reflbench
-from reflbench import arrangement, cli, cyclo, fpgroups, garside, mpoly, suite
+from reflbench import arrangement, cli, cyclo, fpgroups, garside, invariants, mpoly, suite
 from reflbench.cli import main
 
 
@@ -470,6 +470,18 @@ def test_supersolvable_oracle_over_its_limit_builds_no_lattice(capsys, monkeypat
     code, out = run_cli(capsys, *argv)
     assert code == 2 and json.loads(out)["error"] == "budget_exceeded"
     assert calls == []
+
+
+@pytest.mark.parametrize("command, what", [("discriminant", "discriminant"), ("supersolvable", "lattice")])
+def test_arrangements_past_the_lattice_budget_exit_2_at_once(capsys, command, what):
+    # S7 acts on C^7; its discriminant alone ran for minutes unbounded
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "arrangement", command, "--monomial", "1,1,7")
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    message = f"{what} budget is dim <= 6 and <= 60 hyperplanes"
+    assert json.loads(out) == {"error": "budget_exceeded", "message": message}
+    assert elapsed <= 1, f"arrangement {command} --monomial 1,1,7 took {elapsed:.2f} s to exit 2"
 
 
 def test_supersolvable_oracle_builds_one_lattice(capsys, monkeypatch):
@@ -944,6 +956,17 @@ def test_invariants_compute_past_the_molien_cap_exits_2(capsys):
     code, out = run_cli(capsys, "invariants", "compute", "--monomial", "2,1,5")
     assert code == 2
     assert json.loads(out) == {"error": "budget_exceeded", "message": "Molien extraction limited to dim <= 4"}
+
+
+def test_invariants_compute_checks_every_degree_before_solving_one(capsys, monkeypatch):
+    # G(2,1,3) has Molien degrees 2, 4, 6: 6, 15 and 28 monomials
+    monkeypatch.setattr(invariants, "DEFAULT_MONOMIAL_BUDGET", 28)
+    assert run_cli(capsys, "invariants", "compute", "--monomial", "2,1,3")[0] == 0
+    monkeypatch.setattr(invariants, "DEFAULT_MONOMIAL_BUDGET", 27)
+    monkeypatch.setattr(invariants, "invariant_space", lambda *a: pytest.fail("a degree was solved"))
+    code, out = run_cli(capsys, "invariants", "compute", "--monomial", "2,1,3")
+    assert code == 2
+    assert json.loads(out) == {"error": "budget_exceeded", "message": "28 monomials exceed budget 27"}
 
 
 def test_help_exits_0(capsys):
