@@ -474,7 +474,7 @@ def test_supersolvable_oracle_over_its_limit_builds_no_lattice(capsys, monkeypat
 
 @pytest.mark.parametrize("command, what", [("discriminant", "discriminant"), ("supersolvable", "lattice")])
 def test_arrangements_past_the_lattice_budget_exit_2_at_once(capsys, command, what):
-    # S7 acts on C^7; its discriminant alone ran for minutes unbounded
+    # S7 acts on C^7; with no bound its discriminant ran past 60 s
     start = time.perf_counter()
     code, out = run_cli(capsys, "arrangement", command, "--monomial", "1,1,7")
     elapsed = time.perf_counter() - start
