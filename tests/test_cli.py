@@ -744,6 +744,24 @@ def test_discriminant_stdout_is_pinned(capsys, source):
     assert digest.hexdigest() == DISCRIMINANT_DIGESTS[source]
 
 
+# sha256 over the exit code and stdout of `arrangement supersolvable`, taken
+# while the lattice was still built by an elimination at every flat; these
+# are the lattices of 403 to 2,546 flats
+SUPERSOLVABLE_DIGESTS = {
+    "2,2,5": "9a356220d2014bb6b2135d43bb837630c206fb8be5da0a36af7e7c82fe2cd13c",
+    "2,1,5": "859f42f63ca25ddf1fa5e01442ddb5fbfbd41455c6d3fbf6bec550e98ad7360a",
+    "3,3,5": "44104fbbaa384770a895e51932cdcfda04a935d53106f3b8f480c37830970e96",
+    "2,2,6": "8031eec7639b7441e01fe87b0e041ad57b8c8fb3b71b98220613e5ba391be644",
+}
+
+
+@pytest.mark.parametrize("monomial", list(SUPERSOLVABLE_DIGESTS))
+def test_supersolvable_stdout_is_pinned(capsys, monomial):
+    code, out = run_cli(capsys, "arrangement", "supersolvable", "--monomial", monomial)
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == SUPERSOLVABLE_DIGESTS[monomial]
+
+
 # sha256 over the exit codes and stdouts of `gt gd-check --m m` for every
 # lambda and g below, taken when the kernel test still went through Schreier
 # rewriting and an integer Hermite reduction; the words include pure braids
