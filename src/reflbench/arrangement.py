@@ -5,7 +5,9 @@ of hyperplane indices containing the flat's subspace; rank = codimension of
 the subspace.  The lattice order is reverse inclusion of subspaces, i.e.
 inclusion of hyperplane index sets.  A closure is one elimination of
 independent forms: the kernel basis read off its pivots spans the flat, and
-a hyperplane contains the flat iff its form annihilates that basis.  Meets
+a hyperplane contains the flat iff its form annihilates that basis.  A
+group's arrangement keeps each generator's permutation of the hyperplanes,
+and closures run at one flat per orbit: the others are its images.  Meets
 are intersections of index sets, which are closed already; a join is the
 first flat, in rank order, above both.
 Supersolvability is decided top-down by modular coatoms, each tested with
@@ -25,6 +27,7 @@ from . import cyclo, linalg, matgroup
 from .cyclo import CycNum
 from .errors import BudgetExceededError, InputError
 from .mpoly import MPoly
+from .orbit import orbit
 
 # the lattice's and the discriminant's budget; the slowest discriminants it
 # accepts took 6.8-7.9 s (G(3,3,6)) and 4-5.5 s (G(2,1,6), G(2,2,6)) on 2 vCPUs
@@ -37,6 +40,9 @@ class Arrangement:
     dim: int
     hyperplanes: tuple[tuple[CycNum, ...], ...]  # normalized pairwise non-proportional forms
     multiplicities: tuple[int, ...]  # e_H per hyperplane, aligned
+    # permutations of the hyperplane indices under which the arrangement is
+    # invariant, one per group generator; an arrangement read from JSON has none
+    symmetries: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if len(self.hyperplanes) != len(self.multiplicities):
@@ -51,6 +57,8 @@ class Arrangement:
             raise InputError("linear forms must be normalized: first nonzero coefficient 1")
         if len(set(self.hyperplanes)) != len(self.hyperplanes):
             raise InputError("two linear forms are proportional (one hyperplane listed twice)")
+        if any(sorted(p) != list(range(len(self.hyperplanes))) for p in self.symmetries):
+            raise InputError("a symmetry must permute the hyperplane indices")
 
     @functools.cached_property
     def lattice(self) -> "FlatLattice":
@@ -68,12 +76,24 @@ def normalize_form(form) -> tuple[CycNum, ...]:
 
 
 def arrangement_of(group: matgroup.RGroup) -> Arrangement:
-    """The reflection arrangement of a matrix group with its e_H multiplicities."""
+    """The reflection arrangement of a matrix group with its e_H multiplicities.
+    Generator g permutes the hyperplanes: H goes to the hyperplane of g r g^-1
+    for a reflection r on H, read off element indices."""
     hyps = matgroup.hyperplanes(group)
+    position = {form: h for h, (form, _) in enumerate(hyps)}
+    hyperplane_of = {
+        group.index_of(r.element): position[r.hyperplane] for r in matgroup.reflections(group)
+    }
+    one = {h: i for i, h in hyperplane_of.items()}
+    conjugators, conjugate = matgroup.conjugation(group)
     return Arrangement(
         dim=group.dim,
         hyperplanes=tuple(form for form, _ in hyps),
         multiplicities=tuple(e for _, e in hyps),
+        symmetries=tuple(
+            tuple(hyperplane_of[conjugate(one[h], c)] for h in range(len(hyps)))
+            for c in conjugators
+        ),
     )
 
 
@@ -132,35 +152,39 @@ def _check_budget(arr: Arrangement, what: str) -> None:
         )
 
 
-def intersection_lattice(arr: Arrangement) -> FlatLattice:
-    """All flats, breadth-first by rank from the whole space.
+def _permute(hyperplane_set: frozenset[int], perm: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(map(perm.__getitem__, hyperplane_set))
 
-    Each flat is reached as the closure of an independent set of hyperplanes
-    (its base's basis plus one), kept as the flat's basis, so every
-    elimination has rank + 1 rows.  From one base, a hyperplane that already
-    lies in a cover found from that base is skipped: adding it gives the same
-    cover, since one hyperplane raises the rank by at most one.
+
+def intersection_lattice(arr: Arrangement) -> FlatLattice:
+    """All flats, breadth-first by rank from the whole space, up to symmetry.
+
+    Only one flat per orbit under the symmetries is a base: every flat covers
+    some flat, so some image of it covers that flat's orbit representative.
+    A cover is the closure of its base's basis plus one hyperplane, kept as
+    its basis, so every elimination has rank + 1 rows.  From one base, a
+    hyperplane that lies in a cover already found from it is skipped: one
+    hyperplane raises the rank by at most one, so it gives the same cover.
     """
     _check_budget(arr, "lattice")
     forms = arr.hyperplanes
-    found: dict[frozenset[int], tuple[int, frozenset[int]]] = {frozenset(): (0, frozenset())}
-    frontier = [frozenset()]
+    rank: dict[frozenset[int], int] = {frozenset(): 0}
+    frontier = [(frozenset(), frozenset())]  # (orbit representative, its basis)
     while frontier:
         nxt = []
-        for base in frontier:
-            basis = found[base][1]
+        for base, basis in frontier:
             covered = set(base)
             for j in range(len(forms)):
                 if j in covered:
                     continue
                 closed, rk = _close(forms, basis | {j})
                 covered |= closed
-                if closed not in found:
-                    found[closed] = rk, basis | {j}
-                    nxt.append(closed)
+                if closed not in rank:
+                    rank.update((s, rk) for s in orbit(closed, arr.symmetries, _permute))
+                    nxt.append((closed, basis | {j}))
         frontier = nxt
-    ordered = sorted(found, key=lambda s: (found[s][0], sorted(s)))
-    flats = [Flat(hyperplane_set=s, rank=found[s][0]) for s in ordered]
+    ordered = sorted(rank, key=lambda s: (rank[s], sorted(s)))
+    flats = [Flat(hyperplane_set=s, rank=rank[s]) for s in ordered]
     return FlatLattice(arrangement=arr, flats=flats, by_set={f.hyperplane_set: f for f in flats})
 
 
@@ -281,11 +305,11 @@ def from_json(data: dict) -> Arrangement:
     """Decode an arrangement; forms of the wrong length, zero or proportional
     forms raise InputError (through `Arrangement`)."""
     try:
-        dim = int(data["dim"])
+        dim = cyclo.json_int(data["dim"])
         hyps = tuple(
             normalize_form([cyclo.from_json(c) for c in h]) for h in data["hyperplanes"]
         )
-        mult = tuple(int(m) for m in data["mult"])
+        mult = tuple(map(cyclo.json_int, data["mult"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed arrangement encoding: {exc}") from exc
     return Arrangement(dim=dim, hyperplanes=hyps, multiplicities=mult)

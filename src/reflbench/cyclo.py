@@ -676,8 +676,9 @@ def to_json(a: CycNum) -> dict:
 MAX_JSON_ORDER = 1000
 
 
-def _json_int(v) -> int:
-    # a JSON integer or a decimal string; a float or a bool is not exact input
+def json_int(v) -> int:
+    """An integer field of an input file: a JSON integer or a decimal string.
+    A float or a bool is not exact input and raises TypeError."""
     if v.__class__ is bool or not isinstance(v, (int, str)):
         raise TypeError(f"expected an integer or a string, got {v!r}")
     return int(v)
@@ -685,8 +686,8 @@ def _json_int(v) -> int:
 
 def from_json(data: dict) -> CycNum:
     try:
-        order = _json_int(data["order"])
-        coeffs = [(_json_int(num), _json_int(den)) for num, den in data["coeffs"]]
+        order = json_int(data["order"])
+        coeffs = [(json_int(num), json_int(den)) for num, den in data["coeffs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed CycNum encoding: {data!r}") from exc
     if any(den == 0 for _, den in coeffs):

@@ -373,10 +373,11 @@ def _hyperplane_form(m: RMatrix) -> tuple[CycNum, ...] | None:
 def reflections(group: RGroup) -> list[ReflectionData]:
     """All pseudo-reflections, with per-hyperplane orders and distinguished flags.
 
-    The nontrivial eigenvalue of a pseudo-reflection equals its determinant;
-    the distinguished one on each hyperplane is the generator of the pointwise
-    stabilizer with eigenvalue exp(2*pi*i/e_H).  The group is scanned once;
-    the result is kept on the group object.
+    Being a pseudo-reflection (rank(g - 1) = 1) is a class property, so one
+    element per conjugacy class is tested, and so is the nontrivial eigenvalue
+    tr(g) - (dim - 1).  The distinguished reflection on each hyperplane, listed
+    in element-index order, is the generator of the pointwise stabilizer with
+    eigenvalue exp(2*pi*i/e_H).  The result is kept on the group object.
     """
     cache = getattr(group, "_refl", None)
     if cache is None:
@@ -386,21 +387,27 @@ def reflections(group: RGroup) -> list[ReflectionData]:
 
 
 def _scan_reflections(group: RGroup) -> tuple[ReflectionData, ...]:
-    by_hyperplane: dict[tuple[CycNum, ...], list[RMatrix]] = {}
-    for m in group.elements:
-        form = _hyperplane_form(m)
+    elements = group.elements
+    found: dict[int, tuple[tuple[CycNum, ...], CycNum]] = {}  # index -> (form, eigenvalue)
+    for c in conjugacy_classes(group):
+        form = _hyperplane_form(elements[c[0]])
         if form is not None:
-            by_hyperplane.setdefault(form, []).append(m)
+            eig = elements[c[0]].trace() - (group.dim - 1)
+            found[c[0]] = form, eig
+            found.update((i, (_hyperplane_form(elements[i]), eig)) for i in c[1:])
+    by_hyperplane: dict[tuple[CycNum, ...], list[int]] = {}
+    for i in sorted(found):
+        by_hyperplane.setdefault(found[i][0], []).append(i)
     result: list[ReflectionData] = []
     for form in sorted(by_hyperplane, key=lambda f: [repr(c) for c in f]):
-        elems = by_hyperplane[form]
-        e_h = len(elems) + 1
+        members = by_hyperplane[form]
+        e_h = len(members) + 1
         zeta = cyclo.root_of_unity(e_h, 1)
-        for m in elems:
-            eig = m.det()
+        for i in members:
+            eig = found[i][1]
             result.append(
                 ReflectionData(
-                    element=m,
+                    element=elements[i],
                     hyperplane=form,
                     order_eH=e_h,
                     distinguished=(eig == zeta),
@@ -524,9 +531,8 @@ def center(group: RGroup) -> list[RMatrix]:
 def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
     """Element indices of each conjugacy class, in order of first element.
 
-    A class is the orbit of an element under conjugation g x g^-1 by the
-    generators, whose basis images e_k g x g^-1 are read at the frame points
-    e_k g.  The classes are found once per group and kept on the group
+    A class is the orbit of an element under `conjugation` by the
+    generators.  The classes are found once per group and kept on the group
     object; each call returns a fresh list.
     """
     cache = getattr(group, "_classes", None)
@@ -536,7 +542,9 @@ def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
     return list(cache)
 
 
-def _scan_classes(group: RGroup) -> tuple[tuple[int, ...], ...]:
+def conjugation(group: RGroup):
+    """The generators as conjugators, and `conjugate(i, c)`, the index of g x_i
+    g^-1 for g's conjugator c: its basis images are read at the points e_k g."""
     dim = group.dim
     images = group.images
     index = group.element_index
@@ -553,13 +561,16 @@ def _scan_classes(group: RGroup) -> tuple[tuple[int, ...], ...]:
         x = images[i]
         return index[tuple([inverse[x[s]] for s in at])]
 
-    done = [False] * len(images)
-    classes = []
-    for i in range(len(images)):
-        if not done[i]:
+    return conjugators, conjugate
+
+
+def _scan_classes(group: RGroup) -> tuple[tuple[int, ...], ...]:
+    conjugators, conjugate = conjugation(group)
+    classes, done = [], set()
+    for i in range(group.order()):
+        if i not in done:
             members = tuple(orbit(i, conjugators, conjugate))
-            for j in members:
-                done[j] = True
+            done.update(members)
             classes.append(members)
     return tuple(classes)
 
@@ -634,7 +645,7 @@ def group_from_spec(spec: dict, budget: int = DEFAULT_ELEMENT_BUDGET) -> RGroup:
     """
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "monomial":
-        d, e, n = (_spec_field(spec, k, int) for k in ("d", "e", "n"))
+        d, e, n = (_spec_field(spec, k, cyclo.json_int) for k in ("d", "e", "n"))
         return build_monomial_group(d, e, n, budget)
     if kind == "catalog":
         return build_catalog_group(_spec_field(spec, "name", str), budget)
@@ -642,7 +653,9 @@ def group_from_spec(spec: dict, budget: int = DEFAULT_ELEMENT_BUDGET) -> RGroup:
         gens = _spec_field(spec, "generators", lambda gs: [_flat_square_matrix(g) for g in gs])
         if len({g.dim for g in gens}) > 1:
             raise InputError("explicit generators have different dimensions")
-        return enumerate_closure(gens, spec.get("label", "explicit"), budget)
+        if not isinstance(label := spec.get("label", "explicit"), str):
+            raise InputError(f"group spec field 'label' must be a string, got {label!r}")
+        return enumerate_closure(gens, label, budget)
     raise InputError(f"unknown group spec kind {kind!r}")
 
 

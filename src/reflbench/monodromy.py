@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import matgroup
+from . import cyclo, matgroup
 from .errors import InputError
 from .fpgroups import PermQuotient, parse_word, permutation_table
 from .matgroup import RGroup, RMatrix, then
@@ -177,7 +177,7 @@ def profile_from_json(data: dict) -> RamificationProfile:
     """The inverse of `profile_to_json` ("transitive" defaults to true); raises
     InputError unless the cycles at every point partition the degree."""
     try:
-        degree = int(data["degree"])
+        degree = cyclo.json_int(data["degree"])
         points = {k: _cycles(k, v) for k, v in data["points"].items()}
         transitive = bool(data.get("transitive", True))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -197,7 +197,7 @@ def _cycles(point: str, entries) -> list[tuple[int, int]]:
     would otherwise be unpacked character by character or key by key."""
     if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
         raise InputError(f"point {point}: cycles must be a list of [length, count] pairs")
-    return [(int(ln), int(ct)) for ln, ct in entries]
+    return [(cyclo.json_int(ln), cyclo.json_int(ct)) for ln, ct in entries]
 
 
 def cover_from_spec(data: dict, budget: int = matgroup.DEFAULT_ELEMENT_BUDGET) -> CoverSpec:

@@ -406,8 +406,9 @@ def to_json(p: MPoly) -> dict:
 
 def from_json(data: dict) -> MPoly:
     try:
-        nvars = int(data["nvars"])
-        terms = [(tuple(t["exps"]), cyclo.from_json(t["coef"])) for t in data["terms"]]
+        nvars = cyclo.json_int(data["nvars"])
+        exps = [tuple(map(cyclo.json_int, t["exps"])) for t in data["terms"]]
+        terms = [(e, cyclo.from_json(t["coef"])) for e, t in zip(exps, data["terms"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polynomial encoding: {data!r}") from exc
     return MPoly(nvars, terms)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -5,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from reflbench import cyclo, linalg
+from reflbench import arrangement, cyclo, linalg
 from reflbench.arrangement import (
     Arrangement,
     _close,
+    _permute,
     arrangement_of,
     discriminant_poly,
     from_json,
@@ -23,6 +25,7 @@ from reflbench.errors import BudgetExceededError, InputError
 from reflbench.invariants import act_matrix
 from reflbench.matgroup import build_catalog_group, build_monomial_group
 from reflbench.mpoly import MPoly, proportional
+from reflbench.orbit import orbit
 
 
 def test_arrangement_of_counts():
@@ -204,8 +207,11 @@ def _two_forms_json(second, dim=2):
         _two_forms_json([cyclo.to_json(cyclo.ONE)]),
         _two_forms_json([cyclo.to_json(cyclo.ZERO), cyclo.to_json(cyclo.ONE)], dim=3),
         _two_forms_json([cyclo.to_json(cyclo.rational(2)), cyclo.to_json(cyclo.ZERO)]),
+        {**_two_forms_json([cyclo.to_json(cyclo.ZERO), cyclo.to_json(cyclo.ONE)]), "dim": 2.5},
+        {**_two_forms_json([cyclo.to_json(cyclo.ZERO), cyclo.to_json(cyclo.ONE)]), "mult": [2, 2.7]},
+        {**_two_forms_json([cyclo.to_json(cyclo.ZERO), cyclo.to_json(cyclo.ONE)]), "mult": [2, True]},
     ],
-    ids=["ragged", "shorter-than-dim", "proportional"],
+    ids=["ragged", "shorter-than-dim", "proportional", "float-dim", "float-mult", "bool-mult"],
 )
 def test_from_json_rejects_bad_shapes(data):
     with pytest.raises(InputError):
@@ -414,3 +420,58 @@ def test_characteristic_polynomial_factors_over_exponents(label):
         exponents = [k * d + 1 for k in range(n - 1)] + [(n - 1) * (d - 1)]
     lat = intersection_lattice(_arrangement(label))
     assert _mobius_char_poly(lat) == _product_poly(exponents)
+
+
+# ---------------------------------------------------------------------------
+# the lattice up to symmetry against the lattice built at every flat
+
+# the groups of the `arrangements` workload, and three of 403 to 648 flats
+SYMMETRY_GROUPS = BENCHMARK_GROUPS + [
+    (4, 4, 2), (6, 6, 2), (4, 1, 2), (8, 8, 2), (4, 4, 3), (2, 2, 5), (2, 1, 5), (3, 3, 4),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("label", SYMMETRY_GROUPS, ids=str)
+def test_lattice_up_to_symmetry_matches_the_lattice_without(label):
+    arr = _arrangement(label)
+    assert arr.symmetries and all(len(p) == len(arr.hyperplanes) for p in arr.symmetries)
+    plain = dataclasses.replace(arr, symmetries=())
+    assert plain == arr and plain.symmetries == ()
+    lat, full = intersection_lattice(arr), intersection_lattice(plain)
+    assert lat.flats == full.flats and lat.by_set == full.by_set
+
+
+def _orbit_count(arr, lat):
+    seen, count = set(), 0
+    for f in lat.flats:
+        if f.hyperplane_set not in seen:
+            count += 1
+            seen.update(orbit(f.hyperplane_set, arr.symmetries, _permute))
+    return count
+
+
+def test_lattice_eliminates_at_orbit_representatives(monkeypatch):
+    calls = []
+    close = arrangement._close
+    monkeypatch.setattr(arrangement, "_close", lambda *a: calls.append(a) or close(*a))
+    arr = _arrangement((2, 2, 6))
+    lat = intersection_lattice(arr)
+    orbits = _orbit_count(arr, lat)
+    assert (len(lat.flats), orbits, len(arr.hyperplanes)) == (2546, 26, 30)
+    assert len(calls) <= orbits * len(arr.hyperplanes)
+
+
+def test_a_permutation_that_is_no_symmetry_is_refused_or_changes_the_lattice():
+    arr = _arrangement((2, 2, 4))
+    full = intersection_lattice(dataclasses.replace(arr, symmetries=()))
+    n = len(arr.hyperplanes)
+    for bad in [(0,) * n, tuple(range(n - 1)), tuple(range(1, n + 1))]:
+        with pytest.raises(InputError, match="permute"):
+            dataclasses.replace(arr, symmetries=(bad,))
+    # a transposition of two hyperplanes that sends some flat to a set that
+    # is no flat
+    flats = set(full.by_set)
+    swaps = [tuple(k if h == 0 else 0 if h == k else h for h in range(n)) for k in range(1, n)]
+    swap = next(p for p in swaps if any(_permute(s, p) not in flats for s in flats))
+    wrong = intersection_lattice(dataclasses.replace(arr, symmetries=(swap,)))
+    assert wrong.flats != full.flats

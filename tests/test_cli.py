@@ -438,9 +438,18 @@ def test_group_spec_order_over_cap_is_input_error(capsys, tmp_path):
         (["monodromy", "genus", "--profile"], {"degree": 0, "points": {}}),
         (["present", "verify-map", "--catalog", "G12", "--map-file"], {}),
         (["group", "info", "--spec"], None),  # the path is a directory
+        # integer fields given as floats or bools, which were truncated and
+        # printed an answer with exit 0
+        (["group", "info", "--spec"], {"kind": "monomial", "d": 4.9, "e": 2, "n": 2}),
+        (["group", "info", "--spec"], {"kind": "monomial", "d": 2, "e": 1, "n": True}),
+        (["monodromy", "genus", "--profile"],
+         {"degree": 4.9, "points": {"0": [[2, 2]], "1": [[2, 2]], "inf": [[2.6, 2]]}}),
+        (["group", "info", "--spec"],
+         {"kind": "explicit", "generators": [[{"order": 1, "coeffs": [["-1", "1"]]}]], "label": 7}),
     ],
     ids=["profile-no-degree", "profile-short-cycle", "profile-cycles-exceed-degree", "profile-degree-zero",
-         "map-no-images", "spec-is-directory"],
+         "map-no-images", "spec-is-directory", "spec-float-d", "spec-bool-n", "profile-float-degree",
+         "spec-label-not-string"],
 )
 def test_malformed_input_file_is_input_error(capsys, tmp_path, command, content):
     path = tmp_path

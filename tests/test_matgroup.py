@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -399,17 +400,22 @@ def test_one_reflection_scan_per_group(monkeypatch):
     refl = reflections(g)
     hyps = hyperplanes(g)
     degrees = invariants.molien_degrees(g)
-    assert len(calls) == g.order()
+    # one test per conjugacy class, then one form per reflection that is not
+    # its class's first element
+    classes = matgroup.conjugacy_classes(g)
+    firsts = {g.elements[c[0]] for c in classes}
+    scan = len(classes) + sum(r.element not in firsts for r in refl)
+    assert len(calls) == scan < g.order()
     assert degrees == [4, 6, 8] and len(refl) == len(hyps) == 15
     # every call returns a fresh list of the stored result
     refl.clear()
     assert reflections(g) == reflections(g) != []
     assert reflections(g) is not reflections(g)
-    assert len(calls) == g.order()
+    assert len(calls) == scan
     # a second group object scans again: nothing is kept across groups
     again = build_monomial_group(4, 2, 3)
     assert [r.hyperplane for r in reflections(again)] == [r.hyperplane for r in reflections(g)]
-    assert len(calls) == 2 * g.order()
+    assert len(calls) == 2 * scan
 
 
 # ---------------------------------------------------------------------------
@@ -674,3 +680,55 @@ def test_galois_image_matches_per_element_images(name):
     assert True in outcomes
     if name == "explicit-twisted-swap":
         assert False in outcomes
+
+
+def _scan_every_element(group):
+    """The earlier reflection scan: rank(g - 1) = 1 tested at every element,
+    the nontrivial eigenvalue read off the determinant."""
+    by_hyperplane = {}
+    for m in group.elements:
+        form = matgroup._hyperplane_form(m)
+        if form is not None:
+            by_hyperplane.setdefault(form, []).append(m)
+    result = []
+    for form in sorted(by_hyperplane, key=lambda f: [repr(c) for c in f]):
+        elems = by_hyperplane[form]
+        zeta = cyclo.root_of_unity(len(elems) + 1, 1)
+        for m in elems:
+            eig = m.det()
+            result.append(matgroup.ReflectionData(m, form, len(elems) + 1, eig == zeta, eig))
+    return result
+
+
+# every G(d,e,n) of order <= 2,000; at ranks 1 and 2 a fixed order admits
+# ever larger labels d, so those run to d = 12
+SCAN_GROUPS = [
+    (d, e, n)
+    for n in range(1, 7)
+    for d in range(1, 2001)
+    for e in range(1, d + 1)
+    if d % e == 0 and matgroup.monomial_order(d, e, n) <= 2000 and (n >= 3 or d <= 12)
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [functools.partial(build_monomial_group, *t) for t in SCAN_GROUPS]
+    + [functools.partial(build_catalog_group, name) for name in ("G4", "S3_paper")]
+    # a cyclic group without reflections: diag(i, -i) has no eigenvalue 1
+    + [lambda: _explicit([[[cyclo.root_of_unity(4, 1), 0], [0, cyclo.root_of_unity(4, 3)]]])],
+    ids=["G({},{},{})".format(*t) for t in SCAN_GROUPS] + ["G4", "S3_paper", "explicit-diag-i"],
+)
+def test_class_scan_matches_the_scan_of_every_element(build):
+    g = build()
+    assert reflections(g) == _scan_every_element(g)
+
+
+def test_class_scan_finds_reflections_beyond_the_generators():
+    # G(4,2,2) is generated by a swap, diag(-1, 1) and diag(i, -i), and the
+    # last is no reflection
+    g = build_monomial_group(4, 2, 2)
+    assert [matgroup._hyperplane_form(s) is not None for s in g.generators] == [True, False, True]
+    refl = reflections(g)
+    assert refl == _scan_every_element(g) and len(refl) == 6
+    assert {r.element for r in refl} > {g.generators[0], g.generators[2]}

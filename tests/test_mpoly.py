@@ -155,3 +155,15 @@ def test_json_roundtrip_and_term_order():
     degrees = [sum(t["exps"]) for t in blob["terms"]]
     assert degrees == sorted(degrees, reverse=True)
     assert from_json(blob) == p
+
+
+@pytest.mark.parametrize(
+    "change", [{"nvars": 2.0}, {"nvars": True}, {"exps": [1.5, 0]}, {"exps": [False, 1]}],
+    ids=["float-nvars", "bool-nvars", "float-exponent", "bool-exponent"],
+)
+def test_from_json_reads_exact_integers_only(change):
+    blob = to_json(Z1 * Z2 + Z1)
+    blob["nvars"] = change.get("nvars", blob["nvars"])
+    blob["terms"][0]["exps"] = change.get("exps", blob["terms"][0]["exps"])
+    with pytest.raises(ValueError, match="malformed"):
+        from_json(blob)
