@@ -374,10 +374,10 @@ def reflections(group: RGroup) -> list[ReflectionData]:
     """All pseudo-reflections, with per-hyperplane orders and distinguished flags.
 
     Being a pseudo-reflection (rank(g - 1) = 1) is a class property, so one
-    element per conjugacy class is tested, and so is the nontrivial eigenvalue
-    tr(g) - (dim - 1).  The distinguished reflection on each hyperplane, listed
-    in element-index order, is the generator of the pointwise stabilizer with
-    eigenvalue exp(2*pi*i/e_H).  The result is kept on the group object.
+    element per conjugacy class is tested, and the nontrivial eigenvalue
+    tr(g) - (dim - 1) is read once per class.  Each hyperplane lists its
+    reflections in element-index order; the distinguished one generates the
+    pointwise stabilizer, with eigenvalue exp(2*pi*i/e_H).  Kept on the group.
     """
     cache = getattr(group, "_refl", None)
     if cache is None:

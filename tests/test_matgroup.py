@@ -700,14 +700,15 @@ def _scan_every_element(group):
     return result
 
 
-# every G(d,e,n) of order <= 2,000; at ranks 1 and 2 a fixed order admits
-# ever larger labels d, so those run to d = 12
+# every G(d,e,n) of order <= 2,000: from rank 3 on, d^(n-1) n! <= d^n n!/e
+# bounds d by 18; at ranks 1 and 2 a fixed order admits ever larger d, so
+# those run to d = 12
 SCAN_GROUPS = [
     (d, e, n)
     for n in range(1, 7)
-    for d in range(1, 2001)
+    for d in range(1, 13 if n <= 2 else 19)
     for e in range(1, d + 1)
-    if d % e == 0 and matgroup.monomial_order(d, e, n) <= 2000 and (n >= 3 or d <= 12)
+    if d % e == 0 and matgroup.monomial_order(d, e, n) <= 2000
 ]
 
 
