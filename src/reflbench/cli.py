@@ -586,8 +586,43 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+_escape = json.encoder.encode_basestring_ascii  # the C escaper of json.dumps
+_LEAF = {str: _escape, int: int.__repr__, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _scalar(o) -> str:
+    """A scalar as json.dumps writes it: a subclass of str, int or float as
+    its base class, and TypeError for any other type."""
+    if leaf := _LEAF.get(o.__class__):
+        return leaf(o)
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _dumps(o, pad: str = "\n") -> str:
+    """json.dumps(o, sort_keys=True, indent=2) byte for byte, and TypeError where it
+    raises one (a cyclic payload raises RecursionError).  With an indent, json runs
+    its pure-Python encoder, one generator per nesting level; here a container is one
+    join, and a leaf of a class in _LEAF costs no call.  `pad` precedes o's closing bracket."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        items = []
+        for k, v in sorted(o.items()):  # sorted before non-string keys are converted, as json does
+            if not (k is None or isinstance(k, (str, int, float))):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+            key = _escape(k) if isinstance(k, str) else f'"{_scalar(k)}"'
+            items.append(f"{key}: {leaf(v) if (leaf := _LEAF.get(v.__class__)) else _dumps(v, inner)}")
+        return f"{{{inner}{f',{inner}'.join(items)}{pad}}}" if items else "{}"
+    if isinstance(o, (list, tuple)):
+        items = [leaf(v) if (leaf := _LEAF.get(v.__class__)) else _dumps(v, inner) for v in o]
+        return f"[{inner}{f',{inner}'.join(items)}{pad}]" if items else "[]"
+    return _scalar(o)
 
 
 def main(argv=None) -> int:

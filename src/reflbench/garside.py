@@ -466,15 +466,6 @@ class GarsideContext:
             p = m.mul(p, s)
         return counts
 
-    def conjugation_by_delta(self) -> dict[str, str | None]:
-        """Generator images of g -> Delta g Delta^-1, named when again generators."""
-        out: dict[str, str | None] = {}
-        for name in self.gen_list:
-            img = self.model.mul(self.model.mul(self.w0, self.gens[name]), self.w0)
-            match = next((k for k, v in self.gens.items() if v == img), None)
-            out[name] = match
-        return out
-
 
 @lru_cache(maxsize=None)
 def context(t: CoxeterType) -> GarsideContext:

@@ -174,12 +174,14 @@ def profile_to_json(p: RamificationProfile) -> dict:
 
 
 def profile_from_json(data: dict) -> RamificationProfile:
-    """The inverse of `profile_to_json` ("transitive" defaults to true); raises
-    InputError unless the cycles at every point partition the degree."""
+    """The inverse of `profile_to_json` ("transitive" is a JSON bool, true if
+    absent); raises InputError unless the cycles at every point partition the degree."""
     try:
         degree = cyclo.json_int(data["degree"])
         points = {k: _cycles(k, v) for k, v in data["points"].items()}
-        transitive = bool(data.get("transitive", True))
+        transitive = data.get("transitive", True)
+        if not isinstance(transitive, bool):
+            raise TypeError(f'"transitive" must be true or false, got {transitive!r}')
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed ramification profile: {exc}") from exc
     if degree < 1:

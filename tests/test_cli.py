@@ -1,6 +1,8 @@
 import argparse
 import ast
+import collections
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -258,7 +260,90 @@ def test_json_flag_writes_file(capsys, tmp_path):
         capsys, "--json", str(out_file), "garside", "delta", "--type", "A2"
     )
     assert code == 0
-    assert json.loads(out_file.read_text()) == json.loads(out)
+    assert out_file.read_text() == out  # the same bytes, one trailing newline each
+
+
+def _oracle(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_dumps_is_json_dumps_with_indent_byte_for_byte():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    text = st.text(st.one_of(st.sampled_from('"\\/\b\n\t\x00\x1f\x7fé \U0001f600'), st.characters()), max_size=6)
+    leaf = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), st.floats(), text
+    )  # st.floats() draws nan and both infinities too
+    tree = st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=3).map(tuple),
+            st.dictionaries(text, kids, max_size=4),
+            st.dictionaries(st.integers(-(10**20), 10**20), kids, max_size=4),
+        ),
+        max_leaves=40,
+    )
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(tree)
+    def check(payload):
+        assert cli._dumps(payload) == _oracle(payload)
+
+    check()
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [[], {}, [[{}]]],
+        {10: "b", 9: "a", -1: None},  # int keys sort as numbers, then print as strings
+        {2.5: 0, True: 1},
+        {False: [None]},
+        {None: ()},
+        {float("nan"): [float("inf"), -float("inf"), -0.0, 1e300]},
+        # subclasses print as their base class
+        {enum.IntEnum("E", "A B").B: enum.IntEnum("F", "X").X},
+        collections.OrderedDict(z=(1,), a=[_Float(0.5)]),
+        {"nested": collections.defaultdict(list, k=[_Float("inf")])},
+        {_Str("k\u00e9"): [_Str('q"\n')]},
+    ],
+)
+def test_dumps_matches_json_dumps_on_fixed_payloads(payload):
+    assert cli._dumps(payload) == _oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "payload", [{"a": 1, 2: 3}, {"k": [{(1, 2): 0}]}, [1, {1, 2}], {"x": b"bytes"}, {"c": 1j}],
+    ids=["str-and-int-keys", "tuple-key", "set", "bytes", "complex"],
+)
+def test_dumps_raises_where_json_dumps_raises(payload):
+    messages = []
+    for write in (cli._dumps, _oracle):
+        with pytest.raises(TypeError) as exc:
+            write(payload)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("argv", [["garside", "delta", "--type", "A2"], ["no-such-command"]])
+def test_python_m_reflbench_runs_the_cli(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(reflbench.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "reflbench", *argv], capture_output=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
 
 
 @pytest.mark.parametrize("source", ["G4", "NOPE"])
@@ -446,10 +531,16 @@ def test_group_spec_order_over_cap_is_input_error(capsys, tmp_path):
          {"degree": 4.9, "points": {"0": [[2, 2]], "1": [[2, 2]], "inf": [[2.6, 2]]}}),
         (["group", "info", "--spec"],
          {"kind": "explicit", "generators": [[{"order": 1, "coeffs": [["-1", "1"]]}]], "label": 7}),
+        # "transitive" that is not a JSON boolean: the string "false" read as
+        # true and exited 3 with "negative genus -1"
+        (["monodromy", "genus", "--profile"],
+         {"degree": 2, "points": {"0": [[1, 2]], "1": [[1, 2]]}, "transitive": "false"}),
+        (["monodromy", "genus", "--profile"],
+         {"degree": 2, "points": {"0": [[1, 2]], "1": [[1, 2]]}, "transitive": 0}),
     ],
     ids=["profile-no-degree", "profile-short-cycle", "profile-cycles-exceed-degree", "profile-degree-zero",
          "map-no-images", "spec-is-directory", "spec-float-d", "spec-bool-n", "profile-float-degree",
-         "spec-label-not-string"],
+         "spec-label-not-string", "profile-transitive-string", "profile-transitive-int"],
 )
 def test_malformed_input_file_is_input_error(capsys, tmp_path, command, content):
     path = tmp_path
