@@ -980,6 +980,77 @@ def test_garside_stdout_is_pinned(capsys, name):
     assert (name, digest.hexdigest()) == (name, GARSIDE_DIGESTS.get(name))
 
 
+# sha256 over the exit codes and stdouts of `garside nf|equal` on seeded texts
+# in the word syntax the grid above never prints: upper-case inverses, powers
+# of (...) and [u,v], blanks and tabs around ^, signed exponents, powers that
+# reduce to nothing, w<r>/eta<r> in type D (w<n> names s<n>, which D<n> lacks),
+# and malformed texts
+GARSIDE_SYNTAX_DIGESTS = {
+    "A3": "8c95ff2eac03b70389af63a22696a7d34df168979954b93197280c1c77bcdd1e",
+    "A6": "80a8bb0a5f22c468017137efec30ec19369e0ffd1f0d053f9689477d932cab45",
+    "B3": "fdb8bcb74f1d19e66a21e46de8b3b3e7c49d25167a73e19586ea80dccb51450a",
+    "B5": "92d60b95867b14ae78f0888174947ab93ba43eea7109b7f72d6503703a21cc9c",
+    "I2(5)": "6908c3fb615d4744015969139d6f5ff56c819a8d006b1e4aa2997dcb3330fb28",
+    "I2(8)": "1bb2655ab5287ec256c26b8cb317b238564c429ba54c293edcca5c52f7a17413",
+    "D5": "9cfa04758a6fef7a55280321ed14fe4c947179a86f867c7a553cce86d65e34ae",
+    "D6": "370fcdf03fbb52475077a9b1b9c9859e7f9d5b3cbc2ec0cbe9ab31c5d02d13a1",
+    "D7": "59dcd9e92291e6a281050e6a79c7dcb13677d38d8e992992e26475fbbf206a5d",
+    "D8": "50a80e2304a9de064260584f0858efb565e809383676c4c233ee8e0b0c9fd765",
+    "D9": "caf0fa785398720a5d8e10f2143c747d7510e7d726b04109b6bb09e6e41fdf8e",
+    "D10": "6f300720bf3c4e6698f2b6fa78f296c1564c9e373dfc9dab2dde1e7a6a8fd5b7",
+}
+SYNTAX_EXPONENTS = ["", "", "", "^2", "^-1", "^+3", " ^ 2", "\t^\t-2", "^ +1", "^0", "^-0", " ^-1", "^02"]
+SYNTAX_FIXED = [
+    "", " \t ", "( )^3", "({g} {G})^1000000", "({g} {h} {H} {G})^-7", "{g}^0 {h}^-0", "[{g},{g}]^9",
+    "[{g}, {h}{H}]", "[{g},{h}]^-2", "{G}{H}{g}{h}", "{g}^", "({g}", "[{g} {h}]", "[{g} {h}", "[{g},{h}", "[{g},{h}]^",
+    "{g}^+", "{g} ^ - 1", "{g})", "q{g}", "^2", "{g},{h}", "{g}^99999999999999999999", "{g}^" + "9" * 5000,
+    "({g} {h})^101", "{g}^200", "{g}^201", "{g}^-100 {h}^100 {g}",
+]
+
+
+def _syntax_text(rng, names, depth=0):
+    items = []
+    for _ in range(rng.randint(1, 4)):
+        r, g = rng.random(), rng.choice(names)
+        if depth < 2 and r < 0.15:
+            body = f"({_syntax_text(rng, names, depth + 1)})"
+        elif depth < 2 and r < 0.25:
+            body = f"[{_syntax_text(rng, names, depth + 1)},{rng.choice(['', ' '])}{_syntax_text(rng, names, depth + 1)}]"
+        elif r < 0.32:
+            body = f"({g} {g.upper()})"
+        else:
+            body = g.upper() if rng.random() < 0.35 else g
+        items.append(body + rng.choice(SYNTAX_EXPONENTS))
+    return rng.choice([" ", "", "\t", "  "]).join(items)
+
+
+def _garside_syntax_argvs(name):
+    rng = random.Random(f"garside-syntax:{name}")
+    ctx = garside.context(garside.parse_type(name))
+    names = list(ctx.gen_list)
+    if ctx.type.family == "D":
+        names += [f"{a}{r}" for r in range(2, ctx.type.rank + 1) for a in ("w", "eta")]
+    texts = [_syntax_text(rng, names) for _ in range(12)]
+    argvs = [["garside", "nf", "--type", name, "--word", text] for text in texts]
+    for text in texts[:6]:
+        g = rng.choice(names)
+        for other in (f"{text} ({g} {g.upper()})^3", f"[{g},{g}]{text}", f"{text} {g}"):
+            argvs.append(["garside", "equal", "--type", name, "--u", text, "--v", other])
+    for fixed in SYNTAX_FIXED:
+        g, h = rng.sample(names, 2)
+        argvs.append(["garside", "nf", "--type", name, "--word", fixed.format(g=g, G=g.upper(), h=h, H=h.upper())])
+    return argvs
+
+
+@pytest.mark.parametrize("name", ["A3", "A6", "B3", "B5", "I2(5)", "I2(8)"] + [f"D{n}" for n in range(5, 11)])
+def test_garside_word_syntax_stdout_is_pinned(capsys, name):
+    digest = hashlib.sha256()
+    for argv in _garside_syntax_argvs(name):
+        code, out = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert (name, digest.hexdigest()) == (name, GARSIDE_SYNTAX_DIGESTS.get(name))
+
+
 def test_map_file_backend_and_backend_flag_is_input_error(capsys, tmp_path):
     # the file's own backend is never overridden in silence by the flag
     path = tmp_path / "swap.json"

@@ -38,6 +38,7 @@ from reflbench.fpgroups import (
     _validate_table,
     verify_hom,
     word_inverse,
+    word_length,
     word_letters,
     word_mul,
     word_pow,
@@ -960,3 +961,174 @@ def test_verify_hom_on_garside_context(monkeypatch):
     monkeypatch.setattr(GarsideContext, "normal_form", counting)
     verify_hom(emb, context(CoxeterType("A", 3)))
     assert calls == [emb.apply(r) for r in emb.source.relators]
+
+
+# ---------------------------------------------------------------------------
+# differential test against the name-by-name parser the compiled lexer replaced
+
+
+def _startswith_parse_word(text, generators, max_letters=fpgroups.MAX_WORD_LETTERS, abbreviations=None):
+    """The parser that tried every name with str.startswith, longest first."""
+    abbreviations = abbreviations or {}
+    gens = list(generators) + list(abbreviations)
+    names = sorted(gens, key=len, reverse=True)
+    upper = {g.upper(): g for g in gens if g.upper() != g and g.upper() not in gens}
+
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos] in " \t":
+            pos += 1
+
+    def parse_int():
+        nonlocal pos
+        start = pos
+        if pos < n and text[pos] in "+-":
+            pos += 1
+        while pos < n and text[pos].isdigit():
+            pos += 1
+        if pos == start or (pos == start + 1 and not text[start].isdigit()):
+            raise InputError(f"malformed exponent at position {start} in {text!r}")
+        try:
+            return int(text[start:pos])
+        except ValueError as exc:
+            raise InputError(f"exponent too long at position {start} in {text!r}") from exc
+
+    def check_letters(count):
+        if count > max_letters:
+            raise InputError(f"word has more than {max_letters} letters in {text!r}")
+
+    def named(name, exp):
+        if name in abbreviations:
+            return word_pow(abbreviations[name], exp)
+        return single(name, exp)
+
+    def parse_sequence(stop):
+        nonlocal pos
+        items = []
+        letters = 0
+        while True:
+            skip_ws()
+            if pos >= n or text[pos] in stop:
+                return word_mul(*items)
+            items.append(parse_item())
+            letters += word_length(items[-1])
+            check_letters(letters)
+
+    def parse_item():
+        nonlocal pos
+        skip_ws()
+        if pos >= n:
+            raise InputError(f"unexpected end of word in {text!r}")
+        ch = text[pos]
+        if ch == "(":
+            pos += 1
+            inner = parse_sequence(")")
+            if pos >= n or text[pos] != ")":
+                raise InputError(f"unbalanced parenthesis in {text!r}")
+            pos += 1
+            atom = inner
+        elif ch == "[":
+            pos += 1
+            u = parse_sequence(",")
+            if pos >= n or text[pos] != ",":
+                raise InputError(f"commutator needs a comma in {text!r}")
+            pos += 1
+            v = parse_sequence("]")
+            if pos >= n or text[pos] != "]":
+                raise InputError(f"unbalanced bracket in {text!r}")
+            pos += 1
+            atom = word_mul(u, v, word_inverse(u), word_inverse(v))
+        else:
+            atom = None
+            for name in names:
+                if text.startswith(name, pos):
+                    pos += len(name)
+                    atom = named(name, 1)
+                    break
+            if atom is None:
+                for uname in sorted(upper, key=len, reverse=True):
+                    if text.startswith(uname, pos):
+                        pos += len(uname)
+                        atom = named(upper[uname], -1)
+                        break
+            if atom is None:
+                raise InputError(f"unknown symbol at position {pos} in {text!r}")
+        skip_ws()
+        if pos < n and text[pos] == "^":
+            pos += 1
+            skip_ws()
+            k = parse_int()
+            check_letters(word_length(atom) * abs(k))
+            atom = word_pow(atom, k)
+        return atom
+
+    result = parse_sequence("")
+    skip_ws()
+    if pos != n:
+        raise InputError(f"trailing input at position {pos} in {text!r}")
+    return result
+
+
+def _outcome(parse, *args):
+    try:
+        return "word", parse(*args)
+    except InputError as exc:
+        return "input error", str(exc)
+
+
+# alphabets with prefix clashes (s1/s1p, s/st), upper-case collisions (S is a
+# name, so s has no inverse name; ab and aB share AB; the abbreviation Y
+# shadows y's inverse name) and abbreviations, some not freely reduced
+PARSE_ALPHABETS = [
+    (("s1", "s1p", "s2", "s3"), {}),
+    (("s", "st", "t", "u"), {}),
+    (("s", "S", "t"), {}),
+    (("ab", "aB", "b"), {}),
+    (("x", "y"), {"xy": (("x", 1), ("y", 1)), "Y": (("y", -2),), "z": (("x", 1), ("x", -1))}),
+    (("s1", "s1p", "s2", "s3"), {"w2": (("s1", 1), ("s1p", 1), ("s2", 1)), "eta2": (("s1", 1), ("s1p", 1)),
+                                 "w3": (("s1", 1), ("s1p", 1), ("s2", 1), ("s3", 1))}),
+    (("g1", "g10", "g2"), {"W": ()}),
+]
+PARSE_EXPONENTS = ["", "", "", " ", "^-1", "^2", "^+3", "^0", " ^ 5", "\t^\t-2", "^007", "^-13"]
+PARSE_NOISE = [
+    " ", "\t", "^", "(", ")", "[", "]", ",", "^-", "^+", "^200", "^201", "^99999999999999999999",
+    "^" + "9" * 5000, "1", "q", "٣", "²", "^٣", "^²", "^1٣",
+]
+
+
+def test_parse_word_matches_the_startswith_parser():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def item(draw, names, depth):
+        kind = draw(st.integers(0, 5 if depth < 2 else 0))
+        exponent = draw(st.sampled_from(PARSE_EXPONENTS))
+        if kind <= 2:
+            return draw(st.sampled_from(names)) + exponent
+        seq = [" ".join(draw(st.lists(item(names, depth + 1), max_size=3))) for _ in range(2)]
+        if kind <= 4:
+            return f"({seq[0]}){exponent}"
+        return f"[{seq[0]},{seq[1]}]{exponent}"
+
+    @st.composite
+    def case(draw):
+        gens, abbreviations = draw(st.sampled_from(PARSE_ALPHABETS))
+        names = list(gens) + list(abbreviations)
+        names += [name.upper() for name in names]
+        text = draw(st.sampled_from([" ", "", "\t"])).join(draw(st.lists(item(names, 0), max_size=6)))
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(PARSE_NOISE)) + text[at:]
+        max_letters = draw(st.sampled_from([fpgroups.MAX_WORD_LETTERS, 200, 12, 5, 2, 1, 0]))
+        return text, gens, max_letters, abbreviations
+
+    @hypothesis.settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(case())
+    def check(args):
+        assert _outcome(parse_word, *args) == _outcome(_startswith_parse_word, *args)
+
+    check()

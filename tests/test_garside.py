@@ -464,3 +464,89 @@ def test_nf_separates_group_elements_in_w():
         v = tuple((rng.choice(ctx.gen_list), 1) for _ in range(7))
         if ctx.image_in_w(u) != ctx.image_in_w(v):
             assert ctx.normal_form(u) != ctx.normal_form(v)
+
+
+# Oracle: the left-weighting of a pair as it was before letters moved in
+# place, rebuilding both tuples at every move.
+
+
+def _tuple_rmul(ctx, w, i):
+    """w times generator i as a new tuple, one formula per family."""
+    family = ctx.type.family
+    if family == "A":
+        return w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+    if family == "I2":
+        return ctx.model.mul(w, (i, 1))
+    first_swap = 2 if family == "D" else 1
+    if i >= first_swap:
+        return w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+    if family == "B":
+        return (-w[0],) + w[1:]
+    return (w[1], w[0]) + w[2:] if i == 0 else (-w[1], -w[0]) + w[2:]
+
+
+def _tuple_local(ctx, a, b):
+    m = ctx.model
+    bi = m.inv(b)
+    ra, rb = m.right_descents(a), m.right_descents(bi)
+    moves = rb & ~ra
+    if not moves:
+        return a, b
+    while moves:
+        i = (moves & -moves).bit_length() - 1
+        a = _tuple_rmul(ctx, a, i)
+        bi = _tuple_rmul(ctx, bi, i)
+        ra, rb = ra | 1 << i, rb & ~(1 << i)
+        for j in ctx.neighbours[i]:
+            ra = ra & ~(1 << j) | m.descent(a, j) << j
+            rb = rb & ~(1 << j) | m.descent(bi, j) << j
+        moves = rb & ~ra
+    return a, m.inv(bi)
+
+
+def _random_simple(ctx, rng):
+    w = ctx.one
+    for _ in range(rng.randint(0, 3 * len(ctx.gen_list) ** 2)):
+        w = _tuple_rmul(ctx, w, rng.randrange(len(ctx.gen_list)))
+    return w
+
+
+def test_local_matches_tuple_moves():
+    rng = random.Random(3030)
+    types = ["A1", "A2", "A5", "A9", "B1", "B2", "B4", "B10", "D2", "D3", "D4", "D7", "I2(3)", "I2(8)", "I2(13)"]
+    for tname in types:
+        ctx = context(parse_type(tname))
+        for _ in range(150):
+            a, b = _random_simple(ctx, rng), _random_simple(ctx, rng)
+            got = ctx._local(a, b)
+            assert got == _tuple_local(ctx, a, b), (tname, a, b)
+            assert all(type(x) is tuple for x in got), (tname, a, b)
+            if got == (a, b):  # an already left-weighted pair comes back as the same objects
+                assert got[0] is a and got[1] is b, (tname, a, b)
+        # the generators are still w times generator i from 1, and every
+        # left-weighted pair is a fixed point
+        assert [ctx.gens[name] for name in ctx.gen_list] == [
+            _tuple_rmul(ctx, ctx.one, i) for i in range(len(ctx.gen_list))
+        ]
+        a, b = ctx._local(_random_simple(ctx, rng), _random_simple(ctx, rng))
+        assert ctx._local(a, b) == (a, b)
+
+
+def test_cap_word_makes_the_same_moves(monkeypatch):
+    # (t s2^-1)^100 in B10, the slowest word found at the caps: each move
+    # puts one letter on the left factor, so the moves of a call are its
+    # gain in length
+    ctx = context(parse_type("B10"))
+    local = ctx._local
+    counts = {"calls": 0, "moves": 0}
+
+    def counted(a, b):
+        out = local(a, b)
+        counts["calls"] += 1
+        counts["moves"] += _length(ctx, out[0]) - _length(ctx, a)
+        return out
+
+    monkeypatch.setattr(ctx, "_local", counted)
+    nf = ctx.normal_form(parse_word("(t s2^-1)^100", ctx.gen_list, MAX_LETTERS))
+    assert counts == {"calls": 5_248, "moves": 484_800}
+    assert nf.delta_power * len(ctx.delta_word()) + sum(_length(ctx, f) for f in nf.factors) == 0
