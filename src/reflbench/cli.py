@@ -363,12 +363,15 @@ def cmd_garside_delta(args):
 def _garside_word(ctx, text: str):
     """Parse a word of at most garside.MAX_LETTERS letters, expanding the
     catalogued w<r>/eta<r> abbreviations for type D."""
-    extra = {}
-    if ctx.type.family == "D":
-        for r in range(2, ctx.type.rank + 1):
-            extra[f"w{r}"] = garside.w_word(r)
-            extra[f"eta{r}"] = garside.eta_word(r)
-    return parse_word(text, ctx.gen_list, garside.MAX_LETTERS, extra)
+    return parse_word(text, ctx.gen_list, garside.MAX_LETTERS, _garside_abbreviations(ctx.type))
+
+
+@functools.cache
+def _garside_abbreviations(t) -> dict:
+    if t.family != "D":
+        return {}
+    words = (("w", garside.w_word), ("eta", garside.eta_word))
+    return {f"{name}{r}": word(r) for r in range(2, t.rank + 1) for name, word in words}
 
 
 def _gt_pair(args) -> gtaction.GTPair:

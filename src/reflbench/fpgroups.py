@@ -2,9 +2,10 @@
 
 Words are freely reduced tuples of (generator name, nonzero exponent).  The
 parser accepts juxtaposed generator names (longest match, so "stus" works
-over {s,t,u} and "s1p" wins over "s1"), explicit exponents "s1^-2",
-parenthesized subwords "(s1 s2 s3)^4", commutator sugar "[u,v]" for
-u v u^-1 v^-1, and uppercase names as inverses ("T" = t^-1).
+over {s,t,u} and "s1p" wins over "s1"), explicit exponents in ASCII digits
+"s1^-2", parenthesized subwords "(s1 s2 s3)^4", commutator sugar "[u,v]" for
+u v u^-1 v^-1, uppercase names as inverses ("T" = t^-1), and "1" alone for
+the empty word.
 
 Coset enumeration is HLT-style (scan and fill, relators in catalog order,
 generators in declaration order) with standard coincidence processing, so
@@ -48,11 +49,12 @@ built on a parabolic enumerates itself over <g1> once more for that.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 
@@ -167,6 +169,33 @@ def word_str(w: Word) -> str:
 MAX_WORD_LETTERS = 10_000
 
 
+@lru_cache(maxsize=None)
+def _lexer(names: tuple[str, ...], stop: str):
+    """The matcher of one item over `names`, and the map of upper-case names
+    to the names they invert.
+
+    An item is blanks, the longest name (group 1), else the longest
+    upper-case name (group 2), blanks, and an optional `^` with its exponent
+    (group 3).  Nothing matches at the end of the text, at a `stop`
+    character, or at the ( and [ that open a subword, so no name starts
+    there; the descent in `parse_word` reads those.
+    """
+    upper = {g.upper(): g for g in names if g.upper() != g and g.upper() not in names}
+
+    def longest_first(words):
+        return "|".join(map(re.escape, sorted(words, key=len, reverse=True))) if words else "(?!)"
+
+    pattern = (
+        rf"[ \t]*(?![ \t(\[{re.escape(stop)}]|\Z)(?:({longest_first(names)})|({longest_first(upper)}))"
+        r"[ \t]*(?:\^[ \t]*([+-]?[0-9]*))?"
+    )
+    return re.compile(pattern).match, upper
+
+
+# blanks, then an optional `^` with its exponent in group 1
+_POWER = re.compile(r"[ \t]*(?:\^[ \t]*([+-]?[0-9]*))?").match
+
+
 def parse_word(
     text: str, generators, max_letters: int = MAX_WORD_LETTERS, abbreviations=None
 ) -> Word:
@@ -175,109 +204,88 @@ def parse_word(
     `abbreviations` maps further names to the words they stand for, which
     are expanded as they are read.  A word of more than `max_letters` letters
     is an input error: each power is checked before it is expanded, and each
-    (sub)word as its items are read, so no longer word is built.
+    (sub)word as its items are read, so no longer word is built.  Exponents
+    are ASCII digits, and the text `1` is the empty word, as `word_str`
+    prints it.
     """
     abbreviations = abbreviations or {}
-    gens = list(generators) + list(abbreviations)
-    names = sorted(gens, key=len, reverse=True)
-    upper = {g.upper(): g for g in gens if g.upper() != g and g.upper() not in gens}
-
+    names = tuple(generators) + tuple(abbreviations)
+    if text.strip() == "1" and "1" not in names:
+        return ()
     pos = 0
     n = len(text)
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos] in " \t":
-            pos += 1
+    def fail(what: str):
+        raise InputError(f"{what} in {text!r}")
 
-    def parse_int() -> int:
-        nonlocal pos
-        start = pos
-        if pos < n and text[pos] in "+-":
-            pos += 1
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start or (pos == start + 1 and not text[start].isdigit()):
-            raise InputError(f"malformed exponent at position {start} in {text!r}")
+    def exponent(match, group: int) -> int:
+        digits = match[group]
+        if digits in ("", "+", "-"):
+            fail(f"malformed exponent at position {match.start(group)}")
         try:
-            return int(text[start:pos])
-        except ValueError as exc:  # more digits than int() converts
-            raise InputError(f"exponent too long at position {start} in {text!r}") from exc
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            fail(f"exponent too long at position {match.start(group)}")
 
-    def check_letters(count: int) -> None:
-        if count > max_letters:
-            raise InputError(f"word has more than {max_letters} letters in {text!r}")
-
-    def named(name: str, exp: int) -> Word:
-        if name in abbreviations:
-            return word_pow(abbreviations[name], exp)
-        return single(name, exp)
-
-    def parse_sequence(stop: str) -> Word:
+    def sequence(stop: str) -> Word:
+        """Items up to the end or `stop`, each letter free-reduced into one list."""
         nonlocal pos
-        items: list[Word] = []
+        item, upper = _lexer(names, stop)
+        out: list[tuple[str, int]] = []
         letters = 0
         while True:
-            skip_ws()
-            if pos >= n or text[pos] in stop:
-                return word_mul(*items)
-            items.append(parse_item())
-            letters += word_length(items[-1])
-            check_letters(letters)
+            if match := item(text, pos):
+                pos = match.end()
+                name, uname, digits = match.groups()
+                k = 1 if digits is None else exponent(match, 3)
+                if uname is not None:
+                    name, k = upper[uname], -k
+                if name in abbreviations:
+                    atom = power(free_reduce(abbreviations[name]), k)
+                    letters += word_length(atom)
+                else:
+                    atom = ((name, k),)
+                    letters += abs(k)
+            else:
+                while pos < n and text[pos] in " \t":
+                    pos += 1
+                if pos >= n or text[pos] in stop:
+                    return tuple(out)
+                if text[pos] == "(":
+                    pos += 1
+                    inner = sequence(")")
+                    if pos >= n:
+                        fail("unbalanced parenthesis")
+                elif text[pos] == "[":
+                    pos += 1
+                    u = sequence(",")
+                    if pos >= n:
+                        fail("commutator needs a comma")
+                    pos += 1
+                    v = sequence("]")
+                    if pos >= n:
+                        fail("unbalanced bracket")
+                    inner = word_mul(u, v, word_inverse(u), word_inverse(v))
+                else:
+                    fail(f"unknown symbol at position {pos}")
+                match = _POWER(text, pos + 1)
+                pos = match.end()
+                atom = inner if match[1] is None else power(inner, exponent(match, 1))
+                letters += word_length(atom)
+            if letters > max_letters:
+                fail(f"word has more than {max_letters} letters")
+            for sym, e in atom:
+                if out and out[-1][0] == sym:
+                    e += out.pop()[1]
+                if e:
+                    out.append((sym, e))
 
-    def parse_item() -> Word:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise InputError(f"unexpected end of word in {text!r}")
-        ch = text[pos]
-        if ch == "(":
-            pos += 1
-            inner = parse_sequence(")")
-            if pos >= n or text[pos] != ")":
-                raise InputError(f"unbalanced parenthesis in {text!r}")
-            pos += 1
-            atom = inner
-        elif ch == "[":
-            pos += 1
-            u = parse_sequence(",")
-            if pos >= n or text[pos] != ",":
-                raise InputError(f"commutator needs a comma in {text!r}")
-            pos += 1
-            v = parse_sequence("]")
-            if pos >= n or text[pos] != "]":
-                raise InputError(f"unbalanced bracket in {text!r}")
-            pos += 1
-            atom = word_mul(u, v, word_inverse(u), word_inverse(v))
-        else:
-            atom = None
-            for name in names:
-                if text.startswith(name, pos):
-                    pos += len(name)
-                    atom = named(name, 1)
-                    break
-            if atom is None:
-                for uname in sorted(upper, key=len, reverse=True):
-                    if text.startswith(uname, pos):
-                        pos += len(uname)
-                        atom = named(upper[uname], -1)
-                        break
-            if atom is None:
-                raise InputError(f"unknown symbol at position {pos} in {text!r}")
-        skip_ws()
-        if pos < n and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            k = parse_int()
-            check_letters(word_length(atom) * abs(k))
-            atom = word_pow(atom, k)
-        return atom
+    def power(w: Word, k: int) -> Word:
+        if word_length(w) * abs(k) > max_letters:
+            fail(f"word has more than {max_letters} letters")
+        return word_pow(w, k)
 
-    result = parse_sequence("")
-    skip_ws()
-    if pos != n:
-        raise InputError(f"trailing input at position {pos} in {text!r}")
-    return result
+    return sequence("")
 
 
 # ---------------------------------------------------------------------------

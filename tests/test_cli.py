@@ -1051,6 +1051,28 @@ def test_garside_word_syntax_stdout_is_pinned(capsys, name):
     assert (name, digest.hexdigest()) == (name, GARSIDE_SYNTAX_DIGESTS.get(name))
 
 
+def test_garside_exponents_are_ascii_digits(capsys):
+    # str.isdigit takes both: the first read as s1^3, the second was "exponent too long"
+    for word in ("s1^\u0663", "s1^\u00b2"):
+        code, out = run_cli(capsys, "garside", "nf", "--type", "A3", "--word", word)
+        assert code == 3
+        assert json.loads(out) == {"error": "input", "message": f"malformed exponent at position 3 in {word!r}"}
+
+
+def test_word_one_reads_as_the_empty_word(capsys, tmp_path):
+    # word_str prints the empty word as 1; every word input reads it back
+    argv = ["--budget-cosets", "40", "present", "tc", "--catalog", "Br3", "--subgroup"]
+    assert run_cli(capsys, *argv, " 1 ") == run_cli(capsys, *argv, "")
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"images": {"s1": "s2", "s2": "1"}, "backend": "torsion:2"}))
+    code, out = run_cli(capsys, "present", "verify-map", "--map-file", str(path), "--catalog", "Br3")
+    assert code == 1 and json.loads(out)["consistent"] is False
+    code, out = run_cli(capsys, "garside", "nf", "--type", "A3", "--word", "1")
+    assert code == 0 and json.loads(out) == {"delta_power": 0, "factors": [], "type": "A3"}
+    code, out = run_cli(capsys, "garside", "nf", "--type", "A3", "--word", "s1 1")
+    assert code == 3 and json.loads(out)["message"] == "unknown symbol at position 3 in 's1 1'"
+
+
 def test_map_file_backend_and_backend_flag_is_input_error(capsys, tmp_path):
     # the file's own backend is never overridden in silence by the flag
     path = tmp_path / "swap.json"

@@ -19,6 +19,7 @@ from reflbench.fpgroups import (
     corran_picantin_presentation,
     coxeter_quotient,
     exponent_sum,
+    free_reduce,
     g12_braid_presentation,
     g12_conjugation,
     g13_braid_presentation,
@@ -70,6 +71,41 @@ def test_parse_errors():
         parse_word("s^", ("s",))
     with pytest.raises(InputError):
         parse_word("(s", ("s",))
+    # exponents are ASCII digits: str.isdigit also takes an Arabic-Indic three,
+    # which int() reads, and a superscript two, which it refuses
+    for text in ("s1^\u0663", "s1^\u00b2", "s1^-\u0663"):
+        with pytest.raises(InputError, match="malformed exponent at position 3"):
+            parse_word(text, ("s1",))
+    with pytest.raises(InputError, match="unknown symbol at position 4"):
+        parse_word("s1^3\u0663", ("s1",))
+    # 1 is the empty word only as the whole text
+    with pytest.raises(InputError, match="unknown symbol at position 1"):
+        parse_word("s1", ("s",))
+    with pytest.raises(InputError, match="unknown symbol at position 2"):
+        parse_word("s 1", ("s",))
+
+
+def test_one_is_the_empty_word():
+    for text in ("1", " 1", "\t1 \n"):
+        assert parse_word(text, ("s",)) == ()
+    # a generator named 1 keeps its name
+    assert parse_word("1", ("1", "s")) == (("1", 1),)
+
+
+def test_word_str_roundtrip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    alphabets = [gens for gens, abbreviations in PARSE_ALPHABETS if not abbreviations]
+    letters = st.tuples(st.sampled_from(sorted({g for gens in alphabets for g in gens})), st.integers(-40, 40))
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(alphabets), st.lists(letters, max_size=12))
+    def check(gens, raw):
+        w = free_reduce((sym, e) for sym, e in raw if sym in gens)
+        assert parse_word(word_str(w), gens) == w
+
+    check()
+    assert parse_word(word_str(()), ("s",)) == ()
 
 
 def test_exponent_sums():
@@ -968,9 +1004,12 @@ def test_verify_hom_on_garside_context(monkeypatch):
 
 
 def _startswith_parse_word(text, generators, max_letters=fpgroups.MAX_WORD_LETTERS, abbreviations=None):
-    """The parser that tried every name with str.startswith, longest first."""
+    """The parser that tried every name with str.startswith, longest first,
+    with two fixes: exponents are ASCII digits, and the text 1 is the empty word."""
     abbreviations = abbreviations or {}
     gens = list(generators) + list(abbreviations)
+    if text.strip() == "1" and "1" not in gens:
+        return ()
     names = sorted(gens, key=len, reverse=True)
     upper = {g.upper(): g for g in gens if g.upper() != g and g.upper() not in gens}
 
@@ -987,9 +1026,9 @@ def _startswith_parse_word(text, generators, max_letters=fpgroups.MAX_WORD_LETTE
         start = pos
         if pos < n and text[pos] in "+-":
             pos += 1
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in "0123456789":
             pos += 1
-        if pos == start or (pos == start + 1 and not text[start].isdigit()):
+        if pos == start or (pos == start + 1 and text[start] not in "0123456789"):
             raise InputError(f"malformed exponent at position {start} in {text!r}")
         try:
             return int(text[start:pos])
