@@ -185,15 +185,13 @@ def _lexer(names: tuple[str, ...], stop: str):
     def longest_first(words):
         return "|".join(map(re.escape, sorted(words, key=len, reverse=True))) if words else "(?!)"
 
-    pattern = (
-        rf"[ \t]*(?![ \t(\[{re.escape(stop)}]|\Z)(?:({longest_first(names)})|({longest_first(upper)}))"
-        r"[ \t]*(?:\^[ \t]*([+-]?[0-9]*))?"
-    )
-    return re.compile(pattern).match, upper
+    pattern = rf"[ \t]*(?![ \t(\[{re.escape(stop)}]|\Z)(?:({longest_first(names)})|({longest_first(upper)}))"
+    return re.compile(pattern + _EXPONENT).match, upper
 
 
-# blanks, then an optional `^` with its exponent in group 1
-_POWER = re.compile(r"[ \t]*(?:\^[ \t]*([+-]?[0-9]*))?").match
+# blanks, then an optional `^` with its exponent in a group
+_EXPONENT = r"[ \t]*(?:\^[ \t]*([+-]?[0-9]*))?"
+_POWER = re.compile(_EXPONENT).match
 
 
 def parse_word(

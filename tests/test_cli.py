@@ -1015,7 +1015,8 @@ def _syntax_text(rng, names, depth=0):
         if depth < 2 and r < 0.15:
             body = f"({_syntax_text(rng, names, depth + 1)})"
         elif depth < 2 and r < 0.25:
-            body = f"[{_syntax_text(rng, names, depth + 1)},{rng.choice(['', ' '])}{_syntax_text(rng, names, depth + 1)}]"
+            u, blank = _syntax_text(rng, names, depth + 1), rng.choice(["", " "])
+            body = f"[{u},{blank}{_syntax_text(rng, names, depth + 1)}]"
         elif r < 0.32:
             body = f"({g} {g.upper()})"
         else:
