@@ -3,13 +3,15 @@
 Flats of the (central) intersection lattice are identified with the full set
 of hyperplane indices containing the flat's subspace; rank = codimension of
 the subspace.  The lattice order is reverse inclusion of subspaces, i.e.
-inclusion of hyperplane index sets.  A closure is one elimination of
-independent forms: the kernel basis read off its pivots spans the flat, and
-a hyperplane contains the flat iff its form annihilates that basis.  A
+inclusion of hyperplane index sets.  The covers of a flat X are the
+hyperplanes of its restriction {X ∩ H : H ⊉ X}, and X ∩ H = X ∩ H' iff the
+two forms restricted to X are proportional (Orlik and Terao, *Arrangements
+of Hyperplanes*, 1992, ch. 1): one pass that normalises the restricted forms
+finds every cover, and one pivot step restricts the forms to a cover.  A
 group's arrangement keeps each generator's permutation of the hyperplanes,
-and closures run at one flat per orbit: the others are its images.  Meets
-are intersections of index sets, which are closed already; a join is the
-first flat, in rank order, above both.
+and covers are found at one flat per orbit: the others are its images.
+Meets are intersections of index sets, which are closed already; a join is
+the first flat, in rank order, above both.
 Supersolvability is decided top-down by modular coatoms, each tested with
 the rank-2 flats the lattice already holds.
 
@@ -23,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from . import cyclo, linalg, matgroup
+from . import cyclo, matgroup
 from .cyclo import CycNum
 from .errors import BudgetExceededError, InputError
 from .mpoly import MPoly
@@ -107,25 +109,6 @@ class Flat:
     rank: int
 
 
-def _close(forms, idx_set: frozenset[int]) -> tuple[frozenset[int], int]:
-    """The hyperplanes containing the flat cut out by `idx_set`, and its rank.
-
-    One elimination of the chosen forms gives a kernel basis of the flat's
-    subspace, one sparse vector per free column; a hyperplane contains the
-    flat iff its form annihilates every kernel vector.
-    """
-    if not idx_set:
-        return frozenset(), 0
-    kernel = linalg.kernel([list(forms[i]) for i in sorted(idx_set)])
-    members = frozenset(
-        j
-        for j, form in enumerate(forms)
-        if j in idx_set
-        or not any(sum((form[c] * x for c, x in vec if form[c]), cyclo.ZERO) for vec in kernel)
-    )
-    return members, len(forms[0]) - len(kernel)
-
-
 @dataclass
 class FlatLattice:
     arrangement: Arrangement
@@ -156,32 +139,53 @@ def _permute(hyperplane_set: frozenset[int], perm: tuple[int, ...]) -> frozenset
     return frozenset(map(perm.__getitem__, hyperplane_set))
 
 
+def _covers(base: frozenset[int], rows: dict[int, tuple]) -> dict[frozenset[int], tuple]:
+    """Each cover of the flat `base`, with the class key of its new hyperplanes.
+
+    `rows` holds, for every hyperplane off the flat, its form restricted to
+    the flat on a fixed basis of it.  The key of a class of proportional rows
+    is the row divided by its first nonzero entry, canonical as CycNum is; a
+    flat of dimension 1 is one class.
+    """
+    inverse: dict[CycNum, CycNum] = {}
+    classes: dict[tuple, list[int]] = {}
+    for i, row in rows.items():
+        if len(row) == 1:
+            key = (cyclo.ONE,)
+        else:
+            lead = next(c for c in row if c)
+            inv = inverse.get(lead) or inverse.setdefault(lead, lead.inverse())
+            key = tuple(inv * c for c in row)
+        classes.setdefault(key, []).append(i)
+    return {base.union(members): key for key, members in classes.items()}
+
+
+def _pivot(row: tuple, key: tuple, lead: int) -> tuple:
+    """`row` on the basis of the cover cut out by `key`, whose column `lead` is 1."""
+    f = row[lead]
+    return tuple(c - f * b if f and b else c for k, (c, b) in enumerate(zip(row, key)) if k != lead)
+
+
 def intersection_lattice(arr: Arrangement) -> FlatLattice:
     """All flats, breadth-first by rank from the whole space, up to symmetry.
 
     Only one flat per orbit under the symmetries is a base: every flat covers
     some flat, so some image of it covers that flat's orbit representative.
-    A cover is the closure of its base's basis plus one hyperplane, kept as
-    its basis, so every elimination has rank + 1 rows.  From one base, a
-    hyperplane that lies in a cover already found from it is skipped: one
-    hyperplane raises the rank by at most one, so it gives the same cover.
+    A base carries the rows of the hyperplanes off it (the forms themselves
+    at rank 0), and a new representative gets its rows by one pivot step.
     """
     _check_budget(arr, "lattice")
-    forms = arr.hyperplanes
     rank: dict[frozenset[int], int] = {frozenset(): 0}
-    frontier = [(frozenset(), frozenset())]  # (orbit representative, its basis)
+    frontier = [(frozenset(), dict(enumerate(arr.hyperplanes)))]  # (orbit representative, its rows)
     while frontier:
         nxt = []
-        for base, basis in frontier:
-            covered = set(base)
-            for j in range(len(forms)):
-                if j in covered:
-                    continue
-                closed, rk = _close(forms, basis | {j})
-                covered |= closed
-                if closed not in rank:
-                    rank.update((s, rk) for s in orbit(closed, arr.symmetries, _permute))
-                    nxt.append((closed, basis | {j}))
+        for base, rows in frontier:
+            for cover, key in _covers(base, rows).items():
+                if cover not in rank:
+                    rank.update((s, rank[base] + 1) for s in orbit(cover, arr.symmetries, _permute))
+                    lead = next(k for k, c in enumerate(key) if c)
+                    restricted = {i: _pivot(r, key, lead) for i, r in rows.items() if i not in cover}
+                    nxt.append((cover, restricted))
         frontier = nxt
     ordered = sorted(rank, key=lambda s: (rank[s], sorted(s)))
     flats = [Flat(hyperplane_set=s, rank=rank[s]) for s in ordered]

@@ -167,6 +167,9 @@ def word_str(w: Word) -> str:
 # catalogs, and low enough that a power such as (x y)^1000000 is refused before
 # it is expanded.
 MAX_WORD_LETTERS = 10_000
+# The deepest nesting of ( and [ in a parsed word; the descent takes one stack
+# frame per level, so this stays well below Python's recursion limit.
+MAX_WORD_NESTING = 200
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +205,9 @@ def parse_word(
     `abbreviations` maps further names to the words they stand for, which
     are expanded as they are read.  A word of more than `max_letters` letters
     is an input error: each power is checked before it is expanded, and each
-    (sub)word as its items are read, so no longer word is built.  Exponents
-    are ASCII digits, and the text `1` is the empty word, as `word_str`
-    prints it.
+    (sub)word as its items are read, so no longer word is built; so is ( or [
+    nested more than MAX_WORD_NESTING deep.  Exponents are ASCII digits, and
+    the text `1` is the empty word, as `word_str` prints it.
     """
     abbreviations = abbreviations or {}
     names = tuple(generators) + tuple(abbreviations)
@@ -225,9 +228,11 @@ def parse_word(
         except ValueError:  # more digits than int() converts
             fail(f"exponent too long at position {match.start(group)}")
 
-    def sequence(stop: str) -> Word:
+    def sequence(stop: str, depth: int = 0) -> Word:
         """Items up to the end or `stop`, each letter free-reduced into one list."""
         nonlocal pos
+        if depth > MAX_WORD_NESTING:
+            fail(f"brackets nested more than {MAX_WORD_NESTING} deep at position {pos - 1}")
         item, upper = _lexer(names, stop)
         out: list[tuple[str, int]] = []
         letters = 0
@@ -251,16 +256,16 @@ def parse_word(
                     return tuple(out)
                 if text[pos] == "(":
                     pos += 1
-                    inner = sequence(")")
+                    inner = sequence(")", depth + 1)
                     if pos >= n:
                         fail("unbalanced parenthesis")
                 elif text[pos] == "[":
                     pos += 1
-                    u = sequence(",")
+                    u = sequence(",", depth + 1)
                     if pos >= n:
                         fail("commutator needs a comma")
                     pos += 1
-                    v = sequence("]")
+                    v = sequence("]", depth + 1)
                     if pos >= n:
                         fail("unbalanced bracket")
                     inner = word_mul(u, v, word_inverse(u), word_inverse(v))

@@ -47,10 +47,6 @@ def kernel(rows: list[list]) -> list[list[tuple]]:
     ]
 
 
-def rank(rows: list[list]) -> int:
-    return len(rref(rows)[0])
-
-
 def det(rows: list[list]):
     """The determinant of a nonempty square matrix."""
     n = len(rows)

@@ -9,7 +9,8 @@ import pytest
 from reflbench import arrangement, cyclo, linalg
 from reflbench.arrangement import (
     Arrangement,
-    _close,
+    Flat,
+    FlatLattice,
     _permute,
     arrangement_of,
     discriminant_poly,
@@ -26,6 +27,10 @@ from reflbench.invariants import act_matrix
 from reflbench.matgroup import build_catalog_group, build_monomial_group
 from reflbench.mpoly import MPoly, proportional
 from reflbench.orbit import orbit
+
+
+def _rank(rows):
+    return len(linalg.rref(rows)[0])
 
 
 def test_arrangement_of_counts():
@@ -67,7 +72,7 @@ def test_lattice_ranks_equal_codimension():
     lat = intersection_lattice(arr)
     for f in lat.flats:
         rows = [list(arr.hyperplanes[i]) for i in sorted(f.hyperplane_set)]
-        assert f.rank == (linalg.rank(rows) if rows else 0)
+        assert f.rank == (_rank(rows) if rows else 0)
 
 
 def test_rank_two_always_supersolvable():
@@ -257,8 +262,53 @@ def _closure_by_rank(forms, idx_set):
     reduced, _ = linalg.rref([list(forms[i]) for i in sorted(idx_set)])
     rk = len(reduced)
     return frozenset(
-        j for j in range(len(forms)) if linalg.rank(reduced + [list(forms[j])]) == rk
+        j for j in range(len(forms)) if _rank(reduced + [list(forms[j])]) == rk
     )
+
+
+def _close(forms, idx_set):
+    """The hyperplanes containing the flat cut out by `idx_set`, and its rank.
+
+    The closure the lattice used before it restricted forms: one elimination
+    of the chosen forms gives a kernel basis of the flat's subspace, one
+    sparse vector per free column; a hyperplane contains the flat iff its
+    form annihilates every kernel vector.
+    """
+    if not idx_set:
+        return frozenset(), 0
+    kernel = linalg.kernel([list(forms[i]) for i in sorted(idx_set)])
+    members = frozenset(
+        j
+        for j, form in enumerate(forms)
+        if j in idx_set
+        or not any(sum((form[c] * x for c, x in vec if form[c]), cyclo.ZERO) for vec in kernel)
+    )
+    return members, len(forms[0]) - len(kernel)
+
+
+def _lattice_by_closure(arr):
+    """The lattice as built before restriction: breadth-first from orbit
+    representatives, each cover the closure of its base's basis plus one
+    hyperplane, skipping hyperplanes of a cover already found from the base."""
+    forms = arr.hyperplanes
+    rank = {frozenset(): 0}
+    frontier = [(frozenset(), frozenset())]  # (orbit representative, its basis)
+    while frontier:
+        nxt = []
+        for base, basis in frontier:
+            covered = set(base)
+            for j in range(len(forms)):
+                if j in covered:
+                    continue
+                closed, rk = _close(forms, basis | {j})
+                covered |= closed
+                if closed not in rank:
+                    rank.update((s, rk) for s in orbit(closed, arr.symmetries, _permute))
+                    nxt.append((closed, basis | {j}))
+        frontier = nxt
+    ordered = sorted(rank, key=lambda s: (rank[s], sorted(s)))
+    flats = [Flat(hyperplane_set=s, rank=rank[s]) for s in ordered]
+    return FlatLattice(arrangement=arr, flats=flats, by_set={f.hyperplane_set: f for f in flats})
 
 
 def _flats_by_rank(forms):
@@ -285,11 +335,11 @@ def test_closure_matches_rank_per_hyperplane(label):
     n = len(arr.hyperplanes)
     for _ in range(25):
         subset = frozenset(rng.sample(range(n), rng.randint(1, n)))
-        members, rk = _close(arr.hyperplanes, subset)
-        assert members == _closure_by_rank(arr.hyperplanes, subset)
+        members = _closure_by_rank(arr.hyperplanes, subset)
         rows = [list(arr.hyperplanes[i]) for i in sorted(subset)]
-        assert rk == linalg.rank(rows)
-        assert lat.by_set[members].rank == rk
+        assert lat.by_set[members].rank == _rank(rows)
+        # the oracle of the lattice differential tests agrees
+        assert _close(arr.hyperplanes, subset) == (members, _rank(rows))
     assert set(lat.by_set) == _flats_by_rank(arr.hyperplanes)
 
 
@@ -332,21 +382,33 @@ def _dfs_supersolvable(arr):
     return modular(bottom) and extend([bottom]) is not None
 
 
-def _differential_cases():
-    yield pytest.param(Arrangement(dim=2, hyperplanes=(), multiplicities=()), id="empty")
-    for label in BENCHMARK_GROUPS:
-        yield pytest.param(_arrangement(label), id=str(label))
-    rng = random.Random(2014)
+def _sub_arrangements(seed, shuffle=False):
+    """Eight random sub-arrangements of 4 to 12 hyperplanes from each of three
+    groups; with `shuffle`, the first three of each avoid the last coordinate
+    (so they are not essential) and the hyperplanes are listed in random order."""
+    rng = random.Random(seed)
     for label in ((2, 2, 4), (3, 1, 3), (4, 4, 3)):
         arr = _arrangement(label)
         for k in range(8):
-            picks = sorted(rng.sample(range(len(arr.hyperplanes)), rng.randint(4, 12)))
+            pool = range(len(arr.hyperplanes))
+            if shuffle and k < 3:
+                pool = [i for i in pool if not arr.hyperplanes[i][-1]]
+            picks = sorted(rng.sample(pool, rng.randint(4, min(12, len(pool)))))
+            if shuffle:
+                rng.shuffle(picks)
             sub = Arrangement(
                 dim=arr.dim,
                 hyperplanes=tuple(arr.hyperplanes[i] for i in picks),
                 multiplicities=tuple(arr.multiplicities[i] for i in picks),
             )
             yield pytest.param(sub, id=f"{label}-sub{k}")
+
+
+def _differential_cases():
+    yield pytest.param(Arrangement(dim=2, hyperplanes=(), multiplicities=()), id="empty")
+    for label in BENCHMARK_GROUPS:
+        yield pytest.param(_arrangement(label), id=str(label))
+    yield from _sub_arrangements(2014)
 
 
 @pytest.mark.parametrize("arr", _differential_cases())
@@ -369,7 +431,7 @@ def test_join_is_the_closure_of_the_union(label):
     for _ in range(40):
         a, b = rng.choice(lat.flats), rng.choice(lat.flats)
         union = a.hyperplane_set | b.hyperplane_set
-        assert lat.join(a, b).hyperplane_set == _close(arr.hyperplanes, union)[0]
+        assert lat.join(a, b).hyperplane_set == _closure_by_rank(arr.hyperplanes, union)
 
 
 # every G(d,e,n) with n >= 3 and at most 20 hyperplanes
@@ -451,14 +513,17 @@ def _orbit_count(arr, lat):
 
 
 def test_lattice_eliminates_at_orbit_representatives(monkeypatch):
+    # covers are found once per orbit representative, and with no elimination
     calls = []
-    close = arrangement._close
-    monkeypatch.setattr(arrangement, "_close", lambda *a: calls.append(a) or close(*a))
+    covers = arrangement._covers
+    monkeypatch.setattr(arrangement, "_covers", lambda *a: calls.append(a) or covers(*a))
+    monkeypatch.setattr(linalg, "rref", lambda rows: pytest.fail("the lattice eliminated"))
     arr = _arrangement((2, 2, 6))
     lat = intersection_lattice(arr)
     orbits = _orbit_count(arr, lat)
     assert (len(lat.flats), orbits, len(arr.hyperplanes)) == (2546, 26, 30)
-    assert len(calls) <= orbits * len(arr.hyperplanes)
+    assert len(calls) == orbits
+    assert len({base for base, _ in calls}) == orbits
 
 
 def test_a_permutation_that_is_no_symmetry_is_refused_or_changes_the_lattice():
@@ -475,3 +540,91 @@ def test_a_permutation_that_is_no_symmetry_is_refused_or_changes_the_lattice():
     swap = next(p for p in swaps if any(_permute(s, p) not in flats for s in flats))
     wrong = intersection_lattice(dataclasses.replace(arr, symmetries=(swap,)))
     assert wrong.flats != full.flats
+
+
+# ---------------------------------------------------------------------------
+# the lattice by restriction against the lattice by closure
+
+# the lattices the `arrangements` workload reads from JSON
+WORKLOAD_LATTICES = [
+    (1, 1, 3), (2, 1, 2), (3, 3, 2), (4, 4, 2), (5, 5, 2), (6, 6, 2), (3, 1, 2), (4, 1, 2),
+    (1, 1, 4), (2, 2, 3), (2, 1, 3), (3, 3, 3),
+]  # fmt: skip
+
+
+def _assert_same_lattice(arr, oracle=None):
+    lat, want = intersection_lattice(arr), _lattice_by_closure(oracle or arr)
+    assert lat.flats == want.flats and lat.by_set == want.by_set
+
+
+def _rescaled_json(arr, rng):
+    """`arr` written to JSON with its forms shuffled, each times a random
+    rational, and read back."""
+    scales = [cyclo.rational(q) for q in (2, 3, -1, -2, Fraction(1, 3), Fraction(-5, 2))]
+    forms = list(zip(arr.hyperplanes, arr.multiplicities))
+    rng.shuffle(forms)
+    hyperplanes = []
+    for form, _ in forms:
+        scale = rng.choice(scales)
+        hyperplanes.append([cyclo.to_json(scale * c) for c in form])
+    return from_json({"dim": arr.dim, "hyperplanes": hyperplanes, "mult": [e for _, e in forms]})
+
+
+@pytest.mark.parametrize("label", WORKLOAD_LATTICES, ids=str)
+def test_lattice_by_restriction_matches_closure_on_json(label):
+    arr = _arrangement(label)
+    for seed in range(3):
+        moved = _rescaled_json(arr, random.Random(f"{label}:{seed}"))
+        assert not moved.symmetries
+        _assert_same_lattice(moved)
+
+
+@pytest.mark.parametrize("arr", _sub_arrangements(1992, shuffle=True))
+def test_lattice_by_restriction_matches_closure_on_sub_arrangements(arr):
+    _assert_same_lattice(arr)
+
+
+def test_lattice_sub_arrangements_include_non_essential_ones():
+    subs = [p.values[0] for p in _sub_arrangements(1992, shuffle=True)]
+    assert len(subs) == 24 and all(4 <= len(a.hyperplanes) <= 12 for a in subs)
+    ranks = [intersection_lattice(a).rank() for a in subs]
+    assert any(r < a.dim for r, a in zip(ranks, subs))
+    assert any(r == a.dim for r, a in zip(ranks, subs))
+
+
+def test_lattice_by_restriction_of_the_empty_arrangement_and_dim_1():
+    empty = Arrangement(dim=3, hyperplanes=(), multiplicities=())
+    line = Arrangement(dim=1, hyperplanes=((cyclo.ONE,),), multiplicities=(2,))
+    for arr in (empty, line):
+        _assert_same_lattice(arr)
+    assert [(set(f.hyperplane_set), f.rank) for f in intersection_lattice(line).flats] == [
+        (set(), 0),
+        ({0}, 1),
+    ]
+
+
+@pytest.mark.parametrize("label", SYMMETRY_GROUPS + [(2, 2, 6), (3, 3, 5)], ids=str)
+def test_lattice_by_restriction_matches_closure_with_and_without_symmetries(label):
+    arr = _arrangement(label)
+    _assert_same_lattice(arr)
+    # without its symmetries the lattice restricts at every flat; the oracle
+    # keeps them, which is the same lattice at a fraction of the eliminations
+    _assert_same_lattice(dataclasses.replace(arr, symmetries=()), oracle=arr)
+
+
+def _covers_keyed_on_raw_rows(base, rows):
+    """`arrangement._covers` with one mutation: its classes are keyed on the
+    rows as they are, not divided by their first nonzero entry."""
+    classes = {}
+    for i, row in rows.items():
+        classes.setdefault(row, []).append(i)
+    return {base.union(members): key for key, members in classes.items()}
+
+
+@pytest.mark.parametrize("label", WORKLOAD_LATTICES, ids=str)
+def test_lattice_differential_fails_on_classes_keyed_on_raw_rows(monkeypatch, label):
+    # split classes give sets that are no flats, or leave a hyperplane of a
+    # cover outside it with a zero row, which has no first nonzero entry
+    monkeypatch.setattr(arrangement, "_covers", _covers_keyed_on_raw_rows)
+    with pytest.raises((AssertionError, StopIteration)):
+        _assert_same_lattice(_rescaled_json(_arrangement(label), random.Random(f"{label}:0")))

@@ -1218,6 +1218,41 @@ def test_garside_inputs_past_the_caps_are_input_errors(capsys, argv):
     assert json.loads(out)["error"] == "input"
 
 
+def _nested(depth, inner):
+    return "(" * depth + inner + ")" * depth
+
+
+WORD_COMMANDS = [
+    ["garside", "nf", "--type", "A3", "--word"],
+    ["garside", "equal", "--type", "A3", "--v", "s1", "--u"],
+    ["garside", "equal", "--type", "A3", "--u", "s1", "--v"],
+    ["gt", "act", "--lambda", "1", "--backend", "coxeter:3,3", "--f"],
+    ["gt", "images", "--n", "3", "--lambda", "1", "--f"],
+    ["present", "tc", "--catalog", "Br3", "--subgroup"],
+]
+WORD_COMMAND_IDS = ["nf", "equal-u", "equal-v", "act", "images", "subgroup"]
+
+
+@pytest.mark.parametrize("argv", WORD_COMMANDS, ids=WORD_COMMAND_IDS)
+def test_words_nested_past_the_bound_are_input_errors(capsys, argv):
+    letter = "x" if argv[0] == "gt" else "s1"
+    for text in (_nested(1000, letter), _nested(fpgroups.MAX_WORD_NESTING + 1, letter)):
+        code, out = run_cli(capsys, *argv, text)
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["error"] == "input" and "nested" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", WORD_COMMANDS[:4], ids=WORD_COMMAND_IDS[:4])
+def test_words_nested_at_the_bound_parse(capsys, argv):
+    # f must lie in the derived subgroup; its commutator is one level deep
+    bound = fpgroups.MAX_WORD_NESTING
+    text = _nested(bound - 1, "[x,y]") if argv[0] == "gt" else _nested(bound, "s1")
+    code, out = run_cli(capsys, *argv, text)
+    assert code == 0
+    assert "error" not in json.loads(out)
+
+
 @pytest.mark.parametrize("word", ["(s1 s1^-1)^1000000000", "()^1000000000", "[s1,s1]^1000000000"])
 def test_garside_powers_of_the_empty_word_are_empty(capsys, word):
     code, out = run_cli(capsys, "garside", "nf", "--type", "A3", "--word", word)

@@ -85,6 +85,20 @@ def test_parse_errors():
         parse_word("s 1", ("s",))
 
 
+def test_nesting_bound_counts_open_brackets_only():
+    bound = fpgroups.MAX_WORD_NESTING
+    assert parse_word("(" * bound + "s" + ")" * bound, ("s",)) == (("s", 1),)
+    # a commutator nests its two halves one level down
+    inner = "(" * (bound - 1) + "s" + ")" * (bound - 1)
+    assert parse_word(f"[{inner},t]", ("s", "t")) == (("s", 1), ("t", 1), ("s", -1), ("t", -1))
+    for text in ("(" * (bound + 1) + "s" + ")" * (bound + 1), f"[({inner}),t]", "(" * 1000):
+        with pytest.raises(InputError, match=f"nested more than {bound} deep at position {bound}"):
+            parse_word(text, ("s", "t"))
+    # side by side, brackets do not add up
+    assert parse_word("(s)" * 1000, ("s",)) == (("s", 1000),)
+    assert parse_word("[s,t]" * 500, ("s", "t")) == (("s", 1), ("t", 1), ("s", -1), ("t", -1)) * 500
+
+
 def test_one_is_the_empty_word():
     for text in ("1", " 1", "\t1 \n"):
         assert parse_word(text, ("s",)) == ()
