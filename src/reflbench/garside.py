@@ -284,9 +284,6 @@ class GarsideContext:
     def _names(self, mask: int) -> list[str]:
         return [name for i, name in enumerate(self.gen_list) if mask >> i & 1]
 
-    def left_descents(self, w) -> list[str]:
-        return self._names(self.model.right_descents(self.model.inv(w)))
-
     def right_descents(self, w) -> list[str]:
         return self._names(self.model.right_descents(w))
 
@@ -417,13 +414,6 @@ class GarsideContext:
 
     def eval_word(self, w: Word) -> GarsideNF:
         return self.normal_form(w)
-
-    def nf_inverse(self, x: GarsideNF) -> GarsideNF:
-        """(Delta^k f1 ... fl)^-1 = Delta^-(k+l) g_l ... g_1, already
-        left-weighted, with g_i = tau^(k+i-1)(w0 f_i^-1)."""
-        m, k, fs = self.model, x.delta_power, x.factors
-        gs = [self.tau_pow(m.mul(self.w0, m.inv(f)), k + i) for i, f in enumerate(fs)]
-        return GarsideNF(self.type, -(k + len(fs)), tuple(reversed(gs)))
 
     # -- queries ----------------------------------------------------------------
 

@@ -4,7 +4,8 @@ polynomials (the 2x2 models' basic invariants and the rank-2 order-48 group's
 alpha/beta pair used by the model-free discriminant checks).
 
 A graded invariant space is the common kernel of p -> p o g - p over the
-generators; only `reynolds` and the Molien class scan walk the whole group.
+generators.  Only the Molien class scan walks the whole group; `reynolds`
+composes with one element per coset of the scalars Z, in degrees |Z| divides.
 
 Molien degrees are extracted by expanding (1/|G|) * sum 1/det(1 - t g) far
 enough to peel off factors 1/(1 - t^d), smallest d first; the truncation
@@ -22,7 +23,7 @@ from itertools import chain
 from . import cyclo, linalg, matgroup
 from .cyclo import CycNum
 from .errors import BudgetExceededError
-from .matgroup import RGroup, RMatrix
+from .matgroup import RGroup, RMatrix, then
 from .mpoly import MPoly, jacobian, monomial_images, proportional
 
 MAX_MOLIEN_DIM = 4
@@ -44,11 +45,38 @@ def act_matrix(p: MPoly, m: RMatrix) -> MPoly:
 
 
 def reynolds(group: RGroup, p: MPoly) -> MPoly:
-    """(1/|G|) sum over g of p o g; the exact projector onto invariants."""
-    total = MPoly.zero(p.nvars)
-    for g in group.elements:
-        total = total + act_matrix(p, g)
-    return total.scale(Fraction(1, group.order()))
+    """(1/|G|) sum over g of p o g; the exact projector onto invariants.  On
+    the scalars Z = {lambda I in G}, cyclic of order z, z^e o (lambda g) =
+    lambda^|e| (z^e o g), so R(z^e) = 0 unless z divides |e|, and otherwise it
+    is the mean of z^e o t over a transversal T of G/Z, kept on the group."""
+    if p.nvars != group.dim:
+        raise ValueError("substitution arity mismatch")
+    z, transversal, kept = _scalar_cosets(group)
+    wanted = [e for e in p.terms if sum(e) % z == 0]
+    if missing := [e for e in wanted if e not in kept]:
+        sums = [MPoly.zero(p.nvars)] * len(missing)
+        for t in transversal:
+            subs = [MPoly.linear_form(row) for row in group.elements[t].rows]
+            sums = list(map(MPoly.__add__, sums, monomial_images(missing, subs)))
+        kept.update((e, s.scale(Fraction(1, len(transversal)))) for e, s in zip(missing, sums))
+    return sum((kept[e].scale(p.terms[e]) for e in wanted), MPoly.zero(p.nvars))
+
+
+def _scalar_cosets(group: RGroup) -> tuple[int, list[int], dict]:
+    """|Z|, the least index of each coset of Z, and the kept R(z^e), once per
+    group: lambda I is in G iff the points lambda e_k are basis images."""
+    if (kept := getattr(group, "_reynolds", None)) is None:
+        dim, points, index, element = group.dim, group.points, group.point_index, group.element_index
+        # v = lambda e_1, rotated k places to lambda e_k; scalars[0] = 1 is point 0
+        lines = [v for v in points if not any(v[1:])]
+        scalars = [v[0] for v in lines if tuple(index.get(v[-k:] + v[:-k]) for k in range(dim)) in element]
+        perms = [[index[tuple(lam * c if c else c for c in v)] for v in points] for lam in scalars[1:]]
+        transversal = [
+            i for i, x in enumerate(group.images) if all(i < element[then(x[:dim], perm)] for perm in perms)
+        ]
+        kept = (len(scalars), transversal, {})
+        object.__setattr__(group, "_reynolds", kept)
+    return kept
 
 
 def is_invariant(group: RGroup, p: MPoly) -> bool:
@@ -137,9 +165,7 @@ def molien_degrees(group: RGroup) -> list[int]:
             raise MolienError("series is not a product of 1/(1 - t^d_i)")
     if any(series[k] != 0 for k in range(1, nterms)):
         raise MolienError("leftover terms after removing dim factors")
-    prod = 1
-    for d in degrees:
-        prod *= d
+    prod = math.prod(degrees)
     if prod != group.order():
         raise MolienError(f"degree product {prod} != group order {group.order()}")
     return sorted(degrees)

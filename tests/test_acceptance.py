@@ -28,7 +28,7 @@ TIME_BUDGETS = {
     9: 2,
     10: 1,
     11: 10,
-    12: 15,
+    12: 5,
 }
 
 # sub-checks allowed to fail because the value they encode is provably

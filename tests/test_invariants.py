@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from reflbench import cyclo, linalg
+from reflbench import cyclo, invariants, linalg, matgroup
 from reflbench.arrangement import Arrangement, arrangement_of, discriminant_poly
 from reflbench.invariants import (
     MolienError,
     _monomials,
+    _scalar_cosets,
     act_matrix,
     catalog_invariant_pair,
     fundamental_invariants,
@@ -18,7 +19,14 @@ from reflbench.invariants import (
     molien_series,
     reynolds,
 )
-from reflbench.matgroup import build_catalog_group, build_monomial_group, hyperplanes, reflections
+from reflbench.matgroup import (
+    RMatrix,
+    build_catalog_group,
+    build_monomial_group,
+    group_from_spec,
+    hyperplanes,
+    reflections,
+)
 from reflbench.mpoly import (
     MPoly,
     jacobian,
@@ -130,6 +138,111 @@ def test_invariant_space_reads_no_elements(monkeypatch):
     walked = property(lambda self: pytest.fail("invariant_space walked the group"))
     monkeypatch.setattr(RGroup, "elements", walked, raising=False)
     assert invariant_space(g, 4) == space
+
+
+# ---------------------------------------------------------------------------
+# Reynolds averaging over G/Z against the sum over every element
+
+
+def _reynolds_by_elements(group, p):
+    """The earlier `reynolds`: (1/|G|) sum of p o g over every element."""
+    total = MPoly.zero(p.nvars)
+    for g in group.elements:
+        total = total + act_matrix(p, g)
+    return total.scale(Fraction(1, group.order()))
+
+
+def _explicit_with_minus_one():
+    """G2 on its root lattice (order 12, w0 = -I) with the scalar zeta_3 I
+    added: order 36, and its scalars are the sixth roots of unity."""
+    r, z3 = cyclo.rational, cyclo.CycNum(3, [0, 1])
+    gens = [[r(-1), r(0), r(1), r(1)], [r(1), r(3), r(0), r(-1)], [z3, r(0), r(0), z3]]
+    spec = {"kind": "explicit", "generators": [[cyclo.to_json(c) for c in m] for m in gens]}
+    return group_from_spec(spec)
+
+
+# with |Z| = 2, 1, 3, 2, 2, 3, 2, 2, 2, 1, 5, 2, 1, 2, 3 and 6
+REYNOLDS_GROUPS = [
+    "G4", "S3_paper", (3, 3, 3), (2, 1, 3), (4, 4, 2), (3, 1, 2), (2, 2, 4), (6, 3, 2), (4, 2, 3),
+    (1, 1, 4), (5, 1, 2), (6, 6, 2), (1, 1, 1), (2, 1, 1), (3, 1, 1), "explicit",
+]  # fmt: skip
+
+
+def _reynolds_group(label):
+    return _explicit_with_minus_one() if label == "explicit" else _group(label)
+
+
+def _random_poly(rng, nvars):
+    """A mixed-degree polynomial with rational and cyclotomic coefficients."""
+    top = 5 if nvars <= 2 else 3
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, top)):
+            exps[rng.randrange(nvars)] += 1
+        order = rng.choice((1, 3, 4, 5))
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cyclo.euler_phi(order))]
+        terms[tuple(exps)] = cyclo.CycNum(order, coeffs)
+    return MPoly(nvars, terms)
+
+
+@pytest.mark.parametrize("label", REYNOLDS_GROUPS, ids=_group_id)
+def test_reynolds_matches_the_sum_over_every_element(label):
+    g = _reynolds_group(label)
+    rng = random.Random(f"reynolds:{_group_id(label)}")
+    polys = [MPoly.zero(g.dim), MPoly.constant(g.dim, Fraction(-7, 3))]
+    polys += [_random_poly(rng, g.dim) for _ in range(12)]
+    for p in polys:
+        r = reynolds(g, p)
+        assert r == _reynolds_by_elements(g, p), p
+        assert reynolds(g, r) == r
+    assert reynolds(g, polys[1]) == polys[1]
+
+
+@pytest.mark.parametrize("label", REYNOLDS_GROUPS, ids=_group_id)
+def test_scalar_cosets_partition_the_group(label):
+    # Z is read off the matrices here, T must meet each coset of Z once
+    g = _reynolds_group(label)
+    z, transversal, _ = _scalar_cosets(g)
+    n = g.dim
+    lam_i = [RMatrix([[m.rows[0][0] * (i == j) for j in range(n)] for i in range(n)]) for m in g.elements]
+    scalars = [m for m, s in zip(g.elements, lam_i) if m == s]
+    assert z == len(scalars) and len(transversal) * z == g.order()
+    covered = sorted(g.index_of(g.elements[t] * s) for t in transversal for s in scalars)
+    assert covered == list(range(g.order()))
+    assert transversal == sorted(transversal) and transversal[0] == 0
+
+
+@pytest.mark.parametrize(
+    "label,z", [("G4", 2), ("S3_paper", 1), ((3, 3, 3), 3), ((5, 1, 2), 5), ("explicit", 6)], ids=str
+)
+def test_reynolds_composes_once_per_coset_and_keeps_the_images(monkeypatch, label, z):
+    calls = []
+    images = invariants.monomial_images
+    monkeypatch.setattr(invariants, "monomial_images", lambda *a: calls.append(a) or images(*a))
+    monkeypatch.setattr(matgroup, "conjugacy_classes", lambda g: pytest.fail("reynolds ran the class scan"))
+    g = _reynolds_group(label)
+    dim = g.dim
+    # a fresh group: one composition per element of T, none for the degree z does not divide
+    mixed = MPoly(dim, {(z,) + (0,) * (dim - 1): 2, (0,) * (dim - 1) + (z + 1,): 3})
+    assert reynolds(g, mixed) == _reynolds_by_elements(g, mixed)
+    assert len(calls) == g.order() // z
+    assert all(monos == [e for e in mixed.terms if sum(e) % z == 0] for monos, _ in calls)
+    calls.clear()
+    assert reynolds(g, mixed.scale(5)) == _reynolds_by_elements(g, mixed).scale(5)
+    assert calls == []
+    if z > 1:
+        fresh = _reynolds_group(label)
+        off = MPoly(dim, {(1,) + (0,) * (dim - 1): 1, (0,) * (dim - 1) + (z + 1,): 1})
+        assert reynolds(fresh, off).is_zero() and _reynolds_by_elements(fresh, off).is_zero()
+        assert calls == []
+
+
+def test_reynolds_refuses_a_polynomial_of_another_arity():
+    g4 = build_catalog_group("G4")
+    for p in (MPoly.variable(3, 0), MPoly.zero(1), MPoly.constant(3, 1)):
+        with pytest.raises(ValueError, match="arity"):
+            reynolds(g4, p)
 
 
 @pytest.mark.parametrize(
