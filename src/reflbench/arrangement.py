@@ -155,16 +155,13 @@ def _covers(base: frozenset[int], rows: dict[int, tuple]) -> dict[frozenset[int]
         else:
             lead = next(c for c in row if c)
             inv = inverse.get(lead) or inverse.setdefault(lead, lead.inverse())
-            key = tuple(inv * c if c else c for c in row)
+            key = tuple(inv * c for c in row)
         classes.setdefault(key, []).append(i)
     return {base.union(members): key for key, members in classes.items()}
 
 
 def _pivot(row: tuple, key: tuple, lead: int) -> tuple:
-    """`row` on the basis of the cover cut out by `key`, whose column `lead` is 1;
-    on a line, where `_covers` reads no entry, a placeholder: its last entry."""
-    if len(row) == 2:
-        return row[1:]
+    """`row` on the basis of the cover cut out by `key`, whose column `lead` is 1."""
     f = row[lead]
     return tuple(c - f * b if f and b else c for k, (c, b) in enumerate(zip(row, key)) if k != lead)
 

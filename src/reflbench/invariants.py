@@ -48,24 +48,24 @@ def reynolds(group: RGroup, p: MPoly) -> MPoly:
     """(1/|G|) sum over g of p o g; the exact projector onto invariants.  On
     the scalars Z = {lambda I in G}, cyclic of order z, z^e o (lambda g) =
     lambda^|e| (z^e o g), so R(z^e) = 0 unless z divides |e|, and otherwise it
-    is the mean of z^e o t over a transversal T of G/Z, kept on the group."""
+    is the mean of z^e o t over a transversal T of G/Z."""
     if p.nvars != group.dim:
         raise ValueError("substitution arity mismatch")
-    z, transversal, kept = _scalar_cosets(group)
-    wanted = [e for e in p.terms if sum(e) % z == 0]
-    if missing := [e for e in wanted if e not in kept]:
-        sums = [MPoly.zero(p.nvars)] * len(missing)
-        for t in transversal:
-            subs = [MPoly.linear_form(row) for row in group.elements[t].rows]
-            sums = list(map(MPoly.__add__, sums, monomial_images(missing, subs)))
-        kept.update((e, s.scale(Fraction(1, len(transversal)))) for e, s in zip(missing, sums))
-    return sum((kept[e].scale(p.terms[e]) for e in wanted), MPoly.zero(p.nvars))
+    z, transversal = _scalar_cosets(group)
+    if not (wanted := [e for e in p.terms if sum(e) % z == 0]):
+        return MPoly.zero(p.nvars)
+    sums = [MPoly.zero(p.nvars)] * len(wanted)
+    for t in transversal:
+        subs = [MPoly.linear_form(row) for row in group.elements[t].rows]
+        sums = list(map(MPoly.__add__, sums, monomial_images(wanted, subs)))
+    total = sum((s.scale(p.terms[e]) for e, s in zip(wanted, sums)), MPoly.zero(p.nvars))
+    return total.scale(Fraction(1, len(transversal)))
 
 
-def _scalar_cosets(group: RGroup) -> tuple[int, list[int], dict]:
-    """|Z|, the least index of each coset of Z, and the kept R(z^e), once per
-    group: lambda I is in G iff the points lambda e_k are basis images."""
-    if (kept := getattr(group, "_reynolds", None)) is None:
+def _scalar_cosets(group: RGroup) -> tuple[int, list[int]]:
+    """|Z| and the least index of each coset of Z, once per group: lambda I is
+    in G iff the points lambda e_k are basis images."""
+    if (cosets := getattr(group, "_scalar_cosets", None)) is None:
         dim, points, index, element = group.dim, group.points, group.point_index, group.element_index
         # v = lambda e_1, rotated k places to lambda e_k; scalars[0] = 1 is point 0
         lines = [v for v in points if not any(v[1:])]
@@ -74,9 +74,9 @@ def _scalar_cosets(group: RGroup) -> tuple[int, list[int], dict]:
         transversal = [
             i for i, x in enumerate(group.images) if all(i < element[then(x[:dim], perm)] for perm in perms)
         ]
-        kept = (len(scalars), transversal, {})
-        object.__setattr__(group, "_reynolds", kept)
-    return kept
+        cosets = (len(scalars), transversal)
+        object.__setattr__(group, "_scalar_cosets", cosets)
+    return cosets
 
 
 def is_invariant(group: RGroup, p: MPoly) -> bool:

@@ -203,7 +203,7 @@ def test_reynolds_matches_the_sum_over_every_element(label):
 def test_scalar_cosets_partition_the_group(label):
     # Z is read off the matrices here, T must meet each coset of Z once
     g = _reynolds_group(label)
-    z, transversal, _ = _scalar_cosets(g)
+    z, transversal = _scalar_cosets(g)
     n = g.dim
     lam_i = [RMatrix([[m.rows[0][0] * (i == j) for j in range(n)] for i in range(n)]) for m in g.elements]
     scalars = [m for m, s in zip(g.elements, lam_i) if m == s]
@@ -216,26 +216,25 @@ def test_scalar_cosets_partition_the_group(label):
 @pytest.mark.parametrize(
     "label,z", [("G4", 2), ("S3_paper", 1), ((3, 3, 3), 3), ((5, 1, 2), 5), ("explicit", 6)], ids=str
 )
-def test_reynolds_composes_once_per_coset_and_keeps_the_images(monkeypatch, label, z):
+def test_reynolds_composes_once_per_coset(monkeypatch, label, z):
     calls = []
     images = invariants.monomial_images
     monkeypatch.setattr(invariants, "monomial_images", lambda *a: calls.append(a) or images(*a))
     monkeypatch.setattr(matgroup, "conjugacy_classes", lambda g: pytest.fail("reynolds ran the class scan"))
     g = _reynolds_group(label)
     dim = g.dim
-    # a fresh group: one composition per element of T, none for the degree z does not divide
+    # one composition per element of T, none for the degree z does not divide
     mixed = MPoly(dim, {(z,) + (0,) * (dim - 1): 2, (0,) * (dim - 1) + (z + 1,): 3})
-    assert reynolds(g, mixed) == _reynolds_by_elements(g, mixed)
+    r = reynolds(g, mixed)
     assert len(calls) == g.order() // z
     assert all(monos == [e for e in mixed.terms if sum(e) % z == 0] for monos, _ in calls)
-    calls.clear()
-    assert reynolds(g, mixed.scale(5)) == _reynolds_by_elements(g, mixed).scale(5)
-    assert calls == []
+    assert r == _reynolds_by_elements(g, mixed)
     if z > 1:
-        fresh = _reynolds_group(label)
+        calls.clear()
         off = MPoly(dim, {(1,) + (0,) * (dim - 1): 1, (0,) * (dim - 1) + (z + 1,): 1})
-        assert reynolds(fresh, off).is_zero() and _reynolds_by_elements(fresh, off).is_zero()
+        assert reynolds(g, off).is_zero()
         assert calls == []
+        assert _reynolds_by_elements(g, off).is_zero()
 
 
 def test_reynolds_refuses_a_polynomial_of_another_arity():
