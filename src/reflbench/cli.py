@@ -291,7 +291,11 @@ def _build_backend(spec: str, target: fpgroups.Presentation | None, budget_coset
         n, k = _ints(spec.split(":", 1)[1], "n,k")
         return fpgroups.coxeter_quotient(_braid_n(n), k, budget_cosets)
     if spec.startswith("garside:"):
-        return garside.context(parse_type(spec.split(":")[1]))
+        t = parse_type(spec.split(":", 1)[1])
+        # A_r is the type of Br_(r+1); a context costs about rank^3 to build
+        if t.family != "I2" and t.rank + (t.family == "A") > MAX_STRANDS:
+            raise InputError(f"garside backend {t} needs rank <= {MAX_STRANDS - (t.family == 'A')}")
+        return garside.context(t)
     if spec.startswith("table:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:

@@ -35,24 +35,25 @@ proved by a squeeze:
   quotient G of P_Q.  The orbit of the tuple of the first s cosets has at
   most |G| points, and at s = N exactly |G|; `orbit` counts it for s = 1,
   2, 4, ..., N, stopping past |P~|, until it reaches |P~|;
-- if a count is |P~|, then |P_Q| = |P~|, |Q| = N |P~|, and P_Q acts
-  faithfully on Q/P.  Otherwise the order is not proved and the build
-  raises RuntimeError.  The squeeze closes on every finite Br_n/s^k
-  (Br5/s^3 at s = 8 of N = 240).
+- if a count is |P~|, then |P_Q| = |P~|, |Q| = N |P~|, and the stabilizer
+  of the tuple in P_Q is trivial.  Otherwise the order is not proved and
+  the build raises RuntimeError.  The squeeze closes on every finite
+  Br_n/s^k (Br5/s^3 at s = 8 of N = 240).
 
-Br5/s^3 is then a chain of tables of 8, 27 and 240 cosets, and 155,520
-elements.  Only the torsion numbering q -> (Hq, psi(q)) over <g1> names the
-elements: `PermQuotient.columns` builds and validates the regular table on
-it on first use, for the callers that need permutations, and a quotient
-built on a parabolic enumerates itself over <g1> once more for that.
+The tuple is then a base of Q on Q/P, points whose pointwise stabilizer is
+trivial (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+ch. 4): coset 0 is P and is in it, so an element fixing it lies in P_Q,
+where only 1 does.  So Q acts faithfully on its N cosets, a word is trivial
+in Q iff it fixes them all, and a subgroup of Q acts freely on the base's
+orbit, whose size is its order.  Br5/s^3 is a chain of tables of 8, 27 and
+240 cosets, and its words act on 240 points, not on 155,520 elements.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -309,9 +310,6 @@ class Presentation:
             for sym, _ in r:
                 if sym not in declared:
                     raise InputError(f"relator uses undeclared generator {sym!r}")
-
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.generators)
 
     @cached_property
     def letter_columns(self) -> dict[tuple[str, int], int]:
@@ -764,6 +762,11 @@ def _gather(seq, indices) -> tuple:
     return itemgetter(*indices)(seq)
 
 
+def _images(points: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of a tuple of points under a permutation."""
+    return _gather(perm, points)
+
+
 def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
     """Closure check: inverse consistency, every relator fixes every coset,
     every subgroup generator fixes coset 0.
@@ -808,27 +811,25 @@ def _validate_table(t: CosetTable, rel_cols, sub_cols) -> None:
 
 @dataclass
 class PermQuotient:
-    """A finite quotient: a label plus a complete coset table of a subgroup
+    """A finite quotient Q: a label plus a complete coset table of a subgroup
     of order m (m = 1 for a table of the trivial subgroup or of any action
-    on points), so `degree`, m times the table's, needs no permutation.
+    on points), so `degree` = |Q|, m times the table's, needs no permutation.
 
-    Every permutation handed out comes from `columns`, which builds the
-    action on the points t*m + a on first use, a generator sending (t, a) to
-    (t.x, a + 1), and passes it through `_validate_table` with the
-    quotient's relators.  That numbering needs the subgroup <g1>; a table of
-    any other subgroup (a Coxeter quotient's parabolic) carries `regular`,
-    which builds the same quotient over <g1>, and `columns` are its.
-
-    A power quotient acts regularly on its own elements, point 0 being the
-    identity.  A subgroup H of a regular group acts freely, so |H| = |H.0|:
-    `order` and `subgroup_order` are one orbit of the point 0, never a
-    listing of the group.
+    Every permutation handed out comes from `columns`, whose table passed
+    `_validate_table` with the quotient's relators.  A quotient on a
+    parabolic has the `base` the squeeze proved (see the module docstring):
+    Q acts faithfully on the cosets, `columns` are the table's, and a
+    subgroup H of Q acts freely on the orbit of the base.  Any other
+    quotient acts regularly on its elements, numbered over <g1>: `columns`
+    builds and validates that action on first use, a generator sending the
+    point t*m + a = (t, a) to (t.x, a + 1), and H acts freely on the orbit
+    of the point 0.  Either way |H| is one orbit's size: never a listing.
     """
 
     label: str
     table: CosetTable
     m: int = 1
-    regular: Callable[[], PermQuotient] | None = None
+    base: tuple[int, ...] | None = field(default=None, init=False)
     exact = False  # a verification backend that gives evidence, not proof
 
     @property
@@ -841,13 +842,11 @@ class PermQuotient:
 
     @cached_property
     def columns(self) -> list[tuple[int, ...]]:
-        """Column 2g moves the residue by +1 and column 2g + 1 by -1; slices of
-        one tuple of points, so every entry shares its int object."""
-        if self.regular is not None:
-            regular = self.regular()
-            if regular.degree != self.degree:
-                raise RuntimeError(f"{self.label} has {regular.degree} elements over <g1>, not {self.degree}")
-            return regular.columns
+        """On a base, the table's columns.  Otherwise column 2g moves the
+        residue by +1 and column 2g + 1 by -1; slices of one tuple of
+        points, so every entry shares its int object."""
+        if self.base is not None:
+            return self.table.columns
         m, n, quot = self.m, self.degree, self.presentation
         points = tuple(range(n))
         columns = []
@@ -875,13 +874,15 @@ class PermQuotient:
         return perm
 
     def identity(self) -> tuple[int, ...]:
-        return tuple(range(self.degree))
+        return tuple(range(self.degree if self.base is None else self.table.degree))
 
     def order(self) -> int:
         return self.subgroup_order(self.columns[::2])
 
     def subgroup_order(self, perms: list[tuple[int, ...]]) -> int:
-        return len(orbit(0, perms, lambda p, g: g[p]))
+        if self.base is None:
+            return len(orbit(0, perms, lambda p, g: g[p]))
+        return len(orbit(self.base, perms, _images))
 
 
 def permutation_table(label: str, perms: dict[str, tuple[int, ...]]) -> CosetTable:
@@ -921,15 +922,13 @@ def _power_presentation(pres: Presentation, label: str, k: int) -> Presentation:
     return Presentation(label, pres.generators, rel)
 
 
-def _complete_quotient(
-    quot: Presentation, subgroup: list[Word], m: int, limit: int, regular: Callable | None = None
-) -> PermQuotient:
+def _complete_quotient(quot: Presentation, subgroup: list[Word], m: int, limit: int) -> PermQuotient:
     """quot enumerated over a subgroup H of order m; `limit` caps the cosets
     defined and the degree m [Q : H]."""
     table = todd_coxeter(quot, subgroup, limit)
     if table.status != "complete":
         raise BudgetExceededError(f"cannot build quotient {quot.label}: enumeration incomplete")
-    q = PermQuotient(quot.label, table, m, regular)
+    q = PermQuotient(quot.label, table, m)
     if q.degree > limit:
         raise BudgetExceededError(
             f"cannot build quotient {quot.label}: {q.degree} points exceed the coset budget {limit}"
@@ -950,24 +949,25 @@ def _power_quotient(quot: Presentation, k: int, limit: int) -> PermQuotient:
     return _complete_quotient(quot, [single(quot.generators[0])], m, limit)
 
 
-def _parabolic_quotient(quot: Presentation, k: int, parabolic: PermQuotient, limit: int) -> PermQuotient:
-    """quot = pres/(g^k) enumerated over the subgroup P that the parabolic's
-    generators generate, with |P| = |parabolic| proved by the squeeze of the
-    module docstring; its permutations come from the same quotient over <g1>."""
+def _parabolic_quotient(quot: Presentation, parabolic: PermQuotient, limit: int) -> PermQuotient:
+    """quot enumerated over the subgroup P that the parabolic's generators
+    generate, with |P| = |parabolic| proved by the squeeze of the module
+    docstring, which also gives the quotient its base."""
     pres = parabolic.presentation
     if not (set(pres.generators) <= set(quot.generators) and set(pres.relators) <= set(quot.relators)):
         raise RuntimeError(f"{parabolic.label} is not a quotient of a subgroup of {quot.label}")
     subgroup = [single(name) for name in pres.generators]
-    q = _complete_quotient(quot, subgroup, parabolic.degree, limit, lambda: _power_quotient(quot, k, limit))
+    q = _complete_quotient(quot, subgroup, parabolic.degree, limit)
     perms = [q.table.columns[q.table.column(name, 1)] for name in pres.generators]
-    act = lambda images, g: _gather(g, images)  # noqa: E731
     n, s = q.table.degree, 1
     while True:
+        base = tuple(range(min(s, n)))
         try:
-            count = len(orbit(tuple(range(min(s, n))), perms, act, parabolic.degree))
+            count = len(orbit(base, perms, _images, parabolic.degree))
         except BudgetExceededError:
             break
         if count == parabolic.degree:
+            q.base = base
             return q
         if s >= n:
             break
@@ -976,8 +976,9 @@ def _parabolic_quotient(quot: Presentation, k: int, parabolic: PermQuotient, lim
 
 
 def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:
-    """Br_n/(s_i^k) if finite (see the module docstring), acting regularly on its
-    elements; for n >= 4 enumerated over <s1, ..., s(n-2)>, on Br_(n-1)/(s_i^k)."""
+    """Br_n/(s_i^k) if finite (see the module docstring): for n <= 3 acting
+    regularly on its elements, for n >= 4 enumerated over <s1, ..., s(n-2)>,
+    on Br_(n-1)/(s_i^k), and acting faithfully on those cosets."""
     quot = _power_presentation(braid_presentation(n), f"Br{n}/s^{k}", k)
     if 2 * (n + abs(k)) <= n * abs(k):
         raise BudgetExceededError(f"cannot build quotient {quot.label}: infinite, as 1/{n} + 1/{abs(k)} <= 1/2 (Coxeter)")
@@ -987,7 +988,7 @@ def coxeter_quotient(n: int, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQ
         parabolic = coxeter_quotient(n - 1, k, limit)
     except BudgetExceededError:
         raise BudgetExceededError(f"cannot build quotient {quot.label}: enumeration incomplete") from None
-    return _parabolic_quotient(quot, k, parabolic, limit)
+    return _parabolic_quotient(quot, parabolic, limit)
 
 
 def torsion_quotient(pres: Presentation, k: int, limit: int = DEFAULT_COSET_BUDGET) -> PermQuotient:

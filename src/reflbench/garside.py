@@ -281,12 +281,6 @@ class GarsideContext:
 
     # -- W utilities ----------------------------------------------------------
 
-    def _names(self, mask: int) -> list[str]:
-        return [name for i, name in enumerate(self.gen_list) if mask >> i & 1]
-
-    def right_descents(self, w) -> list[str]:
-        return self._names(self.model.right_descents(w))
-
     def tau(self, w):
         """Delta^-1 w Delta."""
         return self.model.mul(self.model.mul(self.w0, w), self.w0)

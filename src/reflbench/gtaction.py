@@ -238,36 +238,3 @@ def check_gd_pair(m: int, lam: int, g: Word):
     )
     return report
 
-
-# ---------------------------------------------------------------------------
-# composition of induced maps on a finite backend
-
-
-def _element_words(quotient: fpgroups.PermQuotient) -> dict[int, Word]:
-    """A defining word in the generators for every element of the regular
-    quotient, keyed by its point: the Schreier tree of point 0."""
-    names = quotient.presentation.generators
-    edges = orbit(0, quotient.columns[::2], lambda p, g: g[p])
-    words: dict[int, Word] = {}
-    for point, edge in edges.items():
-        words[point] = () if edge is None else word_mul(words[edge[0]], single(names[edge[1]]))
-    return words
-
-
-def composed_action_agrees(quotient: fpgroups.PermQuotient, pair1: GTPair, pair2: GTPair) -> bool:
-    """Whether the maps induced on the regular quotient compose as functions:
-    applying the word-level composition of generator images agrees, on every
-    element (its image of the point 0), with applying the two induced
-    endomorphisms in sequence.  Every power quotient acts regularly."""
-    n = len(quotient.presentation.generators) + 1
-    img1 = drinfeld_images(n, pair1)
-    img2 = drinfeld_images(n, pair2)
-    words = _element_words(quotient)
-
-    def endo(images):
-        return {p: quotient.eval_word(substitute(w, images))[0] for p, w in words.items()}
-
-    f1, f2 = endo(img1), endo(img2)
-    composed_images = {g: substitute(w, img2) for g, w in img1.items()}
-    f21 = endo(composed_images)
-    return all(f2[f1[p]] == f21[p] for p in f1)

@@ -102,9 +102,6 @@ class RMatrix:
     def trace(self) -> CycNum:
         return sum((self.rows[i][i] for i in range(self.dim)), cyclo.ZERO)
 
-    def det(self) -> CycNum:
-        return linalg.det([list(r) for r in self.rows])
-
     def inverse(self) -> "RMatrix":
         return RMatrix(linalg.invert([list(r) for r in self.rows]))
 

@@ -92,13 +92,6 @@ class MPoly:
         exps = max(self.terms, key=_key)
         return exps, self.terms[exps]
 
-    def monic(self) -> "MPoly":
-        """Scale so the graded-lex leading coefficient is 1."""
-        if self.is_zero():
-            return self
-        _, c = self.leading_term()
-        return self.scale(c.inverse())
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "MPoly"):
@@ -224,23 +217,25 @@ class MPoly:
 
 def monomial_images(monos: list[tuple[int, ...]], substitution: list[MPoly]) -> list[MPoly]:
     """The image of each monomial z^e in monos under z_i -> substitution[i]:
-    each substituted polynomial is raised to each power once, for all monos."""
+    each substituted polynomial is raised to each power once, for all monos,
+    and nothing is multiplied by the constant 1.  Images may share objects
+    with the substitution and with each other; no MPoly operation mutates."""
     m = substitution[0].nvars
     if any(s.nvars != m for s in substitution):
         raise ValueError("substitution polynomials have mixed arities")
     one, powers = MPoly.constant(m, 1), []
     for i, s in enumerate(substitution):
-        pw = [one]
-        for _ in range(max((e[i] for e in monos), default=0)):
+        pw = [one, s]
+        for _ in range(max((e[i] for e in monos), default=0) - 1):
             pw.append(pw[-1] * s)
         powers.append(pw)
     images = []
     for e in monos:
-        image = one
+        image = None
         for pw, k in zip(powers, e):
             if k:
-                image = image * pw[k]
-        images.append(image)
+                image = pw[k] if image is None else image * pw[k]
+        images.append(one if image is None else image)
     return images
 
 

@@ -1052,6 +1052,96 @@ def test_garside_word_syntax_stdout_is_pinned(capsys, name):
     assert (name, digest.hexdigest()) == (name, GARSIDE_SYNTAX_DIGESTS.get(name))
 
 
+# sha256 over the exit codes and stdouts of the Coxeter backends, taken while
+# every Br_n/s^k still acted on its elements: `gt act` over the lambdas and f
+# of the cosets workload, and `present verify-map` of s_i -> s_i^-1 and of the
+# s1 <-> s2 swap on the catalogued Br4 and Br5
+GT_ACT_LAMBDAS = (1, -1, 3, -3, 5)
+GT_ACT_FS = ("", "[x,y]", "[x^2,y]")
+GT_ACT_DIGESTS = {
+    "coxeter:4,3": "8a1080adb029313d13e068851432493c302e399104b137e3278429b34a9eee41",
+    "coxeter:4,-3": "971d504fce41820a17d5be831f5209930f1e331c4f269995250866dcd011afc9",
+    "coxeter:4,2": "b1cd296260268739e0e1a0f3f917697c68583573bf84bcc8d90bb6360be38611",
+    "coxeter:5,2": "2babd8392ee8ba02402413fdbfcedfeeb5b0339f11ca0ba91f3118c5b9dc925b",
+    "coxeter:6,2": "b4a22578bdcdb2907eeabbaa818dc691aa843d47ae30f6e342f3ae3b425c32bf",
+}
+BR5_S3_ACT_DIGESTS = {
+    "-1 [x,y]": "fe4c480d1d43bc6438ecebebf4e6fbfa70298834408bb07a080d8f8a834719d7",
+    "1 ": "1053f7b51798484dd6a0b52a7123c9deb1a27f5d43e0095147a1543309b3f918",
+}
+VERIFY_MAP_DIGESTS = {
+    "coxeter:4,3": "b565ac7bf93631fa43ad8c9a451758cdb716fc86f843923bf62a821d782194d4",
+    "coxeter:5,2": "062a2b1ce4c59bd2a9e7e238b4d291ef6ab6070ebe7857ed083edcbc8c86ba9e",
+    "coxeter:5,3": "1b7395bed8f93af502b2bf08a0353adbc271ff9de5a60a9aa7ffec97d9ae5e5c",
+}
+
+
+def _gt_act_argv(lam, f, backend):
+    return ["gt", "act", "--lambda", str(lam), "--f", f, "--backend", backend]
+
+
+def _verify_map_argv(tmp_path, n, kind, backend):
+    images = {f"s{i}": f"s{i}^-1" for i in range(1, n)}
+    if kind == "swap":
+        images.update(s1="s2", s2="s1")
+    path = tmp_path / f"{kind}{n}.json"
+    path.write_text(json.dumps({"images": images}))
+    return ["present", "verify-map", "--catalog", f"Br{n}", "--map-file", str(path), "--backend", backend]
+
+
+@pytest.mark.parametrize("backend", sorted(GT_ACT_DIGESTS))
+def test_gt_act_on_coxeter_backends_is_pinned(capsys, backend):
+    digest = hashlib.sha256()
+    for lam in GT_ACT_LAMBDAS:
+        for f in GT_ACT_FS:
+            code, out = run_cli(capsys, *_gt_act_argv(lam, f, backend))
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == GT_ACT_DIGESTS[backend]
+
+
+@pytest.mark.parametrize("argv", sorted(BR5_S3_ACT_DIGESTS))
+def test_gt_act_on_br5_s3_is_pinned_and_enumerates_the_parabolics_only(capsys, monkeypatch, argv):
+    # the chain Br3/s^3, Br4/s^3, Br5/s^3 over their parabolics, and no table over <s1>
+    cosets = []
+    enumerate_cosets = fpgroups.todd_coxeter
+
+    def counted(*args):
+        table = enumerate_cosets(*args)
+        cosets.append(table.degree)
+        return table
+
+    monkeypatch.setattr(fpgroups, "todd_coxeter", counted)
+    lam, f = argv.split(" ")
+    code, out = run_cli(capsys, *_gt_act_argv(lam, f, "coxeter:5,3"))
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == BR5_S3_ACT_DIGESTS[argv]
+    assert cosets == [8, 27, 240]
+
+
+@pytest.mark.parametrize("backend", sorted(VERIFY_MAP_DIGESTS))
+def test_verify_map_on_coxeter_backends_is_pinned(capsys, tmp_path, backend):
+    digest = hashlib.sha256()
+    for n in (4, 5):
+        for kind in ("inverse", "swap"):
+            code, out = run_cli(capsys, *_verify_map_argv(tmp_path, n, kind, backend))
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == VERIFY_MAP_DIGESTS[backend]
+
+
+def test_verify_map_on_a_presentation_with_no_generators(capsys, tmp_path):
+    pres, images = tmp_path / "pres.json", tmp_path / "map.json"
+    pres.write_text(json.dumps({"label": "E", "generators": [], "relators": []}))
+    images.write_text(json.dumps({"images": {}}))
+    code, out = run_cli(capsys, "present", "verify-map", "--pres", str(pres), "--map-file", str(images), "--backend", "torsion:2")
+    assert code == 0
+    assert json.loads(out) == {
+        "consistent": True,
+        "exact_proof": False,
+        "falsifier": None,
+        "map": "user-map",
+        "note": "consistent: necessary-condition evidence on finite quotients only",
+    }
+
+
 def test_garside_exponents_are_ascii_digits(capsys):
     # str.isdigit takes both: the first read as s1^3, the second was "exponent too long"
     for word in ("s1^\u0663", "s1^\u00b2"):
@@ -1273,6 +1363,20 @@ def test_garside_caps_leave_other_commands_alone(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["falsifier"][0] == backend
+
+
+@pytest.mark.parametrize("spec", ["garside:A3:junk", "garside:A3:B9:x", "garside:A16", "garside:B17", "garside:D17", "garside:A600"])
+def test_garside_backend_refuses_trailing_text_and_types_past_the_strand_cap(capsys, tmp_path, spec):
+    code, out = run_cli(capsys, *_verify_map_argv(tmp_path, 4, "inverse", spec))
+    assert code == 3
+    assert json.loads(out)["error"] == "input"
+
+
+def test_garside_backend_at_the_strand_cap_runs(capsys, tmp_path):
+    assert cli.MAX_STRANDS == 16
+    code, out = run_cli(capsys, *_verify_map_argv(tmp_path, 4, "inverse", "garside:A15"))
+    assert code == 0
+    assert "proves homomorphy" in json.loads(out)["note"]
 
 
 def test_garside_inputs_at_the_caps_run(capsys):

@@ -47,6 +47,7 @@ from reflbench.fpgroups import (
     _parabolic_quotient,
     _power_presentation,
 )
+from reflbench.gtaction import drinfeld_images, parse_pair
 
 
 def test_parse_free_reduction():
@@ -269,9 +270,11 @@ POWER_QUOTIENTS += [
     _torsion_case(f"Br{n}+2", lambda n=n: braid_presentation(n)) for n in range(2, 6)
 ]
 POWER_QUOTIENT_IDS = [case[0] for case in POWER_QUOTIENTS]
+# the power quotients numbered over <g1>; Br4/s^3 is built on a parabolic
+REGULAR_QUOTIENTS = [case for case in POWER_QUOTIENTS if case[0] != "Br4/s^3"]
 
 
-@pytest.mark.parametrize("build", [case[3] for case in POWER_QUOTIENTS], ids=POWER_QUOTIENT_IDS)
+@pytest.mark.parametrize("build", [case[3] for case in REGULAR_QUOTIENTS], ids=[case[0] for case in REGULAR_QUOTIENTS])
 def test_power_quotient_matches_trivial_subgroup_enumeration(build):
     # the cyclic-subgroup quotient against HLT over the trivial subgroup
     q = build()
@@ -299,17 +302,21 @@ def test_permutation_isomorphism_check_rejects_a_wrong_generator():
     assert not _permutation_isomorphic(q, wrong)
 
 
-def test_br5_s3_degree():
+def test_br5_s3_acts_on_240_cosets():
     q = coxeter_quotient(5, 3)
     assert q.degree == 155_520
     assert "columns" not in q.__dict__
-    assert len(q.gen_perms["s1"]) == 155_520
+    assert q.base == tuple(range(8))
+    assert len(q.gen_perms["s1"]) == len(q.identity()) == 240
 
 
 COXETER_CASES = [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3), (3, -3)] + [(n, 2) for n in range(3, 7)]
+# Br3/s^k is one enumeration over <s1>; for n >= 4 it is built on a parabolic
+CYCLIC_CASES = [(n, k) for n, k in COXETER_CASES if n == 3]
+PARABOLIC_CASES = [(n, k) for n, k in COXETER_CASES if n >= 4]
 
 
-@pytest.mark.parametrize("n, k", COXETER_CASES, ids=[f"Br{n}/s^{k}" for n, k in COXETER_CASES])
+@pytest.mark.parametrize("n, k", CYCLIC_CASES, ids=[f"Br{n}/s^{k}" for n, k in CYCLIC_CASES])
 def test_coxeter_quotient_matches_the_cyclic_subgroup_construction(n, k):
     # the order off the chain of parabolics against one enumeration over <s1>,
     # which also numbers the elements of both
@@ -319,6 +326,64 @@ def test_coxeter_quotient_matches_the_cyclic_subgroup_construction(n, k):
     assert q.m == coxeter_quotient(n - 1, k).degree
     assert q.degree == oracle.degree
     assert q.columns == oracle.columns
+
+
+GT_LAMBDAS = (1, -1, 3, -3, 5)  # the lambdas of the cosets workload's GT jobs
+
+
+@pytest.mark.parametrize("n, k", PARABOLIC_CASES, ids=[f"Br{n}/s^{k}" for n, k in PARABOLIC_CASES])
+def test_coxeter_quotient_on_a_parabolic_matches_the_quotient_over_s1(n, k):
+    # the quotient acts faithfully on its N cosets, the oracle, one enumeration
+    # over <s1>, regularly on its elements: the same word problem, the same orders
+    q = coxeter_quotient(n, k)
+    oracle = torsion_quotient(braid_presentation(n), k)
+    # the oracle's words act on 155,520 points for Br5/s^3: fewer and shorter checks there
+    words, subsets, fs = (60, 4, ("",)) if (n, k) == (5, 3) else (300, 10, ("", "[x,y]"))
+    assert q.table.subgroup == tuple(((f"s{i}", 1),) for i in range(1, n - 1))
+    assert q.m == coxeter_quotient(n - 1, k).degree
+    assert q.degree == oracle.degree
+    assert q.columns is q.table.columns
+    assert len(q.identity()) == q.table.degree == {(4, 3): 27, (5, 3): 240}.get((n, k), n)
+    assert q.order() == q.degree
+    rng = random.Random(1957 + 10 * n + k)
+    gens, relators = q.presentation.generators, q.presentation.relators
+
+    def word(length):
+        return free_reduce((rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, length)))
+
+    trivial = 0
+    for i in range(words):
+        w = word(6)
+        if i % 2:  # a conjugate of a relator
+            w = word_mul(w, rng.choice(relators), word_inverse(w))
+        on_q = q.eval_word(w) == q.identity()
+        assert on_q == (oracle.eval_word(w) == oracle.identity()), word_str(w)
+        trivial += on_q
+    assert 0 < trivial < words
+    for _ in range(subsets):
+        subset = [word(6) for _ in range(rng.randint(1, 3))]
+        assert q.subgroup_order(list(map(q.eval_word, subset))) == oracle.subgroup_order(
+            list(map(oracle.eval_word, subset))
+        )
+    # lam enters a map only as s_i^lam, and s_i^k = 1 in Q, so only lam mod |k|
+    # counts; (1, "") is the identity, bijective as q.order() == q.degree
+    maps = {(lam % abs(k), f): (lam, f) for f in fs for lam in GT_LAMBDAS[::-1]}
+    maps.pop((1 % abs(k), ""))
+    for lam, f in maps.values():
+        hom = GroupHom(f"Drinfeld({lam})", braid_presentation(n), drinfeld_images(n, parse_pair(lam, f)))
+        verdict, expected = verify_hom(hom, q), verify_hom(hom, oracle)
+        assert verdict.consistent == expected.consistent
+        assert (verdict.falsifier or (0, 0))[1] == (expected.falsifier or (0, 0))[1]
+        if verdict.consistent:
+            assert hom_bijective_on(hom, q) == hom_bijective_on(hom, oracle)
+
+
+def test_one_coset_is_no_base():
+    # the base the squeeze proves is needed: coset 0 alone has an orbit of N points, not |Q|
+    q = coxeter_quotient(4, 3)
+    assert q.base == (0, 1, 2, 3)
+    q.base = (0,)
+    assert q.order() == q.table.degree == 27 != q.degree
 
 
 def test_coxeter_quotients_of_order_two_are_symmetric_groups():
@@ -380,7 +445,7 @@ def test_parabolic_order_that_the_cosets_do_not_prove_raises():
     quot = _power_presentation(pres, "Q", 3)
     assert todd_coxeter(quot, []).index() == 12
     with pytest.raises(RuntimeError, match="cannot prove"):
-        _parabolic_quotient(quot, 3, coxeter_quotient(3, 3), 10_000)
+        _parabolic_quotient(quot, coxeter_quotient(3, 3), 10_000)
 
 
 @pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (5, 2), (4, -2)])
@@ -392,7 +457,7 @@ def test_parabolic_claiming_one_element_too_many_raises(n, k):
     assert claimed.degree == parabolic.degree + 1
     quot = _power_presentation(braid_presentation(n), f"Br{n}/s^{k}", k)
     with pytest.raises(RuntimeError, match="cannot prove"):
-        _parabolic_quotient(quot, k, claimed, 1_000_000)
+        _parabolic_quotient(quot, claimed, 1_000_000)
 
 
 BASE_COUNT_CASES = [(4, 3), (5, 3)] + [(n, k) for n in range(4, 9) for k in (2, -2, 1, -1)]
@@ -430,17 +495,9 @@ def test_power_exponents_at_the_word_cap_are_accepted():
 def test_parabolic_with_relators_outside_the_quotient_raises():
     quot = _power_presentation(braid_presentation(4), "Br4/s^3", 3)
     with pytest.raises(RuntimeError, match="not a quotient"):
-        _parabolic_quotient(quot, 3, coxeter_quotient(3, 4), 10_000)
+        _parabolic_quotient(quot, coxeter_quotient(3, 4), 10_000)
     with pytest.raises(RuntimeError, match="not a quotient"):
-        _parabolic_quotient(quot, 3, torsion_quotient(g12_braid_presentation(), 2), 10_000)
-
-
-def test_permutations_of_a_quotient_on_a_parabolic_need_the_same_order_over_g1():
-    # a table over the parabolic claiming the wrong subgroup order hands out no permutation
-    q = coxeter_quotient(4, 3)
-    wrong = PermQuotient(q.label, q.table, q.m - 1, q.regular)
-    with pytest.raises(RuntimeError, match="648 elements over <g1>"):
-        wrong.gen_perms
+        _parabolic_quotient(quot, torsion_quotient(g12_braid_presentation(), 2), 10_000)
 
 
 def test_unbalanced_relator_takes_the_trivial_subgroup():
@@ -524,11 +581,11 @@ def test_eval_word_matches_letter_by_letter_inversion():
     q = coxeter_quotient(4, 3)
 
     def reference(w):
-        perm = tuple(range(q.degree))
+        perm = q.identity()
         for sym, exp in w:
             g = q.gen_perms[sym]
             if exp < 0:
-                inv = [0] * q.degree
+                inv = [0] * len(perm)
                 for i, v in enumerate(g):
                     inv[v] = i
                 g = tuple(inv)
@@ -932,7 +989,7 @@ def test_trace_follows_each_letter_and_its_inverse():
     assert [table.column(g, step) for g in gens for step in (1, -1)] == list(range(2 * len(gens)))
     perms = table.generator_permutations()
     inverses = {g: {b: a for a, b in enumerate(p)} for g, p in perms.items()}
-    w = table.presentation.parse("s1 s2^-1 s3 s1^-2 s2")
+    w = parse_word("s1 s2^-1 s3 s1^-2 s2", gens)
     for alpha in range(table.index()):
         beta = alpha
         for sym, step in word_letters(w):

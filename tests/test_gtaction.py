@@ -26,7 +26,6 @@ from reflbench.gtaction import (
     GTPair,
     act_on_quotient,
     check_gd_pair,
-    composed_action_agrees,
     drinfeld_images,
     matsumoto_commutation_report,
     matsumoto_d_images,
@@ -34,6 +33,7 @@ from reflbench.gtaction import (
     stabilizes_bn_subgroup,
     y_word,
 )
+from reflbench.orbit import orbit
 
 
 def test_pair_validation():
@@ -140,6 +140,38 @@ def test_gd_rejects_g_outside_derived_subgroup():
     # a^2 lies in the kernel but has nonzero abelianized class
     with pytest.raises(InputError):
         check_gd_pair(6, 1, word_pow(single("a"), 2))
+
+
+def _element_words(quotient):
+    """A defining word in the generators for every element of a quotient
+    acting regularly on its elements, keyed by its point: the Schreier tree
+    of point 0."""
+    names = quotient.presentation.generators
+    edges = orbit(0, quotient.columns[::2], lambda p, g: g[p])
+    words = {}
+    for point, edge in edges.items():
+        words[point] = () if edge is None else word_mul(words[edge[0]], single(names[edge[1]]))
+    return words
+
+
+def composed_action_agrees(quotient, pair1, pair2) -> bool:
+    """Whether the maps induced on a quotient numbered over <g1> compose as
+    functions: applying the word-level composition of generator images
+    agrees, on every element (its image of the point 0), with applying the
+    two induced endomorphisms in sequence."""
+    assert quotient.base is None  # the action on the elements is regular
+    n = len(quotient.presentation.generators) + 1
+    img1 = drinfeld_images(n, pair1)
+    img2 = drinfeld_images(n, pair2)
+    words = _element_words(quotient)
+
+    def endo(images):
+        return {p: quotient.eval_word(substitute(w, images))[0] for p, w in words.items()}
+
+    f1, f2 = endo(img1), endo(img2)
+    composed_images = {g: substitute(w, img2) for g, w in img1.items()}
+    f21 = endo(composed_images)
+    return all(f2[f1[p]] == f21[p] for p in f1)
 
 
 def test_composition_as_functions():

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from reflbench import cyclo
+from reflbench.matgroup import build_catalog_group
 from reflbench.mpoly import (
     MPoly,
     from_json,
     jacobian,
+    monomial_images,
     poly_square_root,
     proportional,
     squarefree_linear_factor_check,
@@ -76,6 +78,34 @@ def test_compose_matches_the_earlier_expansion():
         (Z1 + Z2).compose([Z1, MPoly.variable(3, 0)])
     constant = MPoly.constant(0, 5)
     assert constant.compose([]) == _compose_oracle(constant, []) == constant
+
+
+def test_monomial_images_match_products_of_powers():
+    # the reference multiplies z_i^0 = 1 in, once per variable of each monomial
+    rng = random.Random(29)
+    for _ in range(30):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        substitution = [_random_poly(rng, m, rng.randint(1, 3), 2) for _ in range(n)]
+        monos = list({tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 6))})
+        for e, image in zip(monos, monomial_images(monos, substitution)):
+            reference = MPoly.constant(m, 1)
+            for s, k in zip(substitution, e):
+                reference = reference * s**k
+            assert image == reference
+
+
+def test_monomial_images_never_multiply_by_one(monkeypatch):
+    # s0^2, s0^3 and s1^2 are the powers, then one product per monomial
+    g = build_catalog_group("G4").generators[0]
+    substitution = [MPoly.linear_form(row) for row in g.rows]
+    expected = monomial_images([(3, 1), (2, 2)], substitution)
+    calls = []
+    multiply = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append(b) or multiply(a, b))
+    assert monomial_images([(3, 1), (2, 2)], substitution) == expected
+    assert len(calls) == 5
+    assert monomial_images([(1, 0), (0, 0)], substitution) == [substitution[0], MPoly.constant(2, 1)]
+    assert len(calls) == 5
 
 
 def test_jacobian_of_coordinates():
