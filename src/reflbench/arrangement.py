@@ -35,6 +35,7 @@ from .orbit import orbit
 # accepts took 6.8-7.9 s (G(3,3,6)) and 4-5.5 s (G(2,1,6), G(2,2,6)) on 2 vCPUs
 MAX_DIM = 6
 MAX_HYPERPLANES = 60
+BRUTEFORCE_HYPERPLANES = 14  # the supersolvability oracle lists every maximal chain
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,7 @@ def arrangement_of(group: matgroup.RGroup) -> Arrangement:
     Generator g permutes the hyperplanes: H goes to the hyperplane of g r g^-1
     for a reflection r on H, read off element indices."""
     hyps = matgroup.hyperplanes(group)
-    position = {form: h for h, (form, _) in enumerate(hyps)}
-    hyperplane_of = {
-        group.index_of(r.element): position[r.hyperplane] for r in matgroup.reflections(group)
-    }
+    hyperplane_of = matgroup.reflections(group)
     one = {h: i for i, h in hyperplane_of.items()}
     conjugators, conjugate = matgroup.conjugation(group)
     return Arrangement(
@@ -244,12 +242,12 @@ def is_supersolvable(arr: Arrangement):
     return True, [sorted(f.hyperplane_set) for f in found]
 
 
-def is_supersolvable_bruteforce(arr: Arrangement, max_hyperplanes: int = 14):
+def is_supersolvable_bruteforce(arr: Arrangement):
     """Oracle: enumerate ALL maximal chains, test every flat of each for
-    modularity.  Exponential; only for small instances."""
-    if len(arr.hyperplanes) > max_hyperplanes:
+    modularity.  Exponential; only for up to BRUTEFORCE_HYPERPLANES."""
+    if len(arr.hyperplanes) > BRUTEFORCE_HYPERPLANES:
         raise BudgetExceededError(
-            f"brute-force oracle limited to {max_hyperplanes} hyperplanes"
+            f"brute-force oracle limited to {BRUTEFORCE_HYPERPLANES} hyperplanes"
         )
     lat = arr.lattice
     top_rank = lat.rank()

@@ -323,14 +323,6 @@ class CycNum:
         self._den = x._den
         self._hash = None
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def from_rational(q) -> "CycNum":
-        if not isinstance(q, (int, Fraction)):
-            raise TypeError(f"cannot interpret {q!r} as a rational number")
-        return _make(1, (q.numerator,), q.denominator)
-
     # -- structure ------------------------------------------------------------
 
     @property
@@ -530,7 +522,7 @@ def _coerce(x) -> CycNum:
     if isinstance(x, CycNum):
         return x
     if isinstance(x, (int, Fraction)):
-        return CycNum.from_rational(x)
+        return rational(x)
     raise TypeError(f"cannot interpret {x!r} as a cyclotomic number")
 
 
@@ -564,7 +556,9 @@ ONE = _make(1, (1,), 1)
 
 def rational(q) -> CycNum:
     """The rational number q as a CycNum."""
-    return CycNum.from_rational(q)
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"cannot interpret {q!r} as a rational number")
+    return _make(1, (q.numerator,), q.denominator)
 
 
 def root_of_unity(n: int, k: int = 1) -> CycNum:

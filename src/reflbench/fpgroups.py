@@ -120,14 +120,9 @@ def word_length(w: Word) -> int:
     return sum(abs(e) for _, e in w)
 
 
-def exponent_sum(w: Word, per_generator: bool = False):
-    """Abelianization image: total exponent sum, or a dict per generator."""
-    if not per_generator:
-        return sum(e for _, e in w)
-    out: dict[str, int] = {}
-    for s, e in w:
-        out[s] = out.get(s, 0) + e
-    return out
+def exponent_sum(w: Word) -> int:
+    """The total exponent sum: w's image in Z under every generator -> 1."""
+    return sum(e for _, e in w)
 
 
 def is_in_derived_f2(w: Word) -> bool:
@@ -136,7 +131,9 @@ def is_in_derived_f2(w: Word) -> bool:
     In a free group, a word lies in the derived subgroup iff its image in the
     (free abelian) abelianization vanishes, i.e. both exponent sums are zero.
     """
-    sums = exponent_sum(w, per_generator=True)
+    sums: dict[str, int] = {}
+    for s, e in w:
+        sums[s] = sums.get(s, 0) + e
     if not set(sums) <= {"x", "y"}:
         raise InputError(f"expected a word over x,y, got letters {sorted(sums)}")
     return all(v == 0 for v in sums.values())
@@ -877,7 +874,8 @@ class PermQuotient:
         return tuple(range(self.degree if self.base is None else self.table.degree))
 
     def order(self) -> int:
-        return self.subgroup_order(self.columns[::2])
+        """|Q| = `degree`: proved when the quotient was built, so no orbit runs."""
+        return self.degree
 
     def subgroup_order(self, perms: list[tuple[int, ...]]) -> int:
         if self.base is None:

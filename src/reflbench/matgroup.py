@@ -178,10 +178,6 @@ class RGroup:
         dim = self.dim
         return {x[:dim]: i for i, x in enumerate(self.images)}
 
-    def index_of(self, m: RMatrix) -> int:
-        """The element index of m, read off its rows; KeyError if m is not in the group."""
-        return self.element_index[tuple(map(self.point_index.__getitem__, m.rows))]
-
 
 def enumerate_closure(
     generators: list[RMatrix], label: str, budget: int = DEFAULT_ELEMENT_BUDGET
@@ -332,15 +328,6 @@ def build_catalog_group(name: str, budget: int = DEFAULT_ELEMENT_BUDGET) -> RGro
 # reflections
 
 
-@dataclass(frozen=True)
-class ReflectionData:
-    element: RMatrix
-    hyperplane: tuple[CycNum, ...]  # normalized linear form, first nonzero = 1
-    order_eH: int
-    distinguished: bool
-    nontrivial_eigenvalue: CycNum
-
-
 def _hyperplane_form(m: RMatrix) -> tuple[CycNum, ...] | None:
     """Normalized defining form of Ker(m - 1) when that kernel is a hyperplane.
 
@@ -367,59 +354,45 @@ def _hyperplane_form(m: RMatrix) -> tuple[CycNum, ...] | None:
     return tuple(x * inv for x in r)
 
 
-def reflections(group: RGroup) -> list[ReflectionData]:
-    """All pseudo-reflections, with per-hyperplane orders and distinguished flags.
+def reflections(group: RGroup) -> dict[int, int]:
+    """Every pseudo-reflection's element index -> the position of its
+    hyperplane in `hyperplanes(group)`, ordered by hyperplane and then by
+    index; each call returns a fresh dict of the table kept on the group."""
+    return dict(_reflection_table(group)[1])
 
-    Being a pseudo-reflection (rank(g - 1) = 1) is a class property, so one
-    element per conjugacy class is tested, and the nontrivial eigenvalue
-    tr(g) - (dim - 1) is read once per class.  Each hyperplane lists its
-    reflections in element-index order; the distinguished one generates the
-    pointwise stabilizer, with eigenvalue exp(2*pi*i/e_H).  Kept on the group.
-    """
+
+def hyperplanes(group: RGroup) -> list[tuple[tuple[CycNum, ...], int]]:
+    """Distinct reflecting hyperplanes with their e_H, 1 + the number of
+    reflections on H, in deterministic order."""
+    return list(_reflection_table(group)[0])
+
+
+def _reflection_table(group: RGroup):
     cache = getattr(group, "_refl", None)
     if cache is None:
         cache = _scan_reflections(group)
         object.__setattr__(group, "_refl", cache)
-    return list(cache)
+    return cache
 
 
-def _scan_reflections(group: RGroup) -> tuple[ReflectionData, ...]:
+def _scan_reflections(group: RGroup):
+    """Being a pseudo-reflection (rank(g - 1) = 1) is a class property, so one
+    element per conjugacy class is tested, and the other members of the
+    reflection classes only have their hyperplanes found."""
     elements = group.elements
-    found: dict[int, tuple[tuple[CycNum, ...], CycNum]] = {}  # index -> (form, eigenvalue)
+    found: dict[int, tuple[CycNum, ...]] = {}  # element index -> hyperplane form
     for c in conjugacy_classes(group):
         form = _hyperplane_form(elements[c[0]])
         if form is not None:
-            eig = elements[c[0]].trace() - (group.dim - 1)
-            found[c[0]] = form, eig
-            found.update((i, (_hyperplane_form(elements[i]), eig)) for i in c[1:])
+            found[c[0]] = form
+            found.update((i, _hyperplane_form(elements[i])) for i in c[1:])
     by_hyperplane: dict[tuple[CycNum, ...], list[int]] = {}
     for i in sorted(found):
-        by_hyperplane.setdefault(found[i][0], []).append(i)
-    result: list[ReflectionData] = []
-    for form in sorted(by_hyperplane, key=lambda f: [repr(c) for c in f]):
-        members = by_hyperplane[form]
-        e_h = len(members) + 1
-        zeta = cyclo.root_of_unity(e_h, 1)
-        for i in members:
-            eig = found[i][1]
-            result.append(
-                ReflectionData(
-                    element=elements[i],
-                    hyperplane=form,
-                    order_eH=e_h,
-                    distinguished=(eig == zeta),
-                    nontrivial_eigenvalue=eig,
-                )
-            )
-    return tuple(result)
-
-
-def hyperplanes(group: RGroup) -> list[tuple[tuple[CycNum, ...], int]]:
-    """Distinct reflecting hyperplanes with their e_H, in deterministic order."""
-    seen: dict[tuple[CycNum, ...], int] = {}
-    for refl in reflections(group):
-        seen[refl.hyperplane] = refl.order_eH
-    return sorted(seen.items(), key=lambda kv: [repr(c) for c in kv[0]])
+        by_hyperplane.setdefault(found[i], []).append(i)
+    forms = sorted(by_hyperplane, key=lambda f: [repr(c) for c in f])
+    hyps = tuple((form, len(by_hyperplane[form]) + 1) for form in forms)
+    table = {i: h for h, form in enumerate(forms) for i in by_hyperplane[form]}
+    return hyps, table
 
 
 # ---------------------------------------------------------------------------

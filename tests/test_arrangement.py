@@ -101,9 +101,15 @@ def test_g224_not_supersolvable_matches_oracle():
 
 
 def test_bruteforce_budget():
-    arr = arrangement_of(build_monomial_group(2, 1, 3))
-    with pytest.raises(BudgetExceededError):
-        is_supersolvable_bruteforce(arr, max_hyperplanes=5)
+    # G(m,m,2) has m lines and G(2,2,5) 20 planes: up to 14 hyperplanes are
+    # listed, more are refused before any lattice is built
+    assert arrangement.BRUTEFORCE_HYPERPLANES == 14
+    assert is_supersolvable_bruteforce(arrangement_of(build_monomial_group(14, 14, 2)))[0]
+    for group in (build_monomial_group(15, 15, 2), build_monomial_group(2, 2, 5)):
+        arr = arrangement_of(group)
+        with pytest.raises(BudgetExceededError, match="limited to 14 hyperplanes"):
+            is_supersolvable_bruteforce(arr)
+        assert "lattice" not in arr.__dict__
 
 
 def test_lattice_dimension_budget():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -130,12 +131,13 @@ def test_exponent_sums():
     comm = parse_word("[s1, s2]", br4.generators)
     assert exponent_sum(comm) == 0
     assert exponent_sum(parse_word("s1^3", br4.generators)) == 3
-    assert exponent_sum(omega4, per_generator=True) == {"s1": 4, "s2": 4, "s3": 4}
 
 
 def test_is_in_derived_f2():
     assert is_in_derived_f2(parse_word("[x,y]", ("x", "y")))
     assert not is_in_derived_f2(parse_word("x y", ("x", "y")))
+    # total exponent sum 0, but not per generator
+    assert not is_in_derived_f2(parse_word("x y^-1", ("x", "y")))
     w = word_mul(
         parse_word("[x^2,y]", ("x", "y")), word_pow(parse_word("[y,x]", ("x", "y")), 3)
     )
@@ -215,6 +217,29 @@ def test_cp_without_far_commutations_does_not_close():
         pres = corran_picantin_presentation(e, 4, include_far_commutations=False)
         with pytest.raises(BudgetExceededError):
             torsion_quotient(pres, 2, limit=limit)
+
+
+def _orbit_order(q):
+    """|Q| as one orbit's size: of the base under the generators on a
+    parabolic, else of the point 0 in the regular action."""
+    return q.subgroup_order(q.columns[::2])
+
+
+@pytest.fixture(autouse=True)
+def _orders_are_orbit_sizes(monkeypatch):
+    # every torsion and Coxeter quotient a test builds: once the test is done,
+    # the order proved at its build is the orbit that counts the group
+    built = []
+    for name in ("torsion_quotient", "coxeter_quotient"):
+
+        def build(*args, _build=globals()[name], **kwargs):
+            built.append(_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setitem(globals(), name, build)
+    yield
+    for q in built:
+        assert q.order() == _orbit_order(q)
 
 
 def quotient_from_table(label, table):
@@ -344,7 +369,7 @@ def test_coxeter_quotient_on_a_parabolic_matches_the_quotient_over_s1(n, k):
     assert q.degree == oracle.degree
     assert q.columns is q.table.columns
     assert len(q.identity()) == q.table.degree == {(4, 3): 27, (5, 3): 240}.get((n, k), n)
-    assert q.order() == q.degree
+    assert _orbit_order(q) == q.degree
     rng = random.Random(1957 + 10 * n + k)
     gens, relators = q.presentation.generators, q.presentation.relators
 
@@ -380,10 +405,10 @@ def test_coxeter_quotient_on_a_parabolic_matches_the_quotient_over_s1(n, k):
 
 def test_one_coset_is_no_base():
     # the base the squeeze proves is needed: coset 0 alone has an orbit of N points, not |Q|
-    q = coxeter_quotient(4, 3)
+    q = copy.copy(coxeter_quotient(4, 3))
     assert q.base == (0, 1, 2, 3)
     q.base = (0,)
-    assert q.order() == q.table.degree == 27 != q.degree
+    assert q.subgroup_order(q.columns[::2]) == q.table.degree == 27 != q.degree
 
 
 def test_coxeter_quotients_of_order_two_are_symmetric_groups():
@@ -486,10 +511,12 @@ def test_power_exponents_past_the_word_cap_are_input_errors(k):
 
 
 def test_power_exponents_at_the_word_cap_are_accepted():
+    # built past the orbit-order fixture: its regular table would check a
+    # 10,000-letter relator at each of 10,000 points, about a second apiece
     for k in (10_000, -10_000):
         assert abs(k) == fpgroups.MAX_WORD_LETTERS
-        assert coxeter_quotient(2, k).degree == 10_000
-        assert torsion_quotient(braid_presentation(2), k).degree == 10_000
+        assert fpgroups.coxeter_quotient(2, k).degree == 10_000
+        assert fpgroups.torsion_quotient(braid_presentation(2), k).degree == 10_000
 
 
 def test_parabolic_with_relators_outside_the_quotient_raises():
@@ -515,8 +542,8 @@ def test_quotient_permutations_pass_the_closure_check_first(m):
     # a 3-cycle breaks the relator a^2: the degree is read, no permutation is handed out
     pres = Presentation("P", ("a",), (word_pow(single("a"), 2),))
     q = PermQuotient("P", CosetTable(pres, (), [(1, 2, 0), (2, 0, 1)], "complete", 3), m)
-    assert q.degree == 3 * m
-    for read in (lambda: q.gen_perms, q.order, lambda: q.eval_word(single("a", -1))):
+    assert q.order() == q.degree == 3 * m
+    for read in (lambda: q.gen_perms, lambda: q.eval_word(single("a", -1))):
         with pytest.raises(RuntimeError, match="relator"):
             read()
 

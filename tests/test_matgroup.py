@@ -21,6 +21,11 @@ from reflbench.matgroup import (
 )
 
 
+def _index_of(g, m):
+    """The element index of m, read off its rows; KeyError if m is not in g."""
+    return g.element_index[tuple(map(g.point_index.__getitem__, m.rows))]
+
+
 def test_monomial_orders():
     # order formula d^n n!/e on Shephard-Todd labels
     assert build_monomial_group(1, 1, 3).order() == 6
@@ -67,14 +72,12 @@ def test_closure_idempotent():
 
 def test_reflection_counts():
     s3 = build_catalog_group("S3_paper")
-    refl = reflections(s3)
-    assert len(refl) == 3 and len(hyperplanes(s3)) == 3
-    assert all(r.order_eH == 2 for r in refl)
+    assert len(reflections(s3)) == 3
+    assert [e for _, e in hyperplanes(s3)] == [2, 2, 2]
 
     g4 = build_catalog_group("G4")
-    refl4 = reflections(g4)
-    assert len(refl4) == 8 and len(hyperplanes(g4)) == 4
-    assert all(r.order_eH == 3 for r in refl4)
+    assert len(reflections(g4)) == 8
+    assert [e for _, e in hyperplanes(g4)] == [3, 3, 3, 3]
 
     b2 = build_monomial_group(2, 1, 2)
     assert len(reflections(b2)) == 4 and len(hyperplanes(b2)) == 4
@@ -82,28 +85,19 @@ def test_reflection_counts():
 
 def test_reflections_fix_their_hyperplane_pointwise():
     g4 = build_catalog_group("G4")
-    for r in reflections(g4):
+    hyps = hyperplanes(g4)
+    for i, h in reflections(g4).items():
         # kernel basis of the defining form, checked fixed exactly
-        a, b = r.hyperplane
+        a, b = hyps[h][0]
         if a.is_zero():
             v = (cyclo.ONE, cyclo.ZERO)
         else:
             v = (-b / a, cyclo.ONE)
         image = tuple(
-            sum((r.element.rows[i][j] * v[j] for j in range(2)), cyclo.ZERO)
-            for i in range(2)
+            sum((g4.elements[i].rows[k][j] * v[j] for j in range(2)), cyclo.ZERO)
+            for k in range(2)
         )
         assert image == v
-
-
-def test_distinguished_reflections_biject_with_hyperplanes():
-    for g in (build_catalog_group("G4"), build_catalog_group("S3_paper"), build_monomial_group(3, 3, 2)):
-        refl = reflections(g)
-        dist = [r for r in refl if r.distinguished]
-        assert len(dist) == len(hyperplanes(g))
-        assert len({r.hyperplane for r in dist}) == len(dist)
-        zeta = {r.hyperplane: cyclo.root_of_unity(r.order_eH, 1) for r in dist}
-        assert all(r.nontrivial_eigenvalue == zeta[r.hyperplane] for r in dist)
 
 
 def test_field_of_definition_weyl_and_cyclotomic():
@@ -194,10 +188,10 @@ def test_galois_image_g4_is_automorphism():
     assert same
     # the induced permutation respects products on generators x elements
     for a in g4.generators:
-        ia = g4.index_of(a)
+        ia = _index_of(g4, a)
         for i, b in enumerate(g4.elements):
-            lhs = perm[g4.index_of(a * b)]
-            rhs = g4.index_of(g4.elements[perm[ia]] * g4.elements[perm[i]])
+            lhs = perm[_index_of(g4, a * b)]
+            rhs = _index_of(g4, g4.elements[perm[ia]] * g4.elements[perm[i]])
             assert lhs == rhs
 
 
@@ -403,18 +397,20 @@ def test_one_reflection_scan_per_group(monkeypatch):
     # one test per conjugacy class, then one form per reflection that is not
     # its class's first element
     classes = matgroup.conjugacy_classes(g)
-    firsts = {g.elements[c[0]] for c in classes}
-    scan = len(classes) + sum(r.element not in firsts for r in refl)
+    firsts = {c[0] for c in classes}
+    scan = len(classes) + sum(i not in firsts for i in refl)
     assert len(calls) == scan < g.order()
     assert degrees == [4, 6, 8] and len(refl) == len(hyps) == 15
-    # every call returns a fresh list of the stored result
+    # every call returns a fresh copy of the stored result
     refl.clear()
+    hyps.clear()
     assert reflections(g) == reflections(g) != []
     assert reflections(g) is not reflections(g)
+    assert hyperplanes(g) == hyperplanes(g) != []
     assert len(calls) == scan
     # a second group object scans again: nothing is kept across groups
     again = build_monomial_group(4, 2, 3)
-    assert [r.hyperplane for r in reflections(again)] == [r.hyperplane for r in reflections(g)]
+    assert reflections(again) == reflections(g) and hyperplanes(again) == hyperplanes(g)
     assert len(calls) == 2 * scan
 
 
@@ -489,7 +485,7 @@ def test_closure_matches_product_bfs(name):
     for m, x in zip(g.elements, g.images):
         assert m.rows == tuple(g.points[i] for i in x[:n])
     for gen, gp in zip(g.generators, g.generator_perms):
-        assert g.images[g.index_of(gen)] == tuple(gp[i] for i in frame)
+        assert g.images[_index_of(g, gen)] == tuple(gp[i] for i in frame)
         for i, v in enumerate(g.points):
             image = tuple(
                 sum((v[k] * gen.rows[k][j] for k in range(n)), cyclo.ZERO) for j in range(n)
@@ -523,7 +519,7 @@ def test_regular_basis_orbits_keep_records_small():
     inverses = [h.inverse() for h in g.elements]
     for cls in classes:
         m = g.elements[cls[0]]
-        assert {g.index_of(h_inv * m * h) for h, h_inv in zip(g.elements, inverses)} == set(cls)
+        assert {_index_of(g, h_inv * m * h) for h, h_inv in zip(g.elements, inverses)} == set(cls)
     assert sorted(i for cls in classes for i in cls) == list(range(48)) and len(classes) == 10
     # dim * budget points are allowed, one more element is not
     assert enumerate_closure(gens, "conjugate", budget=48).elements == g.elements
@@ -566,7 +562,7 @@ def test_conjugacy_classes_partition_and_are_closed(name):
         for i in cls:
             m = g.elements[i]
             for s, s_inv in zip(g.generators, inverses):
-                assert owner[g.index_of(s_inv * m * s)] == k
+                assert owner[_index_of(g, s_inv * m * s)] == k
     # classes are found once per group; each call returns a fresh list
     classes.clear()
     assert matgroup.conjugacy_classes(g) == matgroup.conjugacy_classes(g) != []
@@ -578,7 +574,7 @@ def test_conjugacy_classes_are_full_classes(name):
     inverses = [h.inverse() for h in g.elements]
     for cls in matgroup.conjugacy_classes(g):
         m = g.elements[cls[0]]
-        full = {g.index_of(h_inv * m * h) for h, h_inv in zip(g.elements, inverses)}
+        full = {_index_of(g, h_inv * m * h) for h, h_inv in zip(g.elements, inverses)}
         assert full == set(cls)
 
 
@@ -628,13 +624,13 @@ def _permutation(group, m):
 @pytest.mark.parametrize("name", sorted(ORBIT_GROUPS))
 def test_element_index_and_point_permutations(name):
     g = ORBIT_GROUPS[name]()
-    assert [g.index_of(m) for m in g.elements] == list(range(g.order()))
+    assert [_index_of(g, m) for m in g.elements] == list(range(g.order()))
     assert tuple(_permutation(g, s) for s in g.generators) == g.generator_perms
     for m, x in zip(g.elements, g.images):
         assert _permutation(g, m)[: g.dim] == x[: g.dim]
     double = RMatrix([[2 if i == j else 0 for j in range(g.dim)] for i in range(g.dim)])
     with pytest.raises(KeyError):
-        g.index_of(double)
+        _index_of(g, double)
     with pytest.raises(KeyError):
         _permutation(g, double)
 
@@ -683,21 +679,17 @@ def test_galois_image_matches_per_element_images(name):
 
 
 def _scan_every_element(group):
-    """The earlier reflection scan: rank(g - 1) = 1 tested at every element,
-    the nontrivial eigenvalue read off the determinant."""
+    """The earlier reflection scan, rank(g - 1) = 1 tested at every element:
+    the items of the index table `reflections` keeps, in its order, and the
+    hyperplanes with their e_H."""
     by_hyperplane = {}
-    for m in group.elements:
+    for i, m in enumerate(group.elements):
         form = matgroup._hyperplane_form(m)
         if form is not None:
-            by_hyperplane.setdefault(form, []).append(m)
-    result = []
-    for form in sorted(by_hyperplane, key=lambda f: [repr(c) for c in f]):
-        elems = by_hyperplane[form]
-        zeta = cyclo.root_of_unity(len(elems) + 1, 1)
-        for m in elems:
-            eig = linalg.det([list(r) for r in m.rows])
-            result.append(matgroup.ReflectionData(m, form, len(elems) + 1, eig == zeta, eig))
-    return result
+            by_hyperplane.setdefault(form, []).append(i)
+    forms = sorted(by_hyperplane, key=lambda f: [repr(c) for c in f])
+    table = [(i, h) for h, form in enumerate(forms) for i in by_hyperplane[form]]
+    return table, [(form, len(by_hyperplane[form]) + 1) for form in forms]
 
 
 # every G(d,e,n) of order <= 2,000: from rank 3 on, d^(n-1) n! <= d^n n!/e
@@ -712,17 +704,38 @@ SCAN_GROUPS = [
 ]
 
 
+SCAN_BUILDS = [functools.partial(build_monomial_group, *t) for t in SCAN_GROUPS] + [
+    functools.partial(build_catalog_group, name) for name in ("G4", "S3_paper")
+]
+SCAN_IDS = ["G({},{},{})".format(*t) for t in SCAN_GROUPS] + ["G4", "S3_paper"]
+
+
 @pytest.mark.parametrize(
     "build",
-    [functools.partial(build_monomial_group, *t) for t in SCAN_GROUPS]
-    + [functools.partial(build_catalog_group, name) for name in ("G4", "S3_paper")]
+    SCAN_BUILDS
     # a cyclic group without reflections: diag(i, -i) has no eigenvalue 1
     + [lambda: _explicit([[[cyclo.root_of_unity(4, 1), 0], [0, cyclo.root_of_unity(4, 3)]]])],
-    ids=["G({},{},{})".format(*t) for t in SCAN_GROUPS] + ["G4", "S3_paper", "explicit-diag-i"],
+    ids=SCAN_IDS + ["explicit-diag-i"],
 )
 def test_class_scan_matches_the_scan_of_every_element(build):
     g = build()
-    assert reflections(g) == _scan_every_element(g)
+    assert (list(reflections(g).items()), hyperplanes(g)) == _scan_every_element(g)
+
+
+@pytest.mark.parametrize("build", SCAN_BUILDS, ids=SCAN_IDS)
+def test_reflections_on_a_hyperplane_have_every_nontrivial_eigenvalue(build):
+    # the reflections fixing H and 1 form a cyclic group of order e_H, so
+    # their determinants, the nontrivial eigenvalues, are the e_H - 1
+    # nontrivial e_H-th roots of unity, each once
+    g = build()
+    on = {}
+    for i, h in reflections(g).items():
+        on.setdefault(h, []).append(linalg.det([list(r) for r in g.elements[i].rows]))
+    hyps = hyperplanes(g)
+    assert sorted(on) == list(range(len(hyps)))
+    for h, (_, e) in enumerate(hyps):
+        roots = {cyclo.root_of_unity(e, k) for k in range(1, e)}
+        assert len(on[h]) == len(set(on[h])) == e - 1 and set(on[h]) == roots
 
 
 def test_class_scan_finds_reflections_beyond_the_generators():
@@ -731,5 +744,5 @@ def test_class_scan_finds_reflections_beyond_the_generators():
     g = build_monomial_group(4, 2, 2)
     assert [matgroup._hyperplane_form(s) is not None for s in g.generators] == [True, False, True]
     refl = reflections(g)
-    assert refl == _scan_every_element(g) and len(refl) == 6
-    assert {r.element for r in refl} > {g.generators[0], g.generators[2]}
+    assert list(refl.items()) == _scan_every_element(g)[0] and len(refl) == 6
+    assert set(refl) > {_index_of(g, g.generators[0]), _index_of(g, g.generators[2])}

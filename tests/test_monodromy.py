@@ -21,6 +21,11 @@ from reflbench.monodromy import (
 from reflbench.orbit import orbit
 
 
+def _index_of(g, m):
+    """The element index of m, read off its rows; KeyError if m is not in g."""
+    return g.element_index[tuple(map(g.point_index.__getitem__, m.rows))]
+
+
 def _permutation(group, m):
     """m's permutation of the group's points, one row-times-matrix pass."""
     sparse = m.sparse_rows()
@@ -255,7 +260,7 @@ def test_spec_words_name_their_elements():
             for word, perm in ((x, spec.x), (y, spec.y)):
                 m = _evaluate(g, names, parse_word(word, names))
                 assert perm == _permutation(g, m)
-                assert g.elements[g.index_of(m)] == m
+                assert g.elements[_index_of(g, m)] == m
 
 
 def test_profile_json_round_trip():
