@@ -90,7 +90,7 @@ def cmd_group_info(args):
     hyps = matgroup.hyperplanes(g)
     fod = matgroup.field_of_definition(g)
     h = matgroup.invariant_hermitian_form(g)
-    _, conj_stable, _ = matgroup.galois_image(g, -1)
+    conj_stable = matgroup.galois_image(g, -1) is not None
     payload = {
         "label": g.label,
         "order": g.order(),

@@ -20,7 +20,10 @@ A torsion quotient, and Br_n/s^k for n <= 3, is enumerated over the cyclic
 subgroup H = <g1> when psi, every generator to 1 in Z/m with m = |k|, is a
 homomorphism (every relator's exponent sum is 0 mod m).  Then |H| = m:
 g1^k = 1 bounds it above, and psi(g1) = 1 generates Z/m, which bounds it
-below.  q -> (Hq, psi(q)) numbers the elements.
+below.  q -> (Hq, psi(q)) numbers the elements, and a generator acts on
+them as (t, a) -> (t.x, a + 1).  That regular action needs no check of its
+own: its first coordinate is the coset action of a table `todd_coxeter`
+validated, and its second is psi, so every relator fixes every pair.
 
 Br_n/s^k is finite iff 1/n + 1/|k| > 1/2 (Coxeter, 1957); `coxeter_quotient`
 refuses every other case before any enumeration.  For n = 3 the parabolic
@@ -812,15 +815,18 @@ class PermQuotient:
     of order m (m = 1 for a table of the trivial subgroup or of any action
     on points), so `degree` = |Q|, m times the table's, needs no permutation.
 
-    Every permutation handed out comes from `columns`, whose table passed
-    `_validate_table` with the quotient's relators.  A quotient on a
-    parabolic has the `base` the squeeze proved (see the module docstring):
-    Q acts faithfully on the cosets, `columns` are the table's, and a
-    subgroup H of Q acts freely on the orbit of the base.  Any other
-    quotient acts regularly on its elements, numbered over <g1>: `columns`
-    builds and validates that action on first use, a generator sending the
-    point t*m + a = (t, a) to (t.x, a + 1), and H acts freely on the orbit
-    of the point 0.  Either way |H| is one orbit's size: never a listing.
+    Every permutation handed out comes from `columns`, which follow from
+    the table: a table from `todd_coxeter` passed `_validate_table` with
+    the quotient's relators, and one from `permutation_table` has no
+    relators to fail.  A quotient on a parabolic has the `base` the squeeze
+    proved (see the module docstring): Q acts faithfully on the cosets,
+    `columns` are the table's, and a subgroup H of Q acts freely on the
+    orbit of the base.
+    Any other quotient acts regularly on its elements, numbered over <g1>:
+    `columns` builds that action on first use, a generator sending the point
+    t*m + a = (t, a) to (t.x, a + 1), which every relator fixes since its
+    exponent sum is 0 mod m, and H acts freely on the orbit of the point 0.
+    Either way |H| is one orbit's size: never a listing.
     """
 
     label: str
@@ -844,15 +850,13 @@ class PermQuotient:
         points, so every entry shares its int object."""
         if self.base is not None:
             return self.table.columns
-        m, n, quot = self.m, self.degree, self.presentation
-        points = tuple(range(n))
+        m = self.m
+        points = tuple(range(self.degree))
         columns = []
         for c, col in enumerate(self.table.columns):
             step = -1 if c & 1 else 1
             residues = [_gather(points[(a + step) % m :: m], col) for a in range(m)]
             columns.append(tuple(chain.from_iterable(zip(*residues))))
-        rel_cols = [[quot.letter_columns[x] for x in word_letters(r)] for r in quot.relators]
-        _validate_table(CosetTable(quot, (), columns, "complete", n), rel_cols, [])
         return columns
 
     @property

@@ -23,7 +23,7 @@ from itertools import chain
 from . import cyclo, linalg, matgroup
 from .cyclo import CycNum
 from .errors import BudgetExceededError
-from .matgroup import RGroup, RMatrix, then
+from .matgroup import RGroup, RMatrix
 from .mpoly import MPoly, jacobian, monomial_images, proportional
 
 MAX_MOLIEN_DIM = 4
@@ -51,7 +51,7 @@ def reynolds(group: RGroup, p: MPoly) -> MPoly:
     is the mean of z^e o t over a transversal T of G/Z."""
     if p.nvars != group.dim:
         raise ValueError("substitution arity mismatch")
-    z, transversal = _scalar_cosets(group)
+    z, transversal = group.scalar_cosets
     if not (wanted := [e for e in p.terms if sum(e) % z == 0]):
         return MPoly.zero(p.nvars)
     sums = [MPoly.zero(p.nvars)] * len(wanted)
@@ -60,23 +60,6 @@ def reynolds(group: RGroup, p: MPoly) -> MPoly:
         sums = list(map(MPoly.__add__, sums, monomial_images(wanted, subs)))
     total = sum((s.scale(p.terms[e]) for e, s in zip(wanted, sums)), MPoly.zero(p.nvars))
     return total.scale(Fraction(1, len(transversal)))
-
-
-def _scalar_cosets(group: RGroup) -> tuple[int, list[int]]:
-    """|Z| and the least index of each coset of Z, once per group: lambda I is
-    in G iff the points lambda e_k are basis images."""
-    if (cosets := getattr(group, "_scalar_cosets", None)) is None:
-        dim, points, index, element = group.dim, group.points, group.point_index, group.element_index
-        # v = lambda e_1, rotated k places to lambda e_k; scalars[0] = 1 is point 0
-        lines = [v for v in points if not any(v[1:])]
-        scalars = [v[0] for v in lines if tuple(index.get(v[-k:] + v[:-k]) for k in range(dim)) in element]
-        perms = [[index[tuple(lam * c if c else c for c in v)] for v in points] for lam in scalars[1:]]
-        transversal = [
-            i for i, x in enumerate(group.images) if all(i < element[then(x[:dim], perm)] for perm in perms)
-        ]
-        cosets = (len(scalars), transversal)
-        object.__setattr__(group, "_scalar_cosets", cosets)
-    return cosets
 
 
 def is_invariant(group: RGroup, p: MPoly) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from . import cyclo, linalg
 from .cyclo import CycNum
@@ -177,6 +177,57 @@ class RGroup:
         """An element's basis images -> its index in `elements`."""
         dim = self.dim
         return {x[:dim]: i for i, x in enumerate(self.images)}
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Element indices of each conjugacy class, in order of first
+        element: the orbits of the elements under `conjugation` by the
+        generators."""
+        conjugators, conjugate = conjugation(self)
+        classes, done = [], set()
+        for i in range(self.order()):
+            if i not in done:
+                members = tuple(orbit(i, conjugators, conjugate))
+                done.update(members)
+                classes.append(members)
+        return tuple(classes)
+
+    @cached_property
+    def reflection_table(self) -> tuple[tuple, dict[int, int]]:
+        """(hyperplanes with their e_H, reflection index -> hyperplane
+        position).  Being a pseudo-reflection (rank(g - 1) = 1) is a class
+        property, so one element per conjugacy class is tested, and the
+        other members of the reflection classes only have their hyperplanes
+        found."""
+        elements = self.elements
+        found: dict[int, tuple[CycNum, ...]] = {}  # element index -> hyperplane form
+        for c in self.classes:
+            form = _hyperplane_form(elements[c[0]])
+            if form is not None:
+                found[c[0]] = form
+                found.update((i, _hyperplane_form(elements[i])) for i in c[1:])
+        by_hyperplane: dict[tuple[CycNum, ...], list[int]] = {}
+        for i in sorted(found):
+            by_hyperplane.setdefault(found[i], []).append(i)
+        forms = sorted(by_hyperplane, key=lambda f: [repr(c) for c in f])
+        hyps = tuple((form, len(by_hyperplane[form]) + 1) for form in forms)
+        table = {i: h for h, form in enumerate(forms) for i in by_hyperplane[form]}
+        return hyps, table
+
+    @cached_property
+    def scalar_cosets(self) -> tuple[int, list[int]]:
+        """|Z| for the scalar subgroup Z = {lambda I in G}, and the least
+        index of each coset of Z: lambda I is in G iff the points lambda e_k
+        are basis images."""
+        dim, points, index, element = self.dim, self.points, self.point_index, self.element_index
+        # v = lambda e_1, rotated k places to lambda e_k; scalars[0] = 1 is point 0
+        lines = [v for v in points if not any(v[1:])]
+        scalars = [v[0] for v in lines if tuple(index.get(v[-k:] + v[:-k]) for k in range(dim)) in element]
+        perms = [[index[tuple(lam * c if c else c for c in v)] for v in points] for lam in scalars[1:]]
+        transversal = [
+            i for i, x in enumerate(self.images) if all(i < element[then(x[:dim], perm)] for perm in perms)
+        ]
+        return len(scalars), transversal
 
 
 def enumerate_closure(
@@ -358,73 +409,34 @@ def reflections(group: RGroup) -> dict[int, int]:
     """Every pseudo-reflection's element index -> the position of its
     hyperplane in `hyperplanes(group)`, ordered by hyperplane and then by
     index; each call returns a fresh dict of the table kept on the group."""
-    return dict(_reflection_table(group)[1])
+    return dict(group.reflection_table[1])
 
 
 def hyperplanes(group: RGroup) -> list[tuple[tuple[CycNum, ...], int]]:
     """Distinct reflecting hyperplanes with their e_H, 1 + the number of
     reflections on H, in deterministic order."""
-    return list(_reflection_table(group)[0])
-
-
-def _reflection_table(group: RGroup):
-    cache = getattr(group, "_refl", None)
-    if cache is None:
-        cache = _scan_reflections(group)
-        object.__setattr__(group, "_refl", cache)
-    return cache
-
-
-def _scan_reflections(group: RGroup):
-    """Being a pseudo-reflection (rank(g - 1) = 1) is a class property, so one
-    element per conjugacy class is tested, and the other members of the
-    reflection classes only have their hyperplanes found."""
-    elements = group.elements
-    found: dict[int, tuple[CycNum, ...]] = {}  # element index -> hyperplane form
-    for c in conjugacy_classes(group):
-        form = _hyperplane_form(elements[c[0]])
-        if form is not None:
-            found[c[0]] = form
-            found.update((i, _hyperplane_form(elements[i])) for i in c[1:])
-    by_hyperplane: dict[tuple[CycNum, ...], list[int]] = {}
-    for i in sorted(found):
-        by_hyperplane.setdefault(found[i], []).append(i)
-    forms = sorted(by_hyperplane, key=lambda f: [repr(c) for c in f])
-    hyps = tuple((form, len(by_hyperplane[form]) + 1) for form in forms)
-    table = {i: h for h, form in enumerate(forms) for i in by_hyperplane[form]}
-    return hyps, table
+    return list(group.reflection_table[0])
 
 
 # ---------------------------------------------------------------------------
 # Galois stability, Hermitian form, center
 
 
-def galois_image(group: RGroup, k: int):
-    """Apply sigma_k entrywise.  Returns (image matrices, same_set, permutation).
-
-    When the image set equals the group's element set, the permutation of
-    element indices induced by sigma_k is returned (it is then an
-    automorphism of the group); otherwise permutation is None.  The rows of
-    the elements are the basis orbit's points, so sigma_k is applied once per
-    point, and an image is in the group iff its rows are points whose indices
-    are some element's basis images.
+def galois_image(group: RGroup, k: int) -> list[int] | None:
+    """The permutation of element indices that sigma_k, applied entrywise,
+    induces (an automorphism of the group), or None when sigma_k does not
+    map the group onto itself.  The rows of the elements are the basis
+    orbit's points, so sigma_k moves each point once, and an image is in the
+    group iff its rows are points whose indices are some element's basis
+    images.
     """
-    order_lcm = 1
-    for p in group.points:
-        for e in p:
-            order_lcm = order_lcm * e.order // gcd(order_lcm, e.order)
-    if gcd(k % order_lcm if order_lcm > 1 else 1, order_lcm) != 1:
+    order_lcm = lcm(*(e.order for p in group.points for e in p))
+    if gcd(k, order_lcm) != 1:
         raise InputError(f"sigma_{k} is not defined on entries of order lcm {order_lcm}")
-    dim = group.dim
-    moved = [tuple(cyclo.galois(e, k) for e in p) for p in group.points]
-    moved_index = [group.point_index.get(q) for q in moved]
-    matrices = []
-    perm = []
-    for x in group.images:
-        matrices.append(RMatrix._trusted(tuple([moved[i] for i in x[:dim]])))
-        perm.append(group.element_index.get(tuple([moved_index[i] for i in x[:dim]])))
-    same_set = None not in perm
-    return matrices, same_set, perm if same_set else None
+    dim, index = group.dim, group.element_index
+    moved = [group.point_index.get(tuple(cyclo.galois(e, k) for e in p)) for p in group.points]
+    perm = [index.get(tuple([moved[i] for i in x[:dim]])) for x in group.images]
+    return None if None in perm else perm
 
 
 def invariant_hermitian_form(group: RGroup) -> RMatrix:
@@ -495,21 +507,14 @@ def hermitian_is_positive_definite(h: RMatrix) -> bool:
 def center(group: RGroup) -> list[RMatrix]:
     """The elements whose conjugacy class is a singleton, in index order: an
     element is central iff it commutes with every generator."""
-    return [group.elements[c[0]] for c in conjugacy_classes(group) if len(c) == 1]
+    return [group.elements[c[0]] for c in group.classes if len(c) == 1]
 
 
 def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
-    """Element indices of each conjugacy class, in order of first element.
-
-    A class is the orbit of an element under `conjugation` by the
-    generators.  The classes are found once per group and kept on the group
-    object; each call returns a fresh list.
-    """
-    cache = getattr(group, "_classes", None)
-    if cache is None:
-        cache = _scan_classes(group)
-        object.__setattr__(group, "_classes", cache)
-    return list(cache)
+    """Element indices of each conjugacy class, in order of first element;
+    found once per group (`RGroup.classes`), and each call returns a fresh
+    list."""
+    return list(group.classes)
 
 
 def conjugation(group: RGroup):
@@ -534,17 +539,6 @@ def conjugation(group: RGroup):
     return conjugators, conjugate
 
 
-def _scan_classes(group: RGroup) -> tuple[tuple[int, ...], ...]:
-    conjugators, conjugate = conjugation(group)
-    classes, done = [], set()
-    for i in range(group.order()):
-        if i not in done:
-            members = tuple(orbit(i, conjugators, conjugate))
-            done.update(members)
-            classes.append(members)
-    return tuple(classes)
-
-
 # ---------------------------------------------------------------------------
 # field of definition
 
@@ -557,47 +551,19 @@ class FieldOfDefinition:
 
 
 def field_of_definition(group: RGroup) -> FieldOfDefinition:
-    """Smallest conductor f with all traces in Q(zeta_f), plus the exact
-    subgroup of (Z/f)^x fixing every trace.  The trace is a class function,
-    so one element of each conjugacy class gives every trace."""
+    """The conductor f of the field K the traces generate, the subgroup of
+    (Z/f)^x fixing every trace, and [K : Q].
+
+    A CycNum is stored at the least n with the value in Q(zeta_n), and
+    Q(zeta_a) meets Q(zeta_b) in Q(zeta_gcd(a, b)), so a trace lies in
+    Q(zeta_m) iff its order divides m: f is the lcm of the trace orders.
+    The trace is a class function, so one element of each conjugacy class
+    gives every trace."""
     elements = group.elements
-    traces = sorted(
-        {elements[c[0]].trace() for c in conjugacy_classes(group)}, key=lambda t: (t.order, t.coeffs)
-    )
-    big = 1
-    for t in traces:
-        big = big * t.order // gcd(big, t.order)
-
-    def fixing(modulus: int) -> list[int]:
-        if modulus == 1:
-            return [1]
-        units = [k for k in range(1, modulus + 1) if gcd(k, modulus) == 1]
-        return [
-            k
-            for k in units
-            if all(cyclo.galois(t, k % t.order if t.order > 1 else 1) == t for t in traces)
-        ]
-
-    fix_big = set(fixing(big))
-    units_big = [k for k in range(1, big + 1) if gcd(k, big) == 1]
-    conductor = big
-    for f in _divisors(big):
-        if f % 4 == 2:
-            continue  # Q(zeta_f) = Q(zeta_(f/2)); never a minimal conductor
-        # K lies in Q(zeta_f) iff the kernel of (Z/big)^x -> (Z/f)^x fixes K
-        if all(k in fix_big for k in units_big if k % f == 1 % f):
-            conductor = f
-            break
-    fix = tuple(sorted(fixing(conductor)))
-    phi = cyclo.euler_phi(conductor)
-    return FieldOfDefinition(conductor=conductor, fixing_subgroup=fix, degree=phi // len(fix))
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in cyclo.factorization(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
+    traces = {elements[c[0]].trace() for c in group.classes}
+    f = lcm(*(t.order for t in traces))
+    fix = tuple(k for k in range(1, f + 1) if gcd(k, f) == 1 and all(cyclo.galois(t, k) == t for t in traces))
+    return FieldOfDefinition(conductor=f, fixing_subgroup=fix, degree=cyclo.euler_phi(f) // len(fix))
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,41 @@ def test_arithmetic_matches_elimination_per_descent():
         _same((a * b) * b.inverse(), (a.order, a.coeffs))
 
 
+def _least_field(n, dense):
+    """The least m such that every sigma_k with k = 1 mod m, k prime to
+    lcm(m, n), fixes the value of dense over zeta_n.  On Q(zeta_n), sigma_k
+    sends zeta_n^i to zeta_n^(ik mod n), so each k moves the coefficients
+    of dense and no `galois` call runs."""
+    x = CycNum(n, dense)
+    for m in range(1, n + 1):
+        big = m * n // gcd(m, n)
+        residues = {k % n for k in range(1, big + 1, m) if gcd(k, big) == 1}
+        for k in residues:
+            moved = [Fraction(0)] * n
+            for i, c in enumerate(dense):
+                moved[i * k % n] += c
+            if CycNum(n, moved) != x:
+                break
+        else:
+            return m
+
+
+def test_order_is_the_least_field_by_galois_oracle():
+    # values of small support in Q(zeta_n), n <= 60, about half of them lifted
+    # from a subfield Q(zeta_m), m | n: the order a value is stored at is the
+    # least m with the value in Q(zeta_m), which `field_of_definition` relies on
+    rng = random.Random(35)
+    orders = set()
+    for n in range(1, 61):
+        for _ in range(3):
+            dense = _random_dense(rng, n)
+            order = CycNum(n, dense).order
+            assert order == _least_field(n, dense), (n, dense)
+            assert order % 4 != 2
+            orders.add(order)
+    assert len(orders) > 30
+
+
 def test_descent_projections_invert_the_descent_columns():
     """For every descent Q(zeta_n) -> Q(zeta_m) that is not a support check:
     the solution rows times the columns C give den * I, the consistency rows

@@ -537,15 +537,38 @@ def test_unbalanced_relator_takes_the_trivial_subgroup():
     assert q.gen_perms == table.generator_permutations()
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_quotient_permutations_pass_the_closure_check_first(m):
-    # a 3-cycle breaks the relator a^2: the degree is read, no permutation is handed out
-    pres = Presentation("P", ("a",), (word_pow(single("a"), 2),))
-    q = PermQuotient("P", CosetTable(pres, (), [(1, 2, 0), (2, 0, 1)], "complete", 3), m)
-    assert q.order() == q.degree == 3 * m
-    for read in (lambda: q.gen_perms, lambda: q.eval_word(single("a", -1))):
-        with pytest.raises(RuntimeError, match="relator"):
-            read()
+def _unbalanced_quotient():
+    pres = Presentation("P", ("a", "b"), (parse_word("a b^-2", ("a", "b")),))
+    return torsion_quotient(pres, 3)
+
+
+# the torsion quotients of the `cosets` benchmark workload, Br2/s^k and
+# Br3/s^k, and the unbalanced relator's quotient over the trivial subgroup
+REGULAR_COLUMN_CASES = [
+    (f"CP{e},{n}+2", lambda e=e, n=n: torsion_quotient(corran_picantin_presentation(e, n), 2))
+    for e, n in ((3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (6, 3))
+]
+REGULAR_COLUMN_CASES += [
+    ("G12+2", lambda: torsion_quotient(g12_braid_presentation(), 2)),
+    ("G13+2", lambda: torsion_quotient(g13_braid_presentation(), 2)),
+]
+REGULAR_COLUMN_CASES += [
+    (f"Br{n}/s^{k}", lambda n=n, k=k: coxeter_quotient(n, k)) for n in (2, 3) for k in (2, 3, 4, 5, -3)
+]
+REGULAR_COLUMN_CASES += [("unbalanced", _unbalanced_quotient)]
+
+
+@pytest.mark.parametrize("build", [c[1] for c in REGULAR_COLUMN_CASES], ids=[c[0] for c in REGULAR_COLUMN_CASES])
+def test_regular_columns_pass_the_closure_check(build):
+    # the regular action (t, a) -> (t.x, a +- 1) is checked by construction:
+    # the table's own check and psi being a homomorphism make every relator
+    # fix every point, which the full check confirms here
+    q = build()
+    assert q.base is None and "columns" not in q.__dict__
+    quot = q.presentation
+    rel_cols = [[quot.letter_columns[x] for x in word_letters(r)] for r in quot.relators]
+    _validate_table(CosetTable(quot, (), q.columns, "complete", q.degree), rel_cols, [])
+    assert len(q.columns[0]) == q.degree
 
 
 def test_verify_g12_conjugation():

@@ -8,7 +8,6 @@ from reflbench.arrangement import Arrangement, arrangement_of, discriminant_poly
 from reflbench.invariants import (
     MolienError,
     _monomials,
-    _scalar_cosets,
     act_matrix,
     catalog_invariant_pair,
     fundamental_invariants,
@@ -213,7 +212,7 @@ def test_reynolds_matches_the_sum_over_every_element(label):
 def test_scalar_cosets_partition_the_group(label):
     # Z is read off the matrices here, T must meet each coset of Z once
     g = _reynolds_group(label)
-    z, transversal = _scalar_cosets(g)
+    z, transversal = g.scalar_cosets
     n = g.dim
     lam_i = [RMatrix([[m.rows[0][0] * (i == j) for j in range(n)] for i in range(n)]) for m in g.elements]
     scalars = [m for m, s in zip(g.elements, lam_i) if m == s]
@@ -230,7 +229,7 @@ def test_reynolds_composes_once_per_coset(monkeypatch, label, z):
     calls = []
     images = invariants.monomial_images
     monkeypatch.setattr(invariants, "monomial_images", lambda *a: calls.append(a) or images(*a))
-    monkeypatch.setattr(matgroup, "conjugacy_classes", lambda g: pytest.fail("reynolds ran the class scan"))
+    monkeypatch.setattr(matgroup.RGroup, "classes", property(lambda g: pytest.fail("reynolds ran the class scan")))
     g = _reynolds_group(label)
     dim = g.dim
     # one composition per element of T, none for the degree z does not divide

@@ -110,11 +110,6 @@ def test_field_of_definition_weyl_and_cyclotomic():
     assert field_of_definition(build_monomial_group(4, 4, 2)).conductor == 1
 
 
-def test_divisors_match_brute_force():
-    for n in range(1, 3001):
-        assert matgroup._divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
-
-
 def test_field_of_definition_traces_live_in_reported_field():
     for g in (build_catalog_group("G4"), build_monomial_group(8, 8, 2)):
         fod = field_of_definition(g)
@@ -124,7 +119,9 @@ def test_field_of_definition_traces_live_in_reported_field():
 
 def _field_of_definition_over_all_elements(group):
     """`field_of_definition` as computed before it took one trace per
-    conjugacy class: the traces of every element."""
+    conjugacy class and read the conductor off the lcm of the trace orders:
+    the traces of every element, and the least divisor f of that lcm whose
+    units congruent to 1 mod f fix them all."""
     from math import gcd
 
     traces = sorted({m.trace() for m in group.elements}, key=lambda t: (t.order, t.coeffs))
@@ -156,36 +153,37 @@ def _field_of_definition_over_all_elements(group):
 
 
 def test_field_of_definition_matches_traces_of_every_element():
-    # the group-info groups of the benchmark, two rank-5/rank-4 groups, and
-    # the groups of the field-of-definition criterion
+    # the group-info groups of the benchmark, two rank-5/rank-4 groups, the
+    # groups of the field-of-definition criterion, every G(d,e,n) of order
+    # <= 2,000 with d <= 12, and two explicit groups, one over Q(zeta_5)
     monomial = [
         (3, 3, 2), (4, 4, 2), (5, 5, 2), (8, 8, 2), (12, 12, 2), (3, 1, 2), (4, 1, 2),
         (2, 1, 3), (2, 2, 3), (3, 3, 3), (4, 4, 3), (1, 1, 4), (2, 2, 4), (7, 7, 2),
         (9, 9, 2), (15, 15, 2), (24, 24, 2), (3, 1, 4), (2, 2, 5),
         (1, 1, 2), (1, 1, 3), (1, 1, 5),
     ]  # fmt: skip
-    groups = [build_catalog_group(name) for name in ("G4", "S3_paper")]
+    monomial += [deg for deg in SCAN_GROUPS if deg[0] <= 12 and deg not in monomial]
+    groups = [ORBIT_GROUPS[name]() for name in ("G4", "S3_paper", "explicit-twisted-swap", "explicit-G4-dense")]
     groups += [build_monomial_group(*deg) for deg in monomial]
     conductors = set()
     for g in groups:
         fod = field_of_definition(g)
         assert fod == _field_of_definition_over_all_elements(g)
         conductors.add(fod.conductor)
-    assert {1, 3, 8, 24} <= conductors
+    assert {1, 3, 5, 8, 15, 24} <= conductors
 
 
 def test_galois_image_identity_and_reality():
     g = build_monomial_group(1, 1, 3)
-    _, same, perm = galois_image(g, 1)
-    assert same and perm == list(range(g.order()))
-    _, same_conj, perm_conj = galois_image(g, -1)
-    assert same_conj and perm_conj == list(range(g.order()))  # real entries
+    assert galois_image(g, 1) == _galois_image_by_matrices(g, 1) == list(range(g.order()))
+    # real entries
+    assert galois_image(g, -1) == _galois_image_by_matrices(g, -1) == list(range(g.order()))
 
 
 def test_galois_image_g4_is_automorphism():
     g4 = build_catalog_group("G4")
-    images, same, perm = galois_image(g4, -1)
-    assert same
+    perm = galois_image(g4, -1)
+    assert perm == _galois_image_by_matrices(g4, -1) and perm != list(range(g4.order()))
     # the induced permutation respects products on generators x elements
     for a in g4.generators:
         ia = _index_of(g4, a)
@@ -636,7 +634,8 @@ def test_element_index_and_point_permutations(name):
 
 
 def _galois_image_by_matrices(group, k):
-    """The earlier galois_image: sigma_k on every element, membership by hashing."""
+    """The earlier galois_image: sigma_k on every element, membership by
+    hashing; the permutation of element indices, or None."""
     from math import gcd
 
     order_lcm = 1
@@ -648,9 +647,7 @@ def _galois_image_by_matrices(group, k):
         raise InputError(f"sigma_{k} is not defined on entries of order lcm {order_lcm}")
     members = {m: i for i, m in enumerate(group.elements)}
     images = [m.galois(k) for m in group.elements]
-    same_set = all(m in members for m in images)
-    perm = [members[m] for m in images] if same_set else None
-    return images, same_set, perm
+    return [members[m] for m in images] if all(m in members for m in images) else None
 
 
 @pytest.mark.parametrize(
@@ -672,10 +669,19 @@ def test_galois_image_matches_per_element_images(name):
             outcomes.add("undefined")
             continue
         assert galois_image(g, k) == expected
-        outcomes.add(expected[1])
+        outcomes.add(expected is not None)
     assert True in outcomes
     if name == "explicit-twisted-swap":
         assert False in outcomes
+
+
+@pytest.mark.parametrize("name", ["G4", "G(3,3,3)", "explicit-twisted-swap"])
+def test_galois_image_builds_no_matrix(monkeypatch, name):
+    g = ORBIT_GROUPS[name]()
+    expected = [_galois_image_by_matrices(g, k) for k in (-1, 2)]
+    monkeypatch.setattr(RMatrix, "_trusted", classmethod(lambda cls, rows: pytest.fail("built an RMatrix")))
+    monkeypatch.setattr(RMatrix, "__init__", lambda self, rows: pytest.fail("built an RMatrix"))
+    assert [galois_image(g, k) for k in (-1, 2)] == expected
 
 
 def _scan_every_element(group):
