@@ -71,30 +71,16 @@ class Arrangement:
 
 def normalize_form(form) -> tuple[CycNum, ...]:
     form = [c if isinstance(c, CycNum) else cyclo.rational(c) for c in form]
-    lead = next((c for c in form if c), None)
-    if lead is None:
+    if not any(form):
         raise InputError("zero linear form is not a hyperplane")
-    inv = lead.inverse()
-    return tuple(inv * c for c in form)
+    return matgroup.normalized(form, {})
 
 
 def arrangement_of(group: matgroup.RGroup) -> Arrangement:
-    """The reflection arrangement of a matrix group with its e_H multiplicities.
-    Generator g permutes the hyperplanes: H goes to the hyperplane of g r g^-1
-    for a reflection r on H, read off element indices."""
-    hyps = matgroup.hyperplanes(group)
-    hyperplane_of = matgroup.reflections(group)
-    one = {h: i for i, h in hyperplane_of.items()}
-    conjugators, conjugate = matgroup.conjugation(group)
-    return Arrangement(
-        dim=group.dim,
-        hyperplanes=tuple(form for form, _ in hyps),
-        multiplicities=tuple(e for _, e in hyps),
-        symmetries=tuple(
-            tuple(hyperplane_of[conjugate(one[h], c)] for h in range(len(hyps)))
-            for c in conjugators
-        ),
-    )
+    """The reflection arrangement of a matrix group: the forms, e_H and
+    generator permutations of its hyperplane orbits."""
+    forms, e, perms = group.hyperplane_orbits
+    return Arrangement(dim=group.dim, hyperplanes=forms, multiplicities=e, symmetries=perms)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +131,10 @@ def _covers(base: frozenset[int], rows: dict[int, tuple]) -> dict[frozenset[int]
     is the row divided by its first nonzero entry, canonical as CycNum is; a
     flat of dimension 1 is one class.
     """
-    inverse: dict[CycNum, CycNum] = {}
+    inverses: dict[CycNum, CycNum] = {}
     classes: dict[tuple, list[int]] = {}
     for i, row in rows.items():
-        if len(row) == 1:
-            key = (cyclo.ONE,)
-        else:
-            lead = next(c for c in row if c)
-            inv = inverse.get(lead) or inverse.setdefault(lead, lead.inverse())
-            key = tuple(inv * c for c in row)
+        key = (cyclo.ONE,) if len(row) == 1 else matgroup.normalized(row, inverses)
         classes.setdefault(key, []).append(i)
     return {base.union(members): key for key, members in classes.items()}
 

@@ -86,7 +86,6 @@ def _group_args(p: argparse.ArgumentParser):
 
 def cmd_group_info(args):
     g = _load_group(args)
-    refl = matgroup.reflections(g)
     hyps = matgroup.hyperplanes(g)
     fod = matgroup.field_of_definition(g)
     h = matgroup.invariant_hermitian_form(g)
@@ -95,7 +94,7 @@ def cmd_group_info(args):
         "label": g.label,
         "order": g.order(),
         "dim": g.dim,
-        "reflections": len(refl),
+        "reflections": matgroup.reflections(g),
         "hyperplanes": len(hyps),
         "e_H": sorted({e for _, e in hyps}),
         "center_order": len(matgroup.center(g)),

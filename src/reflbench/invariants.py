@@ -131,7 +131,7 @@ def molien_degrees(group: RGroup) -> list[int]:
     dim = group.dim
     if dim > MAX_MOLIEN_DIM:
         raise BudgetExceededError(f"Molien extraction limited to dim <= {MAX_MOLIEN_DIM}")
-    nterms = len(matgroup.reflections(group)) + dim + 2
+    nterms = matgroup.reflections(group) + dim + 2
     series = molien_series(group, nterms)
     degrees: list[int] = []
     for _ in range(dim):

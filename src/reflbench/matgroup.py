@@ -22,12 +22,17 @@ conjugacy classes read.  An element's record has at most dim * (1 +
 index and one element index (basis images -> element).  Closure, center, the
 Hermitian form, the Galois images, the conjugacy classes and the covers of
 `monodromy` look up points in them; no matrix product runs.
+
+The reflecting hyperplanes are the orbits, under v -> v g, of the forms of
+the generating reflections a constructor names, or else of one reflection
+per conjugacy class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -164,6 +169,8 @@ class RGroup:
     point_index: dict[tuple[CycNum, ...], int] = field(repr=False, compare=False)
     generator_perms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     images: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    # reflections that generate the group, or None when its constructor names none
+    generating_reflections: tuple[RMatrix, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -181,9 +188,17 @@ class RGroup:
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Element indices of each conjugacy class, in order of first
-        element: the orbits of the elements under `conjugation` by the
-        generators."""
-        conjugators, conjugate = conjugation(self)
+        element: the orbits of the elements under conjugation by the
+        generators.  e_k g x g^-1 is the point x sends e_k g to, moved back
+        by g, so g x g^-1 is read off x's images of the frame points e_k g."""
+        dim, images, index = self.dim, self.images, self.element_index
+        position = {p: s for s, p in enumerate(images[0])}
+        conjugators = [({b: a for a, b in enumerate(g)}, [position[i] for i in g[:dim]]) for g in self.generator_perms]
+
+        def conjugate(i, conjugator):
+            inverse, at = conjugator
+            return index[tuple([inverse[images[i][s]] for s in at])]
+
         classes, done = [], set()
         for i in range(self.order()):
             if i not in done:
@@ -193,26 +208,39 @@ class RGroup:
         return tuple(classes)
 
     @cached_property
-    def reflection_table(self) -> tuple[tuple, dict[int, int]]:
-        """(hyperplanes with their e_H, reflection index -> hyperplane
-        position).  Being a pseudo-reflection (rank(g - 1) = 1) is a class
-        property, so one element per conjugacy class is tested, and the
-        other members of the reflection classes only have their hyperplanes
-        found."""
-        elements = self.elements
-        found: dict[int, tuple[CycNum, ...]] = {}  # element index -> hyperplane form
-        for c in self.classes:
-            form = _hyperplane_form(elements[c[0]])
-            if form is not None:
-                found[c[0]] = form
-                found.update((i, _hyperplane_form(elements[i])) for i in c[1:])
-        by_hyperplane: dict[tuple[CycNum, ...], list[int]] = {}
-        for i in sorted(found):
-            by_hyperplane.setdefault(found[i], []).append(i)
-        forms = sorted(by_hyperplane, key=lambda f: [repr(c) for c in f])
-        hyps = tuple((form, len(by_hyperplane[form]) + 1) for form in forms)
-        table = {i: h for h, form in enumerate(forms) for i in by_hyperplane[form]}
-        return hyps, table
+    def hyperplane_orbits(self) -> tuple[tuple, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The reflecting hyperplanes' forms, in the order of the reprs of
+        their coefficients, their e_H and each generator's permutation of them.
+
+        With v the form of r's hyperplane, v g is that of g^-1 r g, so the
+        hyperplanes are the orbits of the seeds' forms.  det on the reflections
+        about an orbit C, 1 on the others, is a character of order e_C (Broué,
+        Malle and Rouquier, Crelle 500, 1998): each C holds a generating
+        reflection's hyperplane, and e_H is the lcm of their orders on C."""
+        seeds = self.generating_reflections
+        if seeds is None:
+            seeds = [self.elements[c[0]] for c in self.classes]
+        seeds = [(form, m) for m in seeds if (form := _hyperplane_form(m)) is not None]
+        forms, index, orbit_of, e, inverses, images = [], {}, [], {}, {}, [[] for _ in self.generators]
+        for seed, m in seeds:
+            if seed not in index:
+                start = index[seed] = len(forms)
+                forms.append(seed)
+                for v in islice(forms, start, None):  # reaches the forms appended below
+                    for g, image in zip(self.generators, images):
+                        w = normalized(_row_times(v, g.sparse_rows()), inverses)
+                        i = index.get(w)
+                        if i is None:
+                            i = index[w] = len(forms)
+                            forms.append(w)
+                        image.append(i)
+                orbit_of += [start] * (len(forms) - start)  # an orbit is known by its first form
+            c = orbit_of[index[seed]]
+            e[c] = lcm(e.get(c, 1), m.order())
+        order = sorted(range(len(forms)), key=lambda i: [repr(c) for c in forms[i]])
+        position = {i: h for h, i in enumerate(order)}
+        perms = tuple(tuple(position[image[i]] for i in order) for image in images)
+        return tuple(forms[i] for i in order), tuple(e[orbit_of[i]] for i in order), perms
 
     @cached_property
     def scalar_cosets(self) -> tuple[int, list[int]]:
@@ -231,7 +259,7 @@ class RGroup:
 
 
 def enumerate_closure(
-    generators: list[RMatrix], label: str, budget: int = DEFAULT_ELEMENT_BUDGET
+    generators: list[RMatrix], label: str, budget: int = DEFAULT_ELEMENT_BUDGET, generating_reflections=None
 ) -> RGroup:
     """Breadth-first closure with deterministic element indices.
 
@@ -283,6 +311,7 @@ def enumerate_closure(
         point_index=index,
         generator_perms=gen_perms,
         images=images,
+        generating_reflections=generating_reflections,
     )
 
 
@@ -322,18 +351,22 @@ def build_monomial_group(
         rows[i][i + 1] = cyclo.ONE
         rows[i + 1][i] = cyclo.ONE
         gens.append(RMatrix(rows))
+    reflections = list(gens)  # with s_1' and diag(zeta_small, 1, ...), they generate
     if d > 1 and n >= 2:
         vals = [cyclo.ONE] * n
         vals[0] = cyclo.root_of_unity(d, 1)
         vals[1] = cyclo.root_of_unity(d, -1)
         gens.append(diag(vals))
+        # s_1' = s_1 diag(vals), column j of s_1 times vals[j]: no matrix product runs while a group is built
+        reflections.append(RMatrix([[x * v for x, v in zip(row, vals)] for row in gens[0].rows]))
     if small > 1:
         vals = [cyclo.ONE] * n
         vals[0] = cyclo.root_of_unity(small, 1)
         gens.append(diag(vals))
+        reflections.append(gens[-1])
     if not gens:
         gens = [RMatrix.identity(n)]
-    group = enumerate_closure(gens, f"G({d},{e},{n})", budget)
+    group = enumerate_closure(gens, f"G({d},{e},{n})", budget, tuple(reflections))
     if group.order() != predicted:
         raise RuntimeError(
             f"G({d},{e},{n}) enumeration produced {group.order()} elements, expected {predicted}"
@@ -372,7 +405,8 @@ def build_catalog_group(name: str, budget: int = DEFAULT_ELEMENT_BUDGET) -> RGro
     """One of the explicitly catalogued 2x2 matrix models ("G4", "S3_paper")."""
     if name not in CATALOG_BUILDERS:
         raise InputError(f"unknown catalog group {name!r}; have {sorted(CATALOG_BUILDERS)}")
-    return enumerate_closure(CATALOG_BUILDERS[name](), name, budget)
+    gens = CATALOG_BUILDERS[name]()  # reflections, each of them
+    return enumerate_closure(gens, name, budget, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +433,33 @@ def _hyperplane_form(m: RMatrix) -> tuple[CycNum, ...] | None:
             r, p, r_support = s, support[0], support
         elif support != r_support or any(s[j] * r[p] != r[j] * s[p] for j in support):
             return None
-    if r is None:
-        return None
-    inv = 1 / r[p]
-    return tuple(x * inv for x in r)
+    return None if r is None else normalized(r, {})
 
 
-def reflections(group: RGroup) -> dict[int, int]:
-    """Every pseudo-reflection's element index -> the position of its
-    hyperplane in `hyperplanes(group)`, ordered by hyperplane and then by
-    index; each call returns a fresh dict of the table kept on the group."""
-    return dict(group.reflection_table[1])
+def normalized(row, inverses: dict[CycNum, CycNum]) -> tuple[CycNum, ...]:
+    """A nonzero `row` divided by its first nonzero entry, canonical as CycNum
+    is, skipping the zero entries.  `inverses` keeps the leads' inverses for
+    the caller; a root of unity's is its conjugate."""
+    p = next(k for k, c in enumerate(row) if c)
+    lead = row[p]
+    if lead not in inverses:
+        conj = lead.conjugate()
+        inverses[lead] = conj if lead * conj == cyclo.ONE else lead.inverse()
+    inv = inverses[lead]
+    return (*row[:p], cyclo.ONE, *(c * inv if c else c for c in row[p + 1 :]))
+
+
+def reflections(group: RGroup) -> int:
+    """The number of pseudo-reflections: e_H - 1 on each hyperplane H."""
+    _, e, _ = group.hyperplane_orbits
+    return sum(e) - len(e)
 
 
 def hyperplanes(group: RGroup) -> list[tuple[tuple[CycNum, ...], int]]:
-    """Distinct reflecting hyperplanes with their e_H, 1 + the number of
-    reflections on H, in deterministic order."""
-    return list(group.reflection_table[0])
+    """Distinct reflecting hyperplanes with their e_H, the order of the
+    cyclic group fixing H pointwise, in deterministic order."""
+    forms, e, _ = group.hyperplane_orbits
+    return list(zip(forms, e))
 
 
 # ---------------------------------------------------------------------------
@@ -515,28 +559,6 @@ def conjugacy_classes(group: RGroup) -> list[tuple[int, ...]]:
     found once per group (`RGroup.classes`), and each call returns a fresh
     list."""
     return list(group.classes)
-
-
-def conjugation(group: RGroup):
-    """The generators as conjugators, and `conjugate(i, c)`, the index of g x_i
-    g^-1 for g's conjugator c: its basis images are read at the points e_k g."""
-    dim = group.dim
-    images = group.images
-    index = group.element_index
-    position = {p: s for s, p in enumerate(images[0])}
-    conjugators = []
-    for g in group.generator_perms:
-        inverse = [0] * len(g)
-        for a, b in enumerate(g):
-            inverse[b] = a
-        conjugators.append((inverse, [position[i] for i in g[:dim]]))
-
-    def conjugate(i, conjugator):
-        inverse, at = conjugator
-        x = images[i]
-        return index[tuple([inverse[x[s]] for s in at])]
-
-    return conjugators, conjugate
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from reflbench import arrangement, cyclo, linalg
+from reflbench import arrangement, cyclo, linalg, matgroup
 from reflbench.arrangement import (
     Arrangement,
     Flat,
@@ -616,6 +616,45 @@ def test_lattice_by_restriction_matches_closure_with_and_without_symmetries(labe
     # without its symmetries the lattice restricts at every flat; the oracle
     # keeps them, which is the same lattice at a fraction of the eliminations
     _assert_same_lattice(dataclasses.replace(arr, symmetries=()), oracle=arr)
+
+
+def _arrangement_by_conjugation(group):
+    """`arrangement_of` as it was before the hyperplanes were an orbit: every
+    reflection's hyperplane from a scan of the reflection classes, and
+    generator g sending H to the hyperplane of g r g^-1, for one reflection r
+    on H, found by conjugating element indices at the frame points e_k g."""
+    dim, elements, images, index = group.dim, group.elements, group.images, group.element_index
+    on = {}  # hyperplane form -> the reflections on it
+    for c in group.classes:
+        if matgroup._hyperplane_form(elements[c[0]]) is not None:
+            for i in c:
+                on.setdefault(matgroup._hyperplane_form(elements[i]), []).append(i)
+    forms = sorted(on, key=lambda f: [repr(c) for c in f])
+    hyperplane_of = {i: h for h, form in enumerate(forms) for i in on[form]}
+    position = {p: s for s, p in enumerate(images[0])}
+    symmetries = []
+    for g in group.generator_perms:
+        inverse = {b: a for a, b in enumerate(g)}
+        at = [position[i] for i in g[:dim]]
+        conjugate = [index[tuple(inverse[images[on[form][0]][s]] for s in at)] for form in forms]
+        symmetries.append(tuple(hyperplane_of[i] for i in conjugate))
+    return Arrangement(
+        dim=dim,
+        hyperplanes=tuple(forms),
+        multiplicities=tuple(len(on[form]) + 1 for form in forms),
+        symmetries=tuple(symmetries),
+    )
+
+
+@pytest.mark.parametrize("label", [("G4",), (2, 2, 4), (3, 3, 3), (4, 2, 3), (2, 2, 6), (3, 3, 5)], ids=str)
+def test_hyperplane_orbit_gives_the_arrangement_by_conjugation(label):
+    group = build_catalog_group(*label) if len(label) == 1 else build_monomial_group(*label)
+    arr, old = arrangement_of(group), _arrangement_by_conjugation(group)
+    assert (arr.hyperplanes, arr.multiplicities) == (old.hyperplanes, old.multiplicities)
+    # the orbit moves H to the hyperplane of g^-1 r g: the inverse permutation
+    inverses = [tuple(sorted(range(len(p)), key=p.__getitem__)) for p in old.symmetries]
+    assert arr.symmetries == tuple(inverses)
+    assert intersection_lattice(arr).flats == intersection_lattice(old).flats
 
 
 def _covers_keyed_on_raw_rows(base, rows):

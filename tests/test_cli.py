@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import reflbench
-from reflbench import arrangement, cli, cyclo, fpgroups, garside, invariants, mpoly, suite
+from reflbench import arrangement, cli, cyclo, fpgroups, garside, invariants, matgroup, mpoly, suite
 from reflbench.cli import main
 
 
@@ -837,6 +837,19 @@ def test_discriminant_digests_cover_the_arrangements_workload():
 
 @pytest.mark.parametrize("source", list(DISCRIMINANT_DIGESTS))
 def test_discriminant_stdout_is_pinned(capsys, source):
+    digest = hashlib.sha256()
+    for command in ("discriminant", "supersolvable"):
+        code, out = run_cli(capsys, "arrangement", command, *source.split())
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == DISCRIMINANT_DIGESTS[source]
+
+
+@pytest.mark.parametrize("source", ["--monomial 2,2,4", "--monomial 3,3,3", "--catalog G4"])
+def test_arrangements_of_built_groups_read_no_class(capsys, monkeypatch, source):
+    # the constructors name generating reflections, whose orbit gives the
+    # hyperplanes and the symmetries without a conjugacy class or an index
+    for name in ("classes", "element_index"):
+        monkeypatch.setattr(matgroup.RGroup, name, property(lambda g: pytest.fail("read the elements")))
     digest = hashlib.sha256()
     for command in ("discriminant", "supersolvable"):
         code, out = run_cli(capsys, "arrangement", command, *source.split())

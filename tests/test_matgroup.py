@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -72,21 +73,22 @@ def test_closure_idempotent():
 
 def test_reflection_counts():
     s3 = build_catalog_group("S3_paper")
-    assert len(reflections(s3)) == 3
+    assert reflections(s3) == 3
     assert [e for _, e in hyperplanes(s3)] == [2, 2, 2]
 
     g4 = build_catalog_group("G4")
-    assert len(reflections(g4)) == 8
+    assert reflections(g4) == 8
     assert [e for _, e in hyperplanes(g4)] == [3, 3, 3, 3]
 
     b2 = build_monomial_group(2, 1, 2)
-    assert len(reflections(b2)) == 4 and len(hyperplanes(b2)) == 4
+    assert reflections(b2) == 4 and len(hyperplanes(b2)) == 4
 
 
 def test_reflections_fix_their_hyperplane_pointwise():
     g4 = build_catalog_group("G4")
-    hyps = hyperplanes(g4)
-    for i, h in reflections(g4).items():
+    table, hyps = _scan_every_element(g4)
+    assert hyps == hyperplanes(g4) and len(table) == 8
+    for i, h in table:
         # kernel basis of the defining form, checked fixed exactly
         a, b = hyps[h][0]
         if a.is_zero():
@@ -345,7 +347,7 @@ def test_hyperplane_form_matches_elimination(build):
         form = matgroup._hyperplane_form(m)
         assert form == _rref_hyperplane_form(m)
         found += form is not None
-    assert found == len(reflections(g)) > 0
+    assert found == reflections(g) > 0
 
 
 def _plus_identity(rows):
@@ -382,34 +384,32 @@ def test_hyperplane_form_hand_built_cases(name):
     assert matgroup._hyperplane_form(m) == expected == _rref_hyperplane_form(m)
 
 
-def test_one_reflection_scan_per_group(monkeypatch):
+def test_one_hyperplane_form_per_seed(monkeypatch):
     from reflbench import invariants
 
     calls = []
     form = matgroup._hyperplane_form
     monkeypatch.setattr(matgroup, "_hyperplane_form", lambda m: calls.append(m) or form(m))
     g = build_monomial_group(4, 2, 3)
-    refl = reflections(g)
     hyps = hyperplanes(g)
     degrees = invariants.molien_degrees(g)
-    # one test per conjugacy class, then one form per reflection that is not
-    # its class's first element
-    classes = matgroup.conjugacy_classes(g)
-    firsts = {c[0] for c in classes}
-    scan = len(classes) + sum(i not in firsts for i in refl)
-    assert len(calls) == scan < g.order()
-    assert degrees == [4, 6, 8] and len(refl) == len(hyps) == 15
+    # the seeds are s_1, s_2, s_1' and diag(-1, 1, 1), one form each; the
+    # other hyperplanes are their images
+    assert calls == list(g.generating_reflections) and len(calls) == 4
+    assert degrees == [4, 6, 8] and reflections(g) == len(hyps) == 15
     # every call returns a fresh copy of the stored result
-    refl.clear()
     hyps.clear()
-    assert reflections(g) == reflections(g) != []
-    assert reflections(g) is not reflections(g)
     assert hyperplanes(g) == hyperplanes(g) != []
-    assert len(calls) == scan
-    # a second group object scans again: nothing is kept across groups
+    assert hyperplanes(g) is not hyperplanes(g)
+    assert len(calls) == 4
+    # a second group object seeds again: nothing is kept across groups
     again = build_monomial_group(4, 2, 3)
     assert reflections(again) == reflections(g) and hyperplanes(again) == hyperplanes(g)
-    assert len(calls) == 2 * scan
+    assert len(calls) == 8
+    # a group from bare generators tests one element of each class
+    bare = enumerate_closure(list(g.generators), "G(4,2,3) as a spec")
+    assert hyperplanes(bare) == hyperplanes(g)
+    assert calls[8:] == [bare.elements[c[0]] for c in bare.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +686,9 @@ def test_galois_image_builds_no_matrix(monkeypatch, name):
 
 def _scan_every_element(group):
     """The earlier reflection scan, rank(g - 1) = 1 tested at every element:
-    the items of the index table `reflections` keeps, in its order, and the
-    hyperplanes with their e_H."""
+    (reflection index, hyperplane position) pairs, ordered by hyperplane and
+    then by index, and the hyperplanes with their e_H, 1 + the number of
+    reflections on H."""
     by_hyperplane = {}
     for i, m in enumerate(group.elements):
         form = matgroup._hyperplane_form(m)
@@ -720,12 +721,21 @@ SCAN_IDS = ["G({},{},{})".format(*t) for t in SCAN_GROUPS] + ["G4", "S3_paper"]
     "build",
     SCAN_BUILDS
     # a cyclic group without reflections: diag(i, -i) has no eigenvalue 1
-    + [lambda: _explicit([[[cyclo.root_of_unity(4, 1), 0], [0, cyclo.root_of_unity(4, 3)]]])],
-    ids=SCAN_IDS + ["explicit-diag-i"],
+    + [lambda: _explicit([[[cyclo.root_of_unity(4, 1), 0], [0, cyclo.root_of_unity(4, 3)]]])]
+    # seeded by its classes: diag(i, -i) generates it and is no reflection
+    + [lambda: enumerate_closure(list(build_monomial_group(4, 2, 2).generators), "G(4,2,2) as a spec")],
+    ids=SCAN_IDS + ["explicit-diag-i", "explicit-G(4,2,2)"],
 )
-def test_class_scan_matches_the_scan_of_every_element(build):
+def test_hyperplane_orbit_matches_the_scan_of_every_element(build):
     g = build()
-    assert (list(reflections(g).items()), hyperplanes(g)) == _scan_every_element(g)
+    table, hyps = _scan_every_element(g)
+    assert (reflections(g), hyperplanes(g)) == (len(table), hyps)
+    # generator g sends H to the hyperplane of g^-1 r g, r a reflection on H
+    position = {form: h for h, (form, _) in enumerate(hyps)}
+    first = {h: i for i, h in reversed(table)}
+    for s, perm in zip(g.generators, g.hyperplane_orbits[2]):
+        moved = [matgroup._hyperplane_form(s.inverse() * g.elements[first[h]] * s) for h in range(len(hyps))]
+        assert list(perm) == [position[form] for form in moved]
 
 
 @pytest.mark.parametrize("build", SCAN_BUILDS, ids=SCAN_IDS)
@@ -734,21 +744,34 @@ def test_reflections_on_a_hyperplane_have_every_nontrivial_eigenvalue(build):
     # their determinants, the nontrivial eigenvalues, are the e_H - 1
     # nontrivial e_H-th roots of unity, each once
     g = build()
+    table, hyps = _scan_every_element(g)
+    assert hyps == hyperplanes(g)
     on = {}
-    for i, h in reflections(g).items():
+    for i, h in table:
         on.setdefault(h, []).append(linalg.det([list(r) for r in g.elements[i].rows]))
-    hyps = hyperplanes(g)
     assert sorted(on) == list(range(len(hyps)))
     for h, (_, e) in enumerate(hyps):
         roots = {cyclo.root_of_unity(e, k) for k in range(1, e)}
         assert len(on[h]) == len(set(on[h])) == e - 1 and set(on[h]) == roots
 
 
-def test_class_scan_finds_reflections_beyond_the_generators():
-    # G(4,2,2) is generated by a swap, diag(-1, 1) and diag(i, -i), and the
-    # last is no reflection
+def test_the_generating_reflections_reach_hyperplanes_no_generator_does():
+    # G(4,2,2) is generated by a swap, diag(i, -i) and diag(-1, 1), and the
+    # middle one is no reflection: the hyperplanes x = +-i y are the orbit of
+    # s_1' = swap diag(i, -i) alone
     g = build_monomial_group(4, 2, 2)
     assert [matgroup._hyperplane_form(s) is not None for s in g.generators] == [True, False, True]
-    refl = reflections(g)
-    assert list(refl.items()) == _scan_every_element(g)[0] and len(refl) == 6
-    assert set(refl) > {_index_of(g, g.generators[0]), _index_of(g, g.generators[2])}
+    assert all(matgroup._hyperplane_form(s) is not None for s in g.generating_reflections)
+    assert (reflections(g), len(hyperplanes(g))) == (6, 6)
+    generators_only = dataclasses.replace(g, generating_reflections=(g.generators[0], g.generators[2]))
+    assert (reflections(generators_only), len(hyperplanes(generators_only))) == (4, 4)
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["class-seeds", "generating-reflections"])
+def test_e_H_is_the_lcm_of_the_seed_orders(seeded):
+    # diag(-1, 1) and diag(i, 1) fix the one hyperplane x = 0; the first seed
+    # has order 2 and e_H = 4
+    gens = [RMatrix([[-1, 0], [0, 1]]), RMatrix([[cyclo.root_of_unity(4, 1), 0], [0, 1]])]
+    g = enumerate_closure(gens, "mu_4", generating_reflections=tuple(gens) if seeded else None)
+    assert g.order() == 4 and matgroup._hyperplane_form(g.elements[1]) == (cyclo.ONE, cyclo.ZERO)
+    assert hyperplanes(g) == [((cyclo.ONE, cyclo.ZERO), 4)] and reflections(g) == 3
